@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .hecke import HeckeElt, mul, tau
 from .polyring import q_int
@@ -126,22 +127,16 @@ def _reduce_vector(v: Sequence[int], rows: Sequence[Sequence[int]], q: int) -> t
     return tuple(out)
 
 
-def _invert_mod(rows: Sequence[Sequence[int]], q: int) -> list[list[int]]:
-    """Inverse of a square invertible matrix over F_q (Gauss-Jordan)."""
+def _invert_mod(rows: Sequence[Sequence[int]], q: int) -> list[tuple[int, ...]]:
+    """Inverse of a square invertible matrix over F_q: the right block of rref [A | I]."""
     n = len(rows)
-    aug = [[x % q for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, q)
-        aug[col] = [(x * inv) % q for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [(x - f * y) % q for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    red = _rref([[*row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)], q)
+    # [A | I] has rank n; A is invertible iff all n pivots lie in A
+    if red and next(j for j, x in enumerate(red[-1]) if x) != n - 1:
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +146,9 @@ def _invert_mod(rows: Sequence[Sequence[int]], q: int) -> list[list[int]]:
 # reduced modulo the span of rows 1..i-1 has its last nonzero entry at
 # position w(i).  This is the second-difference permutation of the
 # intersection dimensions, computed without any intersections; tests
-# compare it against the literal definition exhaustively.
+# compare it against the literal definition exhaustively.  F_2 rows are
+# bit-packed ints and other q use lists mod q, both selected once by
+# _row_backend.
 
 
 def _profile_generic(rows: Iterable[Sequence[int]], q: int) -> tuple[int, ...]:
@@ -204,8 +201,9 @@ def _pack2(row: Sequence[int]) -> int:
     return acc
 
 
-def _inv2(rows: Sequence[int], n: int) -> list[int]:
+def _inv2(rows: Sequence[int]) -> list[int]:
     """Inverse over F_2 of a packed square matrix."""
+    n = len(rows)
     aug = [rows[i] | (1 << (n + i)) for i in range(n)]
     for col in range(n):
         piv = next((i for i in range(col, n) if aug[i] >> col & 1), None)
@@ -235,6 +233,18 @@ def _matmul2(a: Sequence[int], b: Sequence[int]) -> list[int]:
             j += 1
         out.append(acc)
     return out
+
+
+def _row_backend(q: int) -> tuple[Callable, Callable, Callable, Callable]:
+    """The (pack, profile, invert, matmul) row operations over F_q."""
+    if q == 2:
+        return _pack2, _profile2, _inv2, _matmul2
+    return (
+        list,
+        partial(_profile_generic, q=q),
+        partial(_invert_mod, q=q),
+        partial(_matmul_mod, q=q),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +277,13 @@ class FqMatrix:
         return bool(self.rows) and len(self.rows) == len(self.rows[0]) == self.rank()
 
     def inverse(self) -> "FqMatrix":
-        return FqMatrix(self.q, tuple(tuple(r) for r in _invert_mod(self.rows, self.q)))
+        return FqMatrix(self.q, tuple(_invert_mod(self.rows, self.q)))
 
     def __matmul__(self, other: "FqMatrix") -> "FqMatrix":
         if self.q != other.q:
             raise ValueError("field mismatch")
+        if self.rows and len(self.rows[0]) != len(other.rows):
+            raise ValueError("inner dimensions differ")
         return FqMatrix(self.q, tuple(tuple(r) for r in _matmul_mod(self.rows, other.rows, self.q)))
 
     def apply_to_row(self, v: Sequence[int]) -> tuple[int, ...]:
@@ -450,6 +462,16 @@ def flag_count(n: int, q: int) -> int:
     return count
 
 
+def _check_budget(n: int, q: int, budget: int) -> int:
+    """The flag count of F_q^n; BudgetExceeded when it is over `budget`."""
+    total = flag_count(n, q)
+    if total > budget:
+        raise BudgetExceeded(
+            f"F_{q}^{n} has {total} complete flags, over the budget of {budget}"
+        )
+    return total
+
+
 def enumerate_flags(n: int, q: int, budget: int = FLAG_BUDGET) -> tuple[Flag, ...]:
     """All complete flags in F_q^n, in a deterministic order.
 
@@ -459,11 +481,7 @@ def enumerate_flags(n: int, q: int, budget: int = FLAG_BUDGET) -> tuple[Flag, ..
     _require_prime(q)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    total = flag_count(n, q)
-    if total > budget:
-        raise BudgetExceeded(
-            f"F_{q}^{n} has {total} complete flags, over the budget of {budget}"
-        )
+    total = _check_budget(n, q, budget)
     flags: list[Flag] = []
     steps: list[Subspace] = []
 
@@ -563,16 +581,10 @@ class _Geometry:
         self.nperms = len(self.perms)
         self.index = {w.image: i for i, w in enumerate(self.perms)}
         self.flags = enumerate_flags(n, q, budget)
-        if q == 2:
-            chains = [[_pack2(r) for r in f.chain_rows()] for f in self.flags]
-            self._inv_rows = [_inv2(c, n) for c in chains]
-            self._labels_to_std = [self.index[_profile2(c)] for c in chains]
-            self._chains = chains
-        else:
-            chains = [[list(r) for r in f.chain_rows()] for f in self.flags]
-            self._inv_rows = [_invert_mod(c, q) for c in chains]
-            self._labels_to_std = [self.index[_profile_generic(c, q)] for c in chains]
-            self._chains = chains
+        self._backend = pack, profile, invert, _ = _row_backend(q)
+        self._chains = [[pack(r) for r in f.chain_rows()] for f in self.flags]
+        self._inv_rows = [invert(c) for c in self._chains]
+        self._labels_to_std = [self.index[profile(c)] for c in self._chains]
         self._tensor: list[dict[int, int]] | None = None
         self._debug_checked = False
 
@@ -588,55 +600,31 @@ class _Geometry:
             self._debug_checked = True
         return self._tensor
 
-    def _debug_transform(self) -> list[list[int]] | list[int]:
+    def _debug_transform(self) -> list:
         # a fixed invertible matrix that moves the coordinate flags:
         # all-ones superdiagonal unipotent with its rows rotated
-        n, q = self.n, self.q
-        uni = [[0] * n for _ in range(n)]
-        for i in range(n):
-            uni[i][i] = 1
-            if i + 1 < n:
-                uni[i][i + 1] = 1
-        rotated = [uni[(i + 1) % n] for i in range(n)]
-        if q == 2:
-            return [_pack2(r) for r in rotated]
-        return rotated
+        n = self.n
+        uni = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+        pack = self._backend[0]
+        return [pack(uni[(i + 1) % n]) for i in range(n)]
 
     def _build(self, transform) -> list[dict[int, int]]:
-        n, q = self.n, self.q
+        _, profile, invert, matmul = self._backend
         nperms = self.nperms
         index = self.index
         picks = [tuple(x - 1 for x in w.image) for w in self.perms]
         out: list[dict[int, int]] = [dict() for _ in range(nperms)]
-        if q == 2:
-            ginv = _inv2(transform, n) if transform is not None else None
-            for fi in range(len(self.flags)):
-                inv = self._inv_rows[fi]
-                if transform is None:
-                    y = self._labels_to_std[fi]
-                else:
-                    # representative pair moved to (g wE, g E)
-                    inv = _matmul2(transform, inv)
-                    y = index[_profile2(_matmul2(self._chains[fi], ginv))]
-                for zi in range(nperms):
-                    img = _profile2([inv[k] for k in picks[zi]])
-                    key = index[img] * nperms + y
-                    table = out[zi]
-                    table[key] = table.get(key, 0) + 1
-        else:
-            ginv = _invert_mod(transform, q) if transform is not None else None
-            for fi in range(len(self.flags)):
-                inv = self._inv_rows[fi]
-                if transform is None:
-                    y = self._labels_to_std[fi]
-                else:
-                    inv = _matmul_mod(transform, inv, q)
-                    y = index[_profile_generic(_matmul_mod(self._chains[fi], ginv, q), q)]
-                for zi in range(nperms):
-                    img = _profile_generic([inv[k] for k in picks[zi]], q)
-                    key = index[img] * nperms + y
-                    table = out[zi]
-                    table[key] = table.get(key, 0) + 1
+        ginv = invert(transform) if transform is not None else None
+        for inv, chain, y in zip(self._inv_rows, self._chains, self._labels_to_std):
+            if transform is not None:
+                # representative pair moved to (g wE, g E)
+                inv = matmul(transform, inv)
+                y = index[profile(matmul(chain, ginv))]
+            for zi in range(nperms):
+                img = profile([inv[k] for k in picks[zi]])
+                key = index[img] * nperms + y
+                table = out[zi]
+                table[key] = table.get(key, 0) + 1
         return out
 
 
@@ -644,11 +632,7 @@ _GEOMETRY: dict[tuple[int, int], _Geometry] = {}
 
 
 def _geometry(n: int, q: int, budget: int) -> _Geometry:
-    total = flag_count(n, q)
-    if total > budget:
-        raise BudgetExceeded(
-            f"F_{q}^{n} has {total} complete flags, over the budget of {budget}"
-        )
+    _check_budget(n, q, budget)
     key = (n, q)
     geo = _GEOMETRY.get(key)
     if geo is None:
@@ -859,6 +843,7 @@ def verify_lemma3(
     f_{n-1} and into the range where both sides vanish.
     """
     _require_prime(q)
+    _check_budget(n, q, budget)
     ts = sorted(set(t_values)) if t_values is not None else list(range(1, n + 3))
     if any(t < 1 for t in ts):
         raise ValueError(f"t values must be >= 1, got {ts}")
@@ -893,6 +878,7 @@ def verify_factorization(
     the factors (f1 - [k]_q f0) over k in [1, n] \\ {n-1} vanishes.
     """
     _require_prime(q)
+    _check_budget(n, q, budget)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     f0 = OrbitFn.indicator(Perm.identity(n), q)
@@ -942,6 +928,7 @@ def verify_span_commutativity(
     and f_s * f_t must equal f_t * f_s for all s, t in [0, n].
     """
     _require_prime(q)
+    _check_budget(n, q, budget)
     fs = [f_t(n, q, t) for t in range(n + 1)]
     base = f1(n, q)
     rows = []

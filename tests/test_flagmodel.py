@@ -15,6 +15,7 @@ from prop_checks import (
     check_gl_invariance,
     check_orbit_partition_matches_bruteforce,
 )
+from qshuffle import flagmodel
 from qshuffle.flagmodel import (
     FLAG_BUDGET,
     BudgetExceeded,
@@ -125,7 +126,7 @@ def test_enumerate_flags_complete_and_distinct():
         assert len(set(flags)) == len(flags)
 
 
-def test_budget_refusals():
+def test_budget_refusals(monkeypatch):
     for n, q in ((5, 3), (6, 2)):
         with pytest.raises(BudgetExceeded):
             enumerate_flags(n, q)
@@ -134,8 +135,22 @@ def test_budget_refusals():
     assert issubclass(BudgetExceeded, ValueError)
     with pytest.raises(BudgetExceeded):
         convolve(f1(3, 2), f1(3, 2), budget=10)
-    with pytest.raises(BudgetExceeded):
-        verify_lemma3(5, 3)
+
+    # the verifiers refuse before computing any orbit function
+    def no_orbit_fns(*args):
+        raise AssertionError("orbit function computed before the budget check")
+
+    monkeypatch.setattr(flagmodel, "f1", no_orbit_fns)
+    monkeypatch.setattr(flagmodel, "f_t", no_orbit_fns)
+    for verify, n, q in (
+        (verify_lemma3, 5, 3),
+        (verify_lemma3, 6, 2),
+        (verify_lemma3, 7, 2),
+        (verify_span_commutativity, 7, 2),
+        (verify_factorization, 8, 2),
+    ):
+        with pytest.raises(BudgetExceeded):
+            verify(n, q)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +422,30 @@ def test_convolution_bilinear_associative():
 
 
 def test_convolution_debug_representative_agrees():
-    got = convolve(f1(3, 3), f1(3, 3), debug=True)
-    assert got == convolve(f1(3, 3), f1(3, 3))
+    # both row backends: packed F_2 and lists mod q
+    for n, q in ((3, 3), (3, 2), (4, 2)):
+        got = convolve(f1(n, q), f1(n, q), debug=True)
+        assert got == convolve(f1(n, q), f1(n, q))
+
+
+def test_packed_f2_backend_matches_generic(monkeypatch):
+    def generic_rows(q):
+        return (
+            list,
+            lambda rows: flagmodel._profile_generic(rows, q),
+            lambda rows: flagmodel._invert_mod(rows, q),
+            lambda a, b: flagmodel._matmul_mod(a, b, q),
+        )
+
+    for n in (3, 4):
+        packed = flagmodel._Geometry(n, 2, FLAG_BUDGET)
+        with monkeypatch.context() as m:
+            m.setattr(flagmodel, "_row_backend", generic_rows)
+            generic = flagmodel._Geometry(n, 2, FLAG_BUDGET)
+            generic_tensor = generic.tensor(debug=True)
+        assert packed._chains != generic._chains
+        assert packed._labels_to_std == generic._labels_to_std
+        assert packed.tensor(debug=True) == generic_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -476,3 +513,11 @@ def test_matrix_helpers():
     singular = FqMatrix.make([(1, 1), (1, 1)], 2)
     assert singular.rank() == 1
     assert not singular.is_invertible()
+    with pytest.raises(ValueError, match="singular"):
+        singular.inverse()
+    with pytest.raises(ValueError, match="square"):
+        FqMatrix.make([(1, 0, 0), (0, 1, 0)], 2).inverse()
+    with pytest.raises(ValueError, match="inner"):
+        FqMatrix.make([(1, 1, 1)], 2) @ FqMatrix.make([(1,), (1,)], 2)
+    m3 = FqMatrix.make([(1, 2, 0), (0, 1, 1), (2, 0, 1)], 3)
+    assert m3 @ m3.inverse() == FqMatrix.identity(3, 3)
