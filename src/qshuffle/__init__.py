@@ -24,6 +24,7 @@ from .hecke import (
     simple_times_basis,
     specialize,
     tau,
+    tau_times,
     wallach_group_product,
     wallach_product,
 )
@@ -55,7 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Poly", "Q", "ONE", "ZERO", "q_int",
     "Perm", "compose", "cycle_element", "enumerate_perms",
-    "HeckeElt", "simple_times_basis", "mul", "tau", "wallach_product",
+    "HeckeElt", "simple_times_basis", "mul", "tau", "tau_times", "wallach_product",
     "specialize", "group_mul", "wallach_group_product", "left_mult_matrix",
     "FLAG_BUDGET", "BudgetExceeded", "FqMatrix", "Subspace", "Flag",
     "flag_count", "enumerate_flags", "relative_position", "representative_pair",

@@ -288,6 +288,8 @@ class FqMatrix:
 
     def apply_to_row(self, v: Sequence[int]) -> tuple[int, ...]:
         """Row vector times the matrix."""
+        if len(v) != len(self.rows):
+            raise ValueError(f"row vector of length {len(v)} for {len(self.rows)} rows")
         q = self.q
         out = [0] * len(self.rows[0])
         for c, row in zip(v, self.rows):

@@ -33,6 +33,7 @@ __all__ = [
     "simple_times_basis",
     "mul",
     "tau",
+    "tau_times",
     "wallach_product",
     "specialize",
     "group_mul",
@@ -200,6 +201,21 @@ class HeckeElt:
         return f"<HeckeElt n={self.n} with {len(self.terms)} terms>"
 
 
+def _simple_times(i: int, terms: Mapping[Perm, Poly]) -> dict[Perm, Poly]:
+    # T_i * sum c_u T_u; zero coefficients are kept, callers drop them
+    out: dict[Perm, Poly] = {}
+    for u, c in terms.items():
+        ui = u.image
+        su = Perm._make(tuple(i + 1 if x == i else i if x == i + 1 else x for x in ui))
+        if ui.index(i) < ui.index(i + 1):
+            # length goes up: plain basis element
+            out[su] = out.get(su, ZERO) + c
+        else:
+            out[su] = out.get(su, ZERO) + Q * c
+            out[u] = out.get(u, ZERO) + _Q_MINUS_1 * c
+    return out
+
+
 def simple_times_basis(i: int, w: Perm) -> HeckeElt:
     """The product T_i * T_w expanded in the standard basis.
 
@@ -208,17 +224,9 @@ def simple_times_basis(i: int, w: Perm) -> HeckeElt:
     >>> print(simple_times_basis(1, Perm((2, 1))))
     q*T[1 2] + (-1 + q)*T[2 1]
     """
-    n = w.n
-    if not 1 <= i < n:
-        raise ValueError(f"generator index {i} outside 1..{n - 1}")
-    img = w.image
-    swapped = Perm._make(
-        tuple(i + 1 if x == i else i if x == i + 1 else x for x in img)
-    )
-    if img.index(i) < img.index(i + 1):
-        # length goes up: plain basis element
-        return HeckeElt(n, {swapped: ONE})
-    return HeckeElt(n, {swapped: Q, w: _Q_MINUS_1})
+    if not 1 <= i < w.n:
+        raise ValueError(f"generator index {i} outside 1..{w.n - 1}")
+    return HeckeElt(w.n, _simple_times(i, {w: ONE}))
 
 
 def mul(a: HeckeElt, b: HeckeElt, pick: Callable[[list[int]], int] = min) -> HeckeElt:
@@ -247,19 +255,7 @@ def mul(a: HeckeElt, b: HeckeElt, pick: Callable[[list[int]], int] = min) -> Hec
         left_descents = [i for i in range(1, n) if pos[i] > pos[i + 1]]
         i = pick(left_descents)
         shorter = tuple(i + 1 if x == i else i if x == i + 1 else x for x in img)
-        sub = t_times_b(shorter)
-        out: dict[Perm, Poly] = {}
-        for u, c in sub.items():
-            ui = u.image
-            su = Perm._make(
-                tuple(i + 1 if x == i else i if x == i + 1 else x for x in ui)
-            )
-            if ui.index(i) < ui.index(i + 1):
-                out[su] = out.get(su, ZERO) + c
-            else:
-                out[su] = out.get(su, ZERO) + Q * c
-                out[u] = out.get(u, ZERO) + _Q_MINUS_1 * c
-        memo[img] = out
+        memo[img] = out = _simple_times(i, t_times_b(shorter))
         return out
 
     acc: dict[Perm, Poly] = {}
@@ -282,13 +278,34 @@ def tau(n: int) -> HeckeElt:
     return HeckeElt(n, [(cycle_element(g, n), ONE) for g in range(1, n + 1)])
 
 
+def tau_times(a: HeckeElt) -> HeckeElt:
+    """tau * a in n - 1 generator steps: T_{c_g} = T_g T_{c_{g+1}} as
+    lengths add, so each T_{c_g} a is one step from T_{c_{g+1}} a,
+    starting at T_{c_n} a = a, and tau * a is their running sum.
+
+    >>> tau_times(HeckeElt.unit(3)) == tau(3)
+    True
+    """
+    acc = dict(a.terms)
+    step = a.terms
+    for g in range(a.n - 1, 0, -1):
+        step = _simple_times(g, step)
+        for u, c in step.items():
+            acc[u] = acc.get(u, ZERO) + c
+    return HeckeElt(a.n, acc)
+
+
 def _retained_ks(n: int) -> list[int]:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     return [k for k in range(1, n + 1) if k != n - 1]
 
 
 def wallach_product(n: int, omit: int | None = None) -> HeckeElt:
-    """tau * prod over k in [1, n] \\ {n-1} of (tau - [k]_q), left to right.
+    """tau * prod over k in [1, n] \\ {n-1} of (tau - [k]_q).
 
+    Every factor is a polynomial in tau, so the factors commute and each
+    is applied to the running product x as tau * x - [k]_q x.
     `omit` skips one factor: omit=0 drops the leading tau, omit=k drops
     the (tau - [k]_q) factor.  Used by minimality checks; the full
     product is identically zero, every omitted variant is not.
@@ -296,12 +313,10 @@ def wallach_product(n: int, omit: int | None = None) -> HeckeElt:
     ks = _retained_ks(n)
     if omit is not None and omit != 0 and omit not in ks:
         raise ValueError(f"omit must be 0 or one of {ks}, got {omit}")
-    t = tau(n)
-    prod = HeckeElt.unit(n) if omit == 0 else t
+    prod = HeckeElt.unit(n) if omit == 0 else tau(n)
     for k in ks:
-        if k == omit:
-            continue
-        prod = mul(prod, t - q_int(k))
+        if k != omit:
+            prod = tau_times(prod) - q_int(k) * prod
     return prod
 
 

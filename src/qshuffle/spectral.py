@@ -18,7 +18,7 @@ import functools
 import math
 from typing import Iterable, Sequence
 
-from .hecke import left_mult_matrix, tau
+from .hecke import HeckeElt, tau_times
 from .polyring import q_int
 from .report import CheckResult
 from .symgroup import enumerate_perms
@@ -113,16 +113,6 @@ def rank_mod(matrix: Sequence[Sequence[int]], p: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _tau_columns(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    # sparse columns of left multiplication by tau, coefficients kept
-    # as raw tuples so the cache stays hashable
-    cols = left_mult_matrix(tau(n))
-    return tuple(
-        tuple((i, c.coeffs) for i, c in sorted(col.items())) for col in cols
-    )
-
-
-@functools.lru_cache(maxsize=None)
 def tau_matrix(n: int, q0: int) -> tuple[tuple[int, ...], ...]:
     """Dense matrix of left multiplication by tau at q = q0.
 
@@ -131,15 +121,9 @@ def tau_matrix(n: int, q0: int) -> tuple[tuple[int, ...], ...]:
     """
     if q0 < 1:
         raise ValueError(f"need an integer q0 >= 1, got {q0}")
-    size = math.factorial(n)
-    rows = [[0] * size for _ in range(size)]
-    for j, col in enumerate(_tau_columns(n)):
-        for i, coeffs in col:
-            acc = 0
-            for c in reversed(coeffs):
-                acc = acc * q0 + c
-            rows[i][j] = acc
-    return tuple(tuple(r) for r in rows)
+    perms = enumerate_perms(n)
+    cols = [tau_times(HeckeElt.basis(w)).specialize(q0) for w in perms]
+    return tuple(tuple(col.get(u, 0) for col in cols) for u in perms)
 
 
 @functools.lru_cache(maxsize=None)

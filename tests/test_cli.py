@@ -1,9 +1,13 @@
 """Tests for the command line interface: output, exit codes, JSON."""
 
+import importlib.util
 import json
+import pkgutil
+from pathlib import Path
 
 import pytest
 
+import qshuffle
 import qshuffle.cli as cli
 from qshuffle.cli import main
 from qshuffle.report import CheckResult
@@ -26,6 +30,15 @@ def test_verify_hecke_identity_text(capsys):
 def test_verify_group_identity_text(capsys):
     assert main(["verify", "group-identity", "--n", "5"]) == 0
     assert "PASS group-identity [n=5]" in capsys.readouterr().out
+
+
+def test_identity_checks_refuse_n_below_one(capsys):
+    for check in ("hecke-identity", "group-identity"):
+        for n in ("0", "-2"):
+            assert main(["verify", check, "--n", n]) == 2
+            captured = capsys.readouterr()
+            assert "need n >= 1" in captured.err
+            assert "PASS" not in captured.out
 
 
 def test_json_document_shape(capsys):
@@ -129,3 +142,22 @@ def test_all_grid(capsys):
 
 def test_module_entry_point():
     import qshuffle.__main__  # noqa: F401  (import must not run main)
+
+
+def test_benchmark_traced_names_have_one_home():
+    # perfbench/child.py --trace 1 wraps each TRACED name in the one qshuffle
+    # module that defines it and raises LookupError for none or several
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    modules = [qshuffle] + [
+        importlib.import_module(f"qshuffle.{info.name}")
+        for info in pkgutil.iter_modules(qshuffle.__path__)
+    ]
+    for name in child.TRACED:
+        homes = [
+            m.__name__ for m in modules
+            if getattr(m.__dict__.get(name), "__module__", None) == m.__name__
+        ]
+        assert len(homes) == 1, (name, homes)

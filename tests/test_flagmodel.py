@@ -510,6 +510,10 @@ def test_matrix_helpers():
     inv = m.inverse()
     assert (m @ inv) == FqMatrix.identity(2, 2)
     assert m.apply_to_row((1, 0)) == (1, 1)
+    ident = FqMatrix.identity(2, 2)
+    for bad in ((1, 1, 1), (1,)):
+        with pytest.raises(ValueError, match="row vector"):
+            ident.apply_to_row(bad)
     singular = FqMatrix.make([(1, 1), (1, 1)], 2)
     assert singular.rank() == 1
     assert not singular.is_invertible()

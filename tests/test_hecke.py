@@ -20,10 +20,11 @@ from qshuffle.hecke import (
     simple_times_basis,
     specialize,
     tau,
+    tau_times,
     wallach_group_product,
     wallach_product,
 )
-from qshuffle.polyring import ONE, Q, q_int
+from qshuffle.polyring import ONE, Poly, Q, q_int
 from qshuffle.symgroup import Perm, cycle_element, enumerate_perms
 
 
@@ -95,13 +96,43 @@ def test_wallach_product_vanishes_small():
         assert wallach_product(n).is_zero()
 
 
+# slow reference: the product as a left-to-right chain of general products
+def _wallach_product_by_mul(n, omit):
+    t = tau(n)
+    prod = HeckeElt.unit(n) if omit == 0 else t
+    for k in range(1, n + 1):
+        if k not in (n - 1, omit):
+            prod = mul(prod, t - q_int(k))
+    return prod
+
+
 def test_wallach_product_minimality_small():
-    for n in (2, 3, 4):
+    for n in range(2, 7):
         retained = [k for k in range(1, n + 1) if k != n - 1]
-        for omit in [0] + retained:
-            assert not wallach_product(n, omit=omit).is_zero(), (n, omit)
+        for omit in [None, 0] + retained:
+            prod = wallach_product(n, omit=omit)
+            assert prod == _wallach_product_by_mul(n, omit), (n, omit)
+            assert prod.is_zero() == (omit is None), (n, omit)
     with pytest.raises(ValueError):
         wallach_product(3, omit=2)  # k = n-1 is not a factor
+
+
+def test_tau_times_matches_mul():
+    # slow oracle: the general product with tau(n) as left factor
+    for n in range(1, 6):
+        t = tau(n)
+        for w in enumerate_perms(n):
+            assert tau_times(HeckeElt.basis(w)) == mul(t, HeckeElt.basis(w)), w
+    rng = random.Random(23)
+    for n in range(1, 5):
+        perms = enumerate_perms(n)
+        for _ in range(30):
+            a = HeckeElt(n, [
+                (rng.choice(perms), Poly([rng.randint(-2, 2) for _ in range(3)]))
+                for _ in range(rng.randint(1, 5))
+            ])
+            assert tau_times(a) == mul(tau(n), a), a
+        assert tau_times(HeckeElt.zero(n)).is_zero()
 
 
 def test_factors_commute():
