@@ -18,6 +18,7 @@ from .polyring import ONE, Poly, Q, ZERO, q_int
 from .symgroup import Perm, compose, cycle_element, enumerate_perms
 from .hecke import (
     HeckeElt,
+    basis_times,
     group_mul,
     left_mult_matrix,
     mul,
@@ -56,8 +57,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Poly", "Q", "ONE", "ZERO", "q_int",
     "Perm", "compose", "cycle_element", "enumerate_perms",
-    "HeckeElt", "simple_times_basis", "mul", "tau", "tau_times", "wallach_product",
-    "specialize", "group_mul", "wallach_group_product", "left_mult_matrix",
+    "HeckeElt", "simple_times_basis", "mul", "basis_times", "tau", "tau_times",
+    "wallach_product", "specialize", "group_mul", "wallach_group_product", "left_mult_matrix",
     "FLAG_BUDGET", "BudgetExceeded", "FqMatrix", "Subspace", "Flag",
     "flag_count", "enumerate_flags", "relative_position", "representative_pair",
     "OrbitFn", "f1", "f_t", "in_x_t", "convolve",

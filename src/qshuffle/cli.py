@@ -43,6 +43,15 @@ _VERIFY_CHECKS = (
     "span",
     "structure-constants",
 )
+_VERIFY_Q = "2,3"
+# the verify options each check reads; the flag checks not listed read
+# _FLAG_OPTIONS
+_FLAG_OPTIONS = ("q", "budget", "debug_orbit_checks")
+_CHECK_OPTIONS = {
+    "hecke-identity": (),
+    "group-identity": (),
+    "lemma3": (*_FLAG_OPTIONS, "t"),
+}
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
@@ -68,13 +77,8 @@ def _parse_t_range(text: str) -> list[int]:
     return _parse_ints(text, "t")
 
 
-def _add_common(sp: argparse.ArgumentParser, default_q: str) -> None:
+def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n", type=int, default=3, help="rank (default 3)")
-    sp.add_argument(
-        "--q",
-        default=default_q,
-        help=f"comma-separated prime field sizes (default {default_q})",
-    )
     sp.add_argument(
         "--format",
         choices=("text", "json"),
@@ -92,15 +96,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run one named verification")
     pv.add_argument("check", choices=_VERIFY_CHECKS)
-    _add_common(pv, "2,3")
-    pv.add_argument("--t", default=None, help="t values, e.g. 3 or 1,2,4 or 1:5")
-    pv.add_argument("--budget", type=int, default=FLAG_BUDGET,
+    _add_common(pv)
+    # options default to None so that _refuse_ignored sees what was given
+    pv.add_argument("--q", help=f"comma-separated prime field sizes (default {_VERIFY_Q})")
+    pv.add_argument("--t", help="t values for lemma3, e.g. 3 or 1,2,4 or 1:5")
+    pv.add_argument("--budget", type=int,
                     help=f"max number of flags to enumerate (default {FLAG_BUDGET})")
     pv.add_argument("--debug-orbit-checks", action="store_true",
                     help="recheck the structure tensor on second orbit representatives")
 
     pm = sub.add_parser("multiplicities", help="eigenvalue multiplicities of tau")
-    _add_common(pm, "1,2,3")
+    _add_common(pm)
+    pm.add_argument("--q", default="1,2,3",
+                    help="comma-separated evaluation points q0 (default 1,2,3)")
     pm.add_argument("--allow-large", action="store_true",
                     help="allow n >= 6 (an n! x n! elimination)")
 
@@ -127,17 +135,30 @@ def _check_group_identity(n: int) -> CheckResult:
     return CheckResult("group-identity", {"n": n}, ok, details)
 
 
+def _refuse_ignored(args: argparse.Namespace) -> None:
+    # an option the check would not read is an error, not a silent PASS
+    reads = _CHECK_OPTIONS.get(args.check, _FLAG_OPTIONS)
+    ignored = [
+        "--" + name.replace("_", "-")
+        for name in ("q", "t", "budget", "debug_orbit_checks")
+        if name not in reads and getattr(args, name) not in (None, False)
+    ]
+    if ignored:
+        raise ValueError(f"{args.check} does not take {', '.join(ignored)}")
+
+
 def _run_verify(args: argparse.Namespace) -> list[CheckResult]:
+    _refuse_ignored(args)
     n = args.n
-    qs = _parse_ints(args.q, "q")
-    ts = _parse_t_range(args.t) if args.t is not None else None
-    budget = args.budget
-    debug = args.debug_orbit_checks
     check = args.check
     if check == "hecke-identity":
         return [_check_hecke_identity(n)]
     if check == "group-identity":
         return [_check_group_identity(n)]
+    qs = _parse_ints(args.q if args.q is not None else _VERIFY_Q, "q")
+    ts = _parse_t_range(args.t) if args.t is not None else None
+    budget = args.budget if args.budget is not None else FLAG_BUDGET
+    debug = args.debug_orbit_checks
     out = []
     for q in qs:
         if check == "lemma3":

@@ -37,9 +37,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .hecke import HeckeElt, mul, tau
+from .hecke import HeckeElt, basis_times, tau
 from .polyring import q_int
 from .report import CheckResult
 from .spectral import rank
@@ -140,57 +141,64 @@ def _invert_mod(rows: Sequence[Sequence[int]], q: int) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# trailing-pivot profiles: the fast route to a relative position
+# pivot profiles: the fast route to a relative position
 #
-# Feed the chain basis of W written in the chain coordinates of V; row i
-# reduced modulo the span of rows 1..i-1 has its last nonzero entry at
-# position w(i).  This is the second-difference permutation of the
-# intersection dimensions, computed without any intersections; tests
-# compare it against the literal definition exhaustively.  F_2 rows are
-# bit-packed ints and other q use lists mod q, both selected once by
-# _row_backend.
+# Let C be the chain matrix of a middle flag M: row i is the i-th chain
+# vector, so M_i is spanned by rows 1..i.  For a set A of coordinates
+# write E_A for their span, and let P(A) be the set of i at which
+# dim(M_i cap E_A) goes up.  For the coordinate flag zE, the relative
+# position x = pos(zE, M) has x(k) = the one element of P(A_k) missing
+# from P(A_{k-1}), where A_k = {z(1), ..., z(k)}; this is the
+# second-difference rule of relative_position read along one chain,
+# and tests compare the two exhaustively.
+#
+# P(A) is the complement of the set Q(B), B the coordinates outside A,
+# of the i at which the rank of rows 1..i of C restricted to the
+# columns B goes up: dim(M_i cap E_A) + rank = i.  Q(B) is the set of
+# leading pivots of the span of the columns of C in B, so it does not
+# depend on the order of those columns, and Q(B) follows from Q(B
+# minus its top column) by one step: reduce that column against the
+# stored columns, keyed by their leading pivots, and read off the new
+# pivot.  _Geometry._build thus computes Q over the lattice of column
+# subsets, 2^n - 2 steps per flag, and reads pos(zE, M) for all n!
+# orders z off chains of Q values, without inverting C or reducing any
+# row order.  Columns over F_2 are bit-packed ints (bit i = entry i),
+# other q use lists mod q, both selected once by _row_backend; a step
+# returns its pivot as the bit 1 << i.
 
 
-def _profile_generic(rows: Iterable[Sequence[int]], q: int) -> tuple[int, ...]:
-    stored: dict[int, list[int]] = {}
-    word = []
-    for row in rows:
-        r = list(row)
-        while True:
-            t = -1
-            for i in range(len(r) - 1, -1, -1):
-                if r[i]:
-                    t = i
-                    break
-            if t < 0:
-                raise ArithmeticError("dependent rows have no profile")
-            s = stored.get(t)
-            if s is None:
-                break
-            c = r[t]
-            r = [(x - c * y) % q for x, y in zip(r, s)]
-        inv = pow(r[t], -1, q)
-        stored[t] = [(x * inv) % q for x in r]
-        word.append(t + 1)
-    return tuple(word)
+def _step_generic(
+    stored: Mapping[int, Sequence[int]], col: Sequence[int], q: int
+) -> tuple[int, list[int]]:
+    r = col
+    i = 0
+    while True:
+        # entries before i are zero: reducing by a stored column clears
+        # its pivot and touches nothing before it
+        while i < len(r) and not r[i]:
+            i += 1
+        if i == len(r):
+            raise ArithmeticError("dependent columns have no pivot")
+        s = stored.get(1 << i)
+        if s is None:
+            break
+        c = r[i]
+        r = [(x - c * y) % q for x, y in zip(r, s)]
+    inv = pow(r[i], -1, q)
+    return 1 << i, [(x * inv) % q for x in r]
 
 
-def _profile2(rows: Iterable[int]) -> tuple[int, ...]:
-    # same as _profile_generic with rows packed into ints, bit k = column k
-    stored: dict[int, int] = {}
-    word = []
-    for r in rows:
-        t = r.bit_length()
+def _step2(stored: Mapping[int, int], r: int) -> tuple[int, int]:
+    # same as _step_generic with columns packed into ints, bit i = entry i
+    t = r & -r
+    s = stored.get(t)
+    while s is not None:
+        r ^= s
+        t = r & -r
         s = stored.get(t)
-        while s is not None:
-            r ^= s
-            t = r.bit_length()
-            s = stored.get(t)
-        if not r:
-            raise ArithmeticError("dependent rows have no profile")
-        stored[t] = r
-        word.append(t)
-    return tuple(word)
+    if not r:
+        raise ArithmeticError("dependent columns have no pivot")
+    return t, r
 
 
 def _pack2(row: Sequence[int]) -> int:
@@ -199,21 +207,6 @@ def _pack2(row: Sequence[int]) -> int:
         if x & 1:
             acc |= 1 << i
     return acc
-
-
-def _inv2(rows: Sequence[int]) -> list[int]:
-    """Inverse over F_2 of a packed square matrix."""
-    n = len(rows)
-    aug = [rows[i] | (1 << (n + i)) for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i] >> col & 1), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        for i in range(n):
-            if i != col and (aug[i] >> col & 1):
-                aug[i] ^= aug[col]
-    return [a >> n for a in aug]
 
 
 def _matmul_mod(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], q: int) -> list[list[int]]:
@@ -235,16 +228,11 @@ def _matmul2(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _row_backend(q: int) -> tuple[Callable, Callable, Callable, Callable]:
-    """The (pack, profile, invert, matmul) row operations over F_q."""
+def _row_backend(q: int) -> tuple[Callable, Callable, Callable]:
+    """The (pack, step, matmul) vector operations over F_q."""
     if q == 2:
-        return _pack2, _profile2, _inv2, _matmul2
-    return (
-        list,
-        partial(_profile_generic, q=q),
-        partial(_invert_mod, q=q),
-        partial(_matmul_mod, q=q),
-    )
+        return _pack2, _step2, _matmul2
+    return list, partial(_step_generic, q=q), partial(_matmul_mod, q=q)
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +570,11 @@ class _Geometry:
         self.perms = enumerate_perms(n)
         self.nperms = len(self.perms)
         self.index = {w.image: i for i, w in enumerate(self.perms)}
-        self.flags = enumerate_flags(n, q, budget)
-        self._backend = pack, profile, invert, _ = _row_backend(q)
-        self._chains = [[pack(r) for r in f.chain_rows()] for f in self.flags]
-        self._inv_rows = [invert(c) for c in self._chains]
-        self._labels_to_std = [self.index[profile(c)] for c in self._chains]
+        self._backend = pack, _, _ = _row_backend(q)
+        # the columns of every chain matrix, one packed vector each
+        self._columns = [
+            [pack(c) for c in zip(*f.chain_rows())] for f in enumerate_flags(n, q, budget)
+        ]
         self._tensor: list[dict[int, int]] | None = None
         self._debug_checked = False
 
@@ -603,31 +591,69 @@ class _Geometry:
         return self._tensor
 
     def _debug_transform(self) -> list:
-        # a fixed invertible matrix that moves the coordinate flags:
-        # all-ones superdiagonal unipotent with its rows rotated
+        # a fixed invertible matrix h, all-ones superdiagonal unipotent
+        # with its rows rotated; h times the columns of C is the column
+        # list of C g^-1 with g = h^-T, which moves the representative
+        # pairs off the coordinate flags to (g zE, g E)
         n = self.n
         uni = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
         pack = self._backend[0]
         return [pack(uni[(i + 1) % n]) for i in range(n)]
 
     def _build(self, transform) -> list[dict[int, int]]:
-        _, profile, invert, matmul = self._backend
+        _, step, matmul = self._backend
+        n = self.n
         nperms = self.nperms
-        index = self.index
-        picks = [tuple(x - 1 for x in w.image) for w in self.perms]
-        out: list[dict[int, int]] = [dict() for _ in range(nperms)]
-        ginv = invert(transform) if transform is not None else None
-        for inv, chain, y in zip(self._inv_rows, self._chains, self._labels_to_std):
+        full = (1 << n) - 1
+        # every proper nonempty column subset b, split as (b, top column,
+        # rest); rest < b, so its stored columns and pivots are ready
+        half = 1 << (n - 1)
+        splits = [(b, b.bit_length() - 1, b & ~(1 << (b.bit_length() - 1)))
+                  for b in range(1, full)]
+        lower, upper = splits[: half - 1], splits[half - 1 :]
+
+        # the chain Q(B_1), ..., Q(B_{n-1}) for the order w, B_k the
+        # coordinates outside w(1), ..., w(k); for the flag zE it is read
+        # at those subsets, and for a label x it is x's own chain
+        def chain(w: Perm) -> list[int]:
+            return [full ^ m for m in itertools.accumulate(1 << (k - 1) for k in w.image)][:-1]
+
+        getters = [_tuple_getter(chain(z)) for z in self.perms]
+        x_keys = {tuple(chain(x)): xi * nperms for xi, x in enumerate(self.perms)}
+        # the identity order gives pos(E, M), whose inverse is y = pos(M, E)
+        y_keys = {tuple(chain(x)): self.index[x.inverse().image] for x in self.perms}
+        identity_getter = getters[0]
+        # flags with equal pivot patterns add equal counts; for q > 2
+        # there are far fewer patterns than flags
+        patterns: dict[tuple[int, ...], int] = {}
+        pivots = [0] * full
+        stored: list[dict] = [{}] * half
+        for cols in self._columns:
             if transform is not None:
-                # representative pair moved to (g wE, g E)
-                inv = matmul(transform, inv)
-                y = index[profile(matmul(chain, ginv))]
-            for zi in range(nperms):
-                img = profile([inv[k] for k in picks[zi]])
-                key = index[img] * nperms + y
-                table = out[zi]
-                table[key] = table.get(key, 0) + 1
+                cols = matmul(transform, cols)
+            for b, top, rest in lower:
+                below = stored[rest]
+                t, reduced = step(below, cols[top])
+                stored[b] = {**below, t: reduced}
+                pivots[b] = pivots[rest] | t
+            for b, top, rest in upper:
+                pivots[b] = pivots[rest] | step(stored[rest], cols[top])[0]
+            pattern = tuple(pivots)
+            patterns[pattern] = patterns.get(pattern, 0) + 1
+        out: list[dict[int, int]] = [dict() for _ in range(nperms)]
+        for pattern, count in patterns.items():
+            y = y_keys[identity_getter(pattern)]
+            for getter, table in zip(getters, out):
+                key = x_keys[getter(pattern)] + y
+                table[key] = table.get(key, 0) + count
         return out
+
+
+def _tuple_getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    # itemgetter returns a bare item for one index and refuses none
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda seq: tuple(seq[i] for i in indices)
 
 
 _GEOMETRY: dict[tuple[int, int], _Geometry] = {}
@@ -999,6 +1025,14 @@ def verify_span_commutativity(
     return CheckResult("span", {"n": n, "q": q}, ok_all, rows)
 
 
+def _pair_name(perms: Sequence[Perm], misses: list[tuple[int, int]]) -> str:
+    # the first missed pair of label indices in (x, y) order
+    if not misses:
+        return "none"
+    xi, yi = min(misses)
+    return f"pair ({perms[xi]}, {perms[yi]})"
+
+
 def compare_structure_constants(
     n: int,
     q: int,
@@ -1029,30 +1063,22 @@ def compare_structure_constants(
             x, y = divmod(key, nperms)
             conv.setdefault((x, y), {})[zi] = cnt
 
-    hecke: dict[tuple[int, int], dict[int, int]] = {}
-    for xi, x in enumerate(perms):
-        bx = HeckeElt.basis(x)
-        for yi, y in enumerate(perms):
-            prod = mul(bx, HeckeElt.basis(y)).specialize(q)
-            hecke[(xi, yi)] = {index[w]: c for w, c in prod.items()}
-
-    product_matches = 0
-    reversed_matches = 0
-    first_product_miss = "none"
-    first_reversed_miss = "none"
-    for xi in range(nperms):
-        for yi in range(nperms):
-            c = conv.get((xi, yi), {})
-            if c == hecke[(xi, yi)]:
-                product_matches += 1
-            elif first_product_miss == "none":
-                first_product_miss = f"pair ({perms[xi]}, {perms[yi]})"
-            if c == hecke[(yi, xi)]:
-                reversed_matches += 1
-            elif first_reversed_miss == "none":
-                first_reversed_miss = f"pair ({perms[xi]}, {perms[yi]})"
+    # T_x T_y at q is the product-order table of the pair (x, y) and the
+    # reversed-order table of the pair (y, x)
+    product_misses: list[tuple[int, int]] = []
+    reversed_misses: list[tuple[int, int]] = []
+    for yi, y in enumerate(perms):
+        for x, prod in basis_times(HeckeElt.basis(y)).items():
+            xi = index[x]
+            h = {index[w]: c for w, c in prod.specialize(q).items()}
+            if conv.get((xi, yi), {}) != h:
+                product_misses.append((xi, yi))
+            if conv.get((yi, xi), {}) != h:
+                reversed_misses.append((yi, xi))
 
     total = nperms * nperms
+    product_matches = total - len(product_misses)
+    reversed_matches = total - len(reversed_misses)
     if product_matches == total:
         orientation = "product"
     elif reversed_matches == total:
@@ -1075,7 +1101,7 @@ def compare_structure_constants(
     ]
     if orientation == "inconsistent":
         rows[0]["witness"] = (
-            f"product order first miss {first_product_miss}; "
-            f"reversed order first miss {first_reversed_miss}"
+            f"product order first miss {_pair_name(perms, product_misses)}; "
+            f"reversed order first miss {_pair_name(perms, reversed_misses)}"
         )
     return CheckResult("structure-constants", {"n": n, "q": q}, passed, rows)

@@ -32,6 +32,7 @@ __all__ = [
     "HeckeElt",
     "simple_times_basis",
     "mul",
+    "basis_times",
     "tau",
     "tau_times",
     "wallach_product",
@@ -229,6 +230,19 @@ def simple_times_basis(i: int, w: Perm) -> HeckeElt:
     return HeckeElt(w.n, _simple_times(i, {w: ONE}))
 
 
+def _peel(
+    img: tuple[int, ...], pick: Callable[[list[int]], int] = min
+) -> tuple[int, tuple[int, ...]]:
+    # a left descent i of the permutation w = img, chosen by `pick`, and
+    # the image of s_i w
+    n = len(img)
+    pos = [0] * (n + 1)
+    for idx, val in enumerate(img):
+        pos[val] = idx
+    i = pick([i for i in range(1, n) if pos[i] > pos[i + 1]])
+    return i, tuple(i + 1 if x == i else i if x == i + 1 else x for x in img)
+
+
 def mul(a: HeckeElt, b: HeckeElt, pick: Callable[[list[int]], int] = min) -> HeckeElt:
     """Product in the algebra.
 
@@ -249,12 +263,7 @@ def mul(a: HeckeElt, b: HeckeElt, pick: Callable[[list[int]], int] = min) -> Hec
         hit = memo.get(img)
         if hit is not None:
             return hit
-        pos = [0] * (n + 1)
-        for idx, val in enumerate(img):
-            pos[val] = idx
-        left_descents = [i for i in range(1, n) if pos[i] > pos[i + 1]]
-        i = pick(left_descents)
-        shorter = tuple(i + 1 if x == i else i if x == i + 1 else x for x in img)
+        i, shorter = _peel(img, pick)
         memo[img] = out = _simple_times(i, t_times_b(shorter))
         return out
 
@@ -269,6 +278,31 @@ def mul(a: HeckeElt, b: HeckeElt, pick: Callable[[list[int]], int] = min) -> Hec
     e = object.__new__(HeckeElt)
     e.n, e.terms = n, acc
     return e
+
+
+def basis_times(b: HeckeElt) -> dict[Perm, HeckeElt]:
+    """T_x * b for every x in S_n, keyed by x in lexicographic order.
+
+    Each product is one generator step from a shorter one,
+    T_x b = T_i (T_{s_i x} b) for a left descent i of x.  The walk may
+    follow enumerate_perms order because s_i x precedes x there: its
+    image swaps the values i + 1, i of x back into increasing order.
+
+    >>> cols = basis_times(HeckeElt.unit(3))
+    >>> all(cols[x] == HeckeElt.basis(x) for x in enumerate_perms(3))
+    True
+    """
+    out: dict[Perm, HeckeElt] = {}
+    for x in enumerate_perms(b.n):
+        if out:
+            i, shorter = _peel(x.image)
+            step = _simple_times(i, out[Perm._make(shorter)].terms)
+            terms = {u: c for u, c in step.items() if c}
+        else:  # the identity comes first
+            terms = dict(b.terms)
+        e = out[x] = object.__new__(HeckeElt)
+        e.n, e.terms = b.n, terms
+    return out
 
 
 def tau(n: int) -> HeckeElt:

@@ -41,6 +41,36 @@ def test_identity_checks_refuse_n_below_one(capsys):
             assert "PASS" not in captured.out
 
 
+def test_options_a_check_ignores_are_refused(capsys):
+    refused = [
+        (["verify", "hecke-identity", "--n", "3", "--q", "4"], "--q"),
+        (["verify", "hecke-identity", "--n", "3", "--budget", "10"], "--budget"),
+        (["verify", "group-identity", "--n", "3", "--t", "1"], "--t"),
+        (["verify", "group-identity", "--n", "3", "--q", "2"], "--q"),
+        (["verify", "hecke-identity", "--n", "3", "--debug-orbit-checks"],
+         "--debug-orbit-checks"),
+        (["verify", "span", "--n", "3", "--t", "1"], "--t"),
+        (["verify", "factorization", "--n", "3", "--t", "1:2"], "--t"),
+        (["verify", "structure-constants", "--n", "3", "--t", "1"], "--t"),
+    ]
+    for argv, option in refused:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert f"does not take {option}" in captured.err, argv
+        assert captured.out == "", argv
+    # the options a check reads, and the defaults, still run
+    for argv in (
+        ["verify", "lemma3", "--n", "2", "--q", "2", "--t", "1", "--budget", "50"],
+        ["verify", "span", "--n", "2", "--q", "3", "--budget", "50", "--debug-orbit-checks"],
+        ["verify", "hecke-identity", "--n", "3"],
+        ["verify", "structure-constants", "--n", "2"],
+    ):
+        assert main(argv) == 0, argv
+        assert "OVERALL: PASS" in capsys.readouterr().out
+    assert main(["verify", "lemma3", "--n", "2", "--budget", "2"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_json_document_shape(capsys):
     assert main(["verify", "lemma3", "--n", "3", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -36,7 +36,7 @@ from qshuffle.flagmodel import (
     verify_lemma3,
     verify_span_commutativity,
 )
-from qshuffle.hecke import tau
+from qshuffle.hecke import mul, tau
 from qshuffle.symgroup import Perm, cycle_element, enumerate_perms
 
 
@@ -402,12 +402,34 @@ def _conv_tables_oracle(n, q):
 
 
 def test_convolution_matches_middle_flag_oracle():
-    for n, q in ((2, 2), (3, 2)):
+    # both row backends: packed F_2 and lists mod q
+    for n, q in ((2, 2), (3, 2), (3, 3), (3, 5)):
         tables = _conv_tables_oracle(n, q)
         for x in enumerate_perms(n):
             for y in enumerate_perms(n):
                 got = convolve(OrbitFn.indicator(x, q), OrbitFn.indicator(y, q))
                 assert got.values == tables.get((x, y), {}), (x, y)
+    # one larger size, compared as a whole tensor
+    geo = flagmodel._Geometry(4, 2, FLAG_BUDGET)
+    perms = geo.perms
+    got = {}
+    for zi, counts in enumerate(geo.tensor()):
+        for key, cnt in counts.items():
+            x, y = divmod(key, geo.nperms)
+            got.setdefault((perms[x], perms[y]), {})[perms[zi]] = cnt
+    assert got == _conv_tables_oracle(4, 2)
+
+
+def test_edge_sizes():
+    for q in (2, 3):
+        for n in (1, 2):
+            base = f1(n, q)
+            assert base == OrbitFn(n, q, tau(n).specialize(q))
+            assert convolve(base, base) == OrbitFn(n, q, mul(tau(n), tau(n)).specialize(q))
+            result = compare_structure_constants(n, q)
+            assert result.passed, (n, q, result.details)
+            assert result.details[0]["pairs"] == len(enumerate_perms(n)) ** 2
+        assert verify_lemma3(2, q).passed
 
 
 def test_convolution_unit():
@@ -432,8 +454,7 @@ def test_packed_f2_backend_matches_generic(monkeypatch):
     def generic_rows(q):
         return (
             list,
-            lambda rows: flagmodel._profile_generic(rows, q),
-            lambda rows: flagmodel._invert_mod(rows, q),
+            lambda stored, col: flagmodel._step_generic(stored, col, q),
             lambda a, b: flagmodel._matmul_mod(a, b, q),
         )
 
@@ -443,8 +464,7 @@ def test_packed_f2_backend_matches_generic(monkeypatch):
             m.setattr(flagmodel, "_row_backend", generic_rows)
             generic = flagmodel._Geometry(n, 2, FLAG_BUDGET)
             generic_tensor = generic.tensor(debug=True)
-        assert packed._chains != generic._chains
-        assert packed._labels_to_std == generic._labels_to_std
+        assert packed._columns != generic._columns
         assert packed.tensor(debug=True) == generic_tensor
 
 

@@ -14,6 +14,7 @@ from prop_checks import (
 )
 from qshuffle.hecke import (
     HeckeElt,
+    basis_times,
     group_mul,
     left_mult_matrix,
     mul,
@@ -133,6 +134,33 @@ def test_tau_times_matches_mul():
             ])
             assert tau_times(a) == mul(tau(n), a), a
         assert tau_times(HeckeElt.zero(n)).is_zero()
+
+
+def test_basis_times_matches_mul():
+    # slow oracle: one general product per left basis element
+    for n in range(1, 5):
+        perms = enumerate_perms(n)
+        for b in perms:
+            cols = basis_times(HeckeElt.basis(b))
+            assert list(cols) == list(perms)
+            for x in perms:
+                assert cols[x] == mul(HeckeElt.basis(x), HeckeElt.basis(b)), (x, b)
+    rng = random.Random(29)
+    for n in range(1, 5):
+        perms = enumerate_perms(n)
+        for _ in range(8):
+            b = HeckeElt(n, [
+                (rng.choice(perms), Poly([rng.randint(-2, 2) for _ in range(3)]))
+                for _ in range(rng.randint(1, 5))
+            ])
+            cols = basis_times(b)
+            for x in perms:
+                assert cols[x] == mul(HeckeElt.basis(x), b), (x, b)
+        assert all(c.is_zero() for c in basis_times(HeckeElt.zero(n)).values())
+    # a step that cancels: T_1 (T_1 + (1 - q)) = q, with no zero term kept
+    s1, e2 = Perm.simple(1, 2), Perm.identity(2)
+    cols = basis_times(HeckeElt(2, {s1: ONE, e2: 1 - Q}))
+    assert cols[s1].terms == {e2: Q}
 
 
 def test_factors_commute():
