@@ -38,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .hecke import HeckeElt, basis_times, tau
 from .polyring import q_int
@@ -144,7 +144,9 @@ def _invert_mod(rows: Sequence[Sequence[int]], q: int) -> list[tuple[int, ...]]:
 # pivot profiles: the fast route to a relative position
 #
 # Let C be the chain matrix of a middle flag M: row i is the i-th chain
-# vector, so M_i is spanned by rows 1..i.  For a set A of coordinates
+# vector, so M_i is spanned by rows 1..i.  _chain_bases grows these rows
+# directly, and _Geometry keeps only the packed columns of each C, never
+# the flag's subspaces.  For a set A of coordinates
 # write E_A for their span, and let P(A) be the set of i at which
 # dim(M_i cap E_A) goes up.  For the coordinate flag zE, the relative
 # position x = pos(zE, M) has x(k) = the one element of P(A_k) missing
@@ -404,26 +406,6 @@ class Flag:
             return Subspace._make(self.n, self.q, full)
         return self.steps[i - 1]
 
-    def chain_rows(self) -> list[tuple[int, ...]]:
-        """A basis b_1, ..., b_n with step i spanned by b_1, ..., b_i."""
-        taken: set[int] = set()
-        rows: list[tuple[int, ...]] = []
-        for s in self.steps:
-            fresh = None
-            for row in s.rows:
-                p = next(i for i, x in enumerate(row) if x)
-                if p not in taken:
-                    if fresh is not None:
-                        raise ArithmeticError("more than one new pivot in a step")
-                    fresh = (p, row)
-            if fresh is None:
-                raise ArithmeticError("no new pivot in a step")
-            taken.add(fresh[0])
-            rows.append(fresh[1])
-        missing = next(i for i in range(self.n) if i not in taken)
-        rows.append(tuple(int(j == missing) for j in range(self.n)))
-        return rows
-
     def transformed(self, g: FqMatrix) -> "Flag":
         if g.q != self.q:
             raise ValueError("field mismatch")
@@ -462,6 +444,42 @@ def _check_budget(n: int, q: int, budget: int) -> int:
     return total
 
 
+def _chain_bases(n: int, q: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The chain basis b_1, ..., b_n of every complete flag in F_q^n.
+
+    Step i of the flag is spanned by b_1, ..., b_i.  Row b_k has a 1 at
+    a coordinate p that no earlier row leads with, zeros at the earlier
+    leading coordinates and at the unused coordinates before p, and any
+    entries at the unused coordinates after p, so b_n is the remaining
+    unit vector and each flag is produced exactly once.  Raises
+    ArithmeticError at the end if the count is not flag_count(n, q).
+    """
+    rows: list[tuple[int, ...]] = []
+
+    def grow(free: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if not free:
+            yield tuple(rows)
+            return
+        for ip, p in enumerate(free):
+            later = free[ip + 1 :]
+            rest = free[:ip] + later
+            for tail in itertools.product(range(q), repeat=len(later)):
+                v = [0] * n
+                v[p] = 1
+                for j, c in zip(later, tail):
+                    v[j] = c
+                rows.append(tuple(v))
+                yield from grow(rest)
+                rows.pop()
+
+    count = 0
+    for basis in grow(tuple(range(n))):
+        count += 1
+        yield basis
+    if count != flag_count(n, q):
+        raise ArithmeticError(f"enumerated {count} flags, expected {flag_count(n, q)}")
+
+
 def enumerate_flags(n: int, q: int, budget: int = FLAG_BUDGET) -> tuple[Flag, ...]:
     """All complete flags in F_q^n, in a deterministic order.
 
@@ -471,32 +489,21 @@ def enumerate_flags(n: int, q: int, budget: int = FLAG_BUDGET) -> tuple[Flag, ..
     _require_prime(q)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    total = _check_budget(n, q, budget)
-    flags: list[Flag] = []
-    steps: list[Subspace] = []
-
-    def grow() -> None:
-        k = len(steps)
-        if k == n - 1:
-            flags.append(Flag._make(q, n, tuple(steps)))
-            return
-        rows = steps[-1].rows if steps else ()
-        pivots = {next(i for i, x in enumerate(r) if x) for r in rows}
-        free = [i for i in range(n) if i not in pivots]
-        for ip, p in enumerate(free):
-            for tail in itertools.product(range(q), repeat=len(free) - ip - 1):
-                v = [0] * n
-                v[p] = 1
-                for j, c in enumerate(tail):
-                    v[free[ip + 1 + j]] = c
-                new_rows = _rref(rows + (tuple(v),), q)
-                steps.append(Subspace._make(n, q, new_rows))
-                grow()
-                steps.pop()
-
-    grow()
-    if len(flags) != total:
-        raise ArithmeticError(f"enumerated {len(flags)} flags, expected {total}")
+    _check_budget(n, q, budget)
+    flags = []
+    for basis in _chain_bases(n, q):
+        # b_k is zero at the earlier leading coordinates, so clearing its
+        # leading coordinate p from the earlier rows keeps them reduced
+        reduced: dict[int, tuple[int, ...]] = {}
+        steps = []
+        for v in basis[:-1]:
+            p = v.index(1)
+            for lead, r in reduced.items():
+                if r[p]:
+                    reduced[lead] = tuple((a - r[p] * b) % q for a, b in zip(r, v))
+            reduced[p] = v
+            steps.append(Subspace._make(n, q, tuple(reduced[k] for k in sorted(reduced))))
+        flags.append(Flag._make(q, n, tuple(steps)))
     return tuple(flags)
 
 
@@ -554,17 +561,18 @@ def representative_pair(w: Perm, q: int) -> tuple[Flag, Flag]:
 
 
 class _Geometry:
-    """Flags, orbit labels, and the convolution structure tensor for one (n, q).
+    """Chain bases, orbit labels, and the convolution structure tensor for one (n, q).
 
-    tensor()[z] maps a packed pair index x * n! + y to the number of
-    middle flags M with relative_position(A, M) labeled x and
+    Labels are indices into perms.  tensor()[x * n! + y] maps z to the
+    number of middle flags M with relative_position(A, M) labeled x and
     relative_position(M, C) labeled y, where (A, C) is the
     representative pair of orbit z.  That count is exactly the
-    structure constant of the convolution algebra, and one pass over it
-    evaluates any convolution product.
+    structure constant of the convolution algebra, so a product reads
+    only the (x, y) pairs in the supports of its factors.  The caller
+    checks the flag budget first.
     """
 
-    def __init__(self, n: int, q: int, budget: int) -> None:
+    def __init__(self, n: int, q: int) -> None:
         self.n = n
         self.q = q
         self.perms = enumerate_perms(n)
@@ -572,9 +580,7 @@ class _Geometry:
         self.index = {w.image: i for i, w in enumerate(self.perms)}
         self._backend = pack, _, _ = _row_backend(q)
         # the columns of every chain matrix, one packed vector each
-        self._columns = [
-            [pack(c) for c in zip(*f.chain_rows())] for f in enumerate_flags(n, q, budget)
-        ]
+        self._columns = [[pack(c) for c in zip(*basis)] for basis in _chain_bases(n, q)]
         self._tensor: list[dict[int, int]] | None = None
         self._debug_checked = False
 
@@ -640,12 +646,12 @@ class _Geometry:
                 pivots[b] = pivots[rest] | step(stored[rest], cols[top])[0]
             pattern = tuple(pivots)
             patterns[pattern] = patterns.get(pattern, 0) + 1
-        out: list[dict[int, int]] = [dict() for _ in range(nperms)]
+        out: list[dict[int, int]] = [dict() for _ in range(nperms * nperms)]
         for pattern, count in patterns.items():
             y = y_keys[identity_getter(pattern)]
-            for getter, table in zip(getters, out):
-                key = x_keys[getter(pattern)] + y
-                table[key] = table.get(key, 0) + count
+            for z, getter in enumerate(getters):
+                counts = out[x_keys[getter(pattern)] + y]
+                counts[z] = counts.get(z, 0) + count
         return out
 
 
@@ -664,7 +670,7 @@ def _geometry(n: int, q: int, budget: int) -> _Geometry:
     key = (n, q)
     geo = _GEOMETRY.get(key)
     if geo is None:
-        geo = _Geometry(n, q, budget)
+        geo = _Geometry(n, q)
         _GEOMETRY[key] = geo
     return geo
 
@@ -829,22 +835,16 @@ def convolve(
     geo = _geometry(f.n, f.q, budget)
     table = geo.tensor(debug)
     nperms = geo.nperms
-    perms = geo.perms
-    fv = [f.values.get(w, 0) for w in perms]
-    gv = [g.values.get(w, 0) for w in perms]
-    out: dict[Perm, int] = {}
-    for zi, counts in enumerate(table):
-        acc = 0
-        for key, cnt in counts.items():
-            x, y = divmod(key, nperms)
-            a = fv[x]
-            if a:
-                b = gv[y]
-                if b:
-                    acc += cnt * a * b
-        if acc:
-            out[perms[zi]] = acc
-    return OrbitFn(f.n, f.q, out)
+    index = geo.index
+    gv = [(index[w.image], b) for w, b in g.values.items()]
+    acc = [0] * nperms
+    for w, a in f.values.items():
+        row = index[w.image] * nperms
+        for y, b in gv:
+            ab = a * b
+            for z, cnt in table[row + y].items():
+                acc[z] += cnt * ab
+    return OrbitFn(f.n, f.q, {w: c for w, c in zip(geo.perms, acc) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -1055,13 +1055,7 @@ def compare_structure_constants(
     table = geo.tensor(debug)
     perms = geo.perms
     nperms = geo.nperms
-    index = {w: i for i, w in enumerate(perms)}
-
-    conv: dict[tuple[int, int], dict[int, int]] = {}
-    for zi, counts in enumerate(table):
-        for key, cnt in counts.items():
-            x, y = divmod(key, nperms)
-            conv.setdefault((x, y), {})[zi] = cnt
+    index = geo.index
 
     # T_x T_y at q is the product-order table of the pair (x, y) and the
     # reversed-order table of the pair (y, x)
@@ -1069,11 +1063,11 @@ def compare_structure_constants(
     reversed_misses: list[tuple[int, int]] = []
     for yi, y in enumerate(perms):
         for x, prod in basis_times(HeckeElt.basis(y)).items():
-            xi = index[x]
-            h = {index[w]: c for w, c in prod.specialize(q).items()}
-            if conv.get((xi, yi), {}) != h:
+            xi = index[x.image]
+            h = {index[w.image]: c for w, c in prod.specialize(q).items()}
+            if table[xi * nperms + yi] != h:
                 product_misses.append((xi, yi))
-            if conv.get((yi, xi), {}) != h:
+            if table[yi * nperms + xi] != h:
                 reversed_misses.append((yi, xi))
 
     total = nperms * nperms

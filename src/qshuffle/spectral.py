@@ -36,6 +36,15 @@ _PREPASS_PRIMES = (2147483647, 1000000007, 998244353)
 _EXACT_N_CEILING = 5
 
 
+def _check_int_matrix(a: Sequence[Sequence[int]]) -> None:
+    for row in a:
+        if len(row) != len(a[0]):
+            raise ValueError("ragged matrix")
+        for x in row:
+            if not isinstance(x, int):
+                raise TypeError(f"integer entries required, got {type(x).__name__}")
+
+
 def rank(matrix: Sequence[Sequence[int]]) -> int:
     """Exact rank of an integer matrix over Q, by Bareiss elimination.
 
@@ -44,16 +53,10 @@ def rank(matrix: Sequence[Sequence[int]]) -> int:
     rectangular; it is copied, not mutated.
     """
     a = [list(row) for row in matrix]
+    _check_int_matrix(a)
     if not a:
         return 0
-    ncols = len(a[0])
-    for row in a:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        for x in row:
-            if not isinstance(x, int):
-                raise TypeError(f"integer entries required, got {type(x).__name__}")
-    nrows = len(a)
+    nrows, ncols = len(a), len(a[0])
     r = 0
     prev = 1
     for col in range(ncols):
@@ -86,6 +89,7 @@ def rank(matrix: Sequence[Sequence[int]]) -> int:
 
 def rank_mod(matrix: Sequence[Sequence[int]], p: int) -> int:
     """Rank of the matrix reduced modulo a prime p (Gaussian elimination)."""
+    _check_int_matrix(matrix)
     a = [[x % p for x in row] for row in matrix]
     if not a:
         return 0

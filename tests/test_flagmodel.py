@@ -7,6 +7,8 @@ intersection-dimension computation, and a literal sum over middle
 flags.
 """
 
+import random
+
 import pytest
 
 from prop_checks import (
@@ -17,7 +19,6 @@ from prop_checks import (
 )
 from qshuffle import flagmodel
 from qshuffle.flagmodel import (
-    FLAG_BUDGET,
     BudgetExceeded,
     Flag,
     FqMatrix,
@@ -94,12 +95,16 @@ def test_flag_steps():
         assert f.step(i) == Subspace(units, 3, 3)
 
 
-def test_chain_rows_regenerate_steps():
-    for n, q in ((3, 2), (3, 3)):
-        for flag in enumerate_flags(n, q):
-            rows = flag.chain_rows()
-            for i in range(n + 1):
-                assert Subspace(rows[:i], n, q) == flag.step(i)
+def test_chain_bases_span_the_enumerated_flags():
+    for n, q in ((3, 2), (3, 3), (2, 5)):
+        bases = list(flagmodel._chain_bases(n, q))
+        flags = enumerate_flags(n, q)
+        assert len(bases) == len(flags)
+        for basis, flag in zip(bases, flags):
+            assert FqMatrix.make(basis, q).is_invertible()
+            # the validating constructor, not Flag._make
+            spans = Flag([Subspace(basis[:i], n, q) for i in range(1, n)], q)
+            assert spans == flag
 
 
 def test_flag_counts_frozen():
@@ -216,7 +221,7 @@ def test_representative_pairs_label_correctly():
 
 def test_position_of_flag_with_itself():
     for flag in enumerate_flags(3, 2):
-        assert relative_position(flag, flag).is_identity
+        assert relative_position(flag, flag).is_identity()
 
 
 def test_position_swap_inverts():
@@ -402,21 +407,44 @@ def _conv_tables_oracle(n, q):
 
 
 def test_convolution_matches_middle_flag_oracle():
+    rng = random.Random(5)
+    values = (-3, -2, -1, 1, 2, 3)
+    # sum over M of h(M, V) is sum_y h(y) q^l(y) = 0 for these h, so the
+    # all-ones function times h vanishes although no product is zero
+    cancelling = {(3, 2): (2, 1, 2, 1, 1, -2), (3, 3): (3, 1, 1, 1, 1, -1)}
     # both row backends: packed F_2 and lists mod q
     for n, q in ((2, 2), (3, 2), (3, 3), (3, 5)):
+        perms = enumerate_perms(n)
         tables = _conv_tables_oracle(n, q)
-        for x in enumerate_perms(n):
-            for y in enumerate_perms(n):
+        for x in perms:
+            for y in perms:
                 got = convolve(OrbitFn.indicator(x, q), OrbitFn.indicator(y, q))
                 assert got.values == tables.get((x, y), {}), (x, y)
+        if (n, q) not in cancelling:
+            continue
+        # dense signed factors, against the bilinear expansion of the oracle
+        ones = OrbitFn(n, q, {w: 1 for w in perms})
+        h = OrbitFn(n, q, dict(zip(sorted(perms, key=Perm.length), cancelling[n, q])))
+        assert convolve(ones, h).is_zero() and convolve(h, ones).is_zero()
+        pairs = [(ones, h), (h, ones)]
+        for _ in range(3):
+            pairs.append(tuple(
+                OrbitFn(n, q, {w: rng.choice(values) for w in perms}) for _ in range(2)
+            ))
+        for f, g in pairs:
+            expected = {}
+            for (x, y), table in tables.items():
+                for z, cnt in table.items():
+                    expected[z] = expected.get(z, 0) + f[x] * g[y] * cnt
+            expected = {z: c for z, c in expected.items() if c}
+            assert convolve(f, g).values == expected, (n, q, f, g)
     # one larger size, compared as a whole tensor
-    geo = flagmodel._Geometry(4, 2, FLAG_BUDGET)
+    geo = flagmodel._Geometry(4, 2)
     perms = geo.perms
     got = {}
-    for zi, counts in enumerate(geo.tensor()):
-        for key, cnt in counts.items():
-            x, y = divmod(key, geo.nperms)
-            got.setdefault((perms[x], perms[y]), {})[perms[zi]] = cnt
+    for key, counts in enumerate(geo.tensor()):
+        x, y = divmod(key, geo.nperms)
+        got[perms[x], perms[y]] = {perms[z]: cnt for z, cnt in counts.items()}
     assert got == _conv_tables_oracle(4, 2)
 
 
@@ -459,10 +487,10 @@ def test_packed_f2_backend_matches_generic(monkeypatch):
         )
 
     for n in (3, 4):
-        packed = flagmodel._Geometry(n, 2, FLAG_BUDGET)
+        packed = flagmodel._Geometry(n, 2)
         with monkeypatch.context() as m:
             m.setattr(flagmodel, "_row_backend", generic_rows)
-            generic = flagmodel._Geometry(n, 2, FLAG_BUDGET)
+            generic = flagmodel._Geometry(n, 2)
             generic_tensor = generic.tensor(debug=True)
         assert packed._columns != generic._columns
         assert packed.tensor(debug=True) == generic_tensor

@@ -31,10 +31,12 @@ def test_rank_frozen_cases():
 
 
 def test_rank_input_validation():
-    with pytest.raises(ValueError):
-        rank([[1, 2], [3]])
-    with pytest.raises(TypeError):
-        rank([[1.0, 2.0]])
+    for rank_of in (rank, lambda m: rank_mod(m, 7)):
+        for ragged in ([[1, 2], [3]], [[1, 0, 0], [0, 1]], [[1], [2, 0]]):
+            with pytest.raises(ValueError, match="ragged"):
+                rank_of(ragged)
+        with pytest.raises(TypeError):
+            rank_of([[1.0, 2.0]])
 
 
 def test_rank_does_not_mutate():
