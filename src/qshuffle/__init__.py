@@ -8,8 +8,8 @@ they agree, with integer and polynomial arithmetic throughout:
 * :mod:`qshuffle.flagmodel`: convolution of GL-invariant functions on
   pairs of complete flags over F_q, the functions f_t, their product
   rule, factorization, span, and structure constants;
-* :mod:`qshuffle.spectral`: exact eigenvalue multiplicities of the
-  tau action via fraction-free rank computations.
+* :mod:`qshuffle.spectral`: eigenvalue multiplicities of the tau
+  action, proven from the annihilator and one elimination mod p.
 
 The command line entry point lives in :mod:`qshuffle.cli`.
 """
@@ -49,7 +49,14 @@ from .flagmodel import (
     verify_lemma3,
     verify_span_commutativity,
 )
-from .spectral import multiplicity, rank, rank_mod, tau_matrix, verify_multiplicities
+from .spectral import (
+    CertificateError,
+    multiplicity,
+    rank,
+    rank_mod,
+    tau_matrix,
+    verify_multiplicities,
+)
 from .report import CheckResult
 
 __version__ = "0.1.0"
@@ -64,7 +71,8 @@ __all__ = [
     "OrbitFn", "f1", "f_t", "in_x_t", "convolve",
     "verify_lemma3", "verify_factorization", "verify_span_commutativity",
     "compare_structure_constants",
-    "rank", "rank_mod", "tau_matrix", "multiplicity", "verify_multiplicities",
+    "CertificateError", "rank", "rank_mod", "tau_matrix", "multiplicity",
+    "verify_multiplicities",
     "CheckResult",
     "__version__",
 ]

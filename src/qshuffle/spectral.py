@@ -1,15 +1,24 @@
-"""Spectrum of the tau action: exact eigenvalue multiplicities.
+"""Spectrum of the tau action: proven eigenvalue multiplicities.
 
 Left multiplication by tau on the standard basis, specialized at an
-integer q0 >= 1, is an n! x n! integer matrix.  Its eigenvalues are the
-q-integers [k]_{q0} for k in [0, n] with k = n - 1 absent, and the
+integer q0 >= 1, is an n! x n! integer matrix M.  Its eigenvalues are
+the q-integers [k]_{q0} for k in [0, n] with k = n - 1 absent, and the
 multiplicity of [k]_{q0} equals the number of permutations in S_n with
-exactly k fixed points.  Multiplicities are read off exactly as
+exactly k fixed points.  Multiplicities are proven per q0, not voted:
 
-    mult(k) = n! - rank(M - [k]_{q0} I)
+* ``wallach_product(n)`` is zero in Z[q], so the polynomial
+  x * prod (x - [k]_{q0}) over k != n - 1 annihilates M.  Its roots are
+  distinct integers, so M is diagonalizable over Q and the nullities
+  nullity_Q(M - [k]_{q0} I), k = 0..n, sum to n!.
+* A rank modulo a prime p is at most the rank over Q, so each
+  nullity_Q is at most the matching nullity_p.  If the nullities mod
+  one prime also sum to n!, every nullity_Q equals its nullity_p.
 
-with the rank over Z computed by fraction-free (Bareiss) elimination,
-so there is no floating point and no tolerance anywhere.
+So one elimination mod p per eigenvalue gives exact multiplicities.
+When the annihilator survives or the sum misses n!, the helper raises
+`CertificateError` with a witness and no multiplicity is returned.
+`rank` (fraction-free Bareiss elimination over Z) stays for the span
+ranks of the flag model and as the oracle of the tests.
 """
 
 from __future__ import annotations
@@ -18,12 +27,13 @@ import functools
 import math
 from typing import Iterable, Sequence
 
-from .hecke import HeckeElt, tau_times
+from .hecke import HeckeElt, tau_times, wallach_product
 from .polyring import q_int
 from .report import CheckResult
 from .symgroup import enumerate_perms
 
 __all__ = [
+    "CertificateError",
     "rank",
     "rank_mod",
     "tau_matrix",
@@ -31,9 +41,24 @@ __all__ = [
     "verify_multiplicities",
 ]
 
-# distinct large primes for the n >= 6 consensus prepass
-_PREPASS_PRIMES = (2147483647, 1000000007, 998244353)
-_EXACT_N_CEILING = 5
+# the one prime of the multiplicity certificate: any prime keeps the
+# proof sound, and one this large keeps the eigenvalues [k]_{q0}
+# distinct mod p so that their nullities can add up to n!
+_CERT_PRIME = 2**31 - 1
+# eigenvalue work above this n needs allow_large
+_LARGE_N = 5
+
+
+class CertificateError(ArithmeticError):
+    """The multiplicities at one q0 could not be proven.
+
+    `witness` is a dict for a failing detail row: the number of
+    surviving annihilator terms, or the prime with the nullity sum.
+    """
+
+    def __init__(self, message: str, witness: dict[str, int]):
+        super().__init__(message)
+        self.witness = witness
 
 
 def _check_int_matrix(a: Sequence[Sequence[int]]) -> None:
@@ -88,7 +113,13 @@ def rank(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def rank_mod(matrix: Sequence[Sequence[int]], p: int) -> int:
-    """Rank of the matrix reduced modulo a prime p (Gaussian elimination)."""
+    """Rank of the matrix reduced modulo a prime p (Gaussian elimination).
+
+    Never more than the rank over Q.  Each row update touches only the
+    columns from the pivot column on, as the earlier ones are zero.
+    """
+    if p < 2:
+        raise ValueError(f"need a prime modulus p >= 2, got {p}")
     _check_int_matrix(matrix)
     a = [[x % p for x in row] for row in matrix]
     if not a:
@@ -105,11 +136,12 @@ def rank_mod(matrix: Sequence[Sequence[int]], p: int) -> int:
             continue
         a[r], a[piv_row] = a[piv_row], a[r]
         inv = pow(a[r][col], -1, p)
-        a[r] = [(x * inv) % p for x in a[r]]
+        tail = [(x * inv) % p for x in a[r][col:]]
         for i in range(r + 1, nrows):
-            f = a[i][col]
+            row_i = a[i]
+            f = row_i[col]
             if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+                row_i[col:] = [(x - f * y) % p for x, y in zip(row_i[col:], tail)]
         r += 1
         if r == nrows:
             break
@@ -131,31 +163,56 @@ def tau_matrix(n: int, q0: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def multiplicity(n: int, k: int, q0: int, allow_large: bool = False) -> int:
-    """Multiplicity of the eigenvalue [k]_{q0} of the tau action.
+def _certified_nullities(n: int, q0: int) -> tuple[int, ...]:
+    """nullity(M - [k]_{q0} I) over Q for k = 0..n, M = tau_matrix(n, q0).
 
-    Exact for n <= 5.  For n >= 6 (guarded by `allow_large`: the matrix
-    is n! x n!) ranks are first computed modulo several large primes;
-    if they agree that consensus is used, otherwise the exact
-    elimination runs.
+    Proven as in the module docstring: the annihilator is checked with
+    the tau_times operator that builds M, then each nullity is taken mod
+    _CERT_PRIME and their sum must be n!.  Raises CertificateError
+    otherwise.
+    """
+    m = tau_matrix(n, q0)
+    annihilator = wallach_product(n)
+    if not annihilator.is_zero():
+        raise CertificateError(
+            f"tau * prod(tau - [k]_q) is not zero at n={n}",
+            {"surviving_terms": len(annihilator.terms)},
+        )
+    size = math.factorial(n)
+    p = _CERT_PRIME
+    nullities = []
+    for k in range(n + 1):
+        c = q_int(k)(q0)
+        shifted = [list(row) for row in m]
+        for i, row in enumerate(shifted):
+            row[i] -= c
+        nullities.append(size - rank_mod(shifted, p))
+    total = sum(nullities)
+    if total != size:
+        raise CertificateError(
+            f"nullities mod {p} sum to {total}, not {size}, at n={n}, q0={q0}",
+            {"prime": p, "sum": total, "expected_sum": size},
+        )
+    return tuple(nullities)
+
+
+def multiplicity(n: int, k: int, q0: int, allow_large: bool = False) -> int:
+    """Proven multiplicity of the eigenvalue [k]_{q0} of the tau action.
+
+    Read from the certified nullities at (n, q0), computed once for all
+    k; raises CertificateError when the certificate fails.  Above n = 5
+    each eigenvalue costs an n! x n! elimination mod p, so it needs
+    `allow_large`.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if n > _EXACT_N_CEILING and not allow_large:
+    if n > _LARGE_N and not allow_large:
+        size = math.factorial(n)
         raise ValueError(
-            f"n={n} means a {math.factorial(n)}x{math.factorial(n)} exact "
-            "elimination; pass allow_large=True to run it anyway"
+            f"n={n} means a {size}x{size} elimination mod p per eigenvalue; "
+            "pass --allow-large (allow_large=True in Python) to run it anyway"
         )
-    m = tau_matrix(n, q0)
-    c = q_int(k)(q0)
-    shifted = [list(row) for row in m]
-    for i in range(len(shifted)):
-        shifted[i][i] -= c
-    if n > _EXACT_N_CEILING:
-        mod_ranks = {rank_mod(shifted, p) for p in _PREPASS_PRIMES}
-        if len(mod_ranks) == 1:
-            return math.factorial(n) - mod_ranks.pop()
-    return math.factorial(n) - rank(shifted)
+    return _certified_nullities(n, q0)[k]
 
 
 def verify_multiplicities(
@@ -165,9 +222,10 @@ def verify_multiplicities(
 ) -> CheckResult:
     """Compare every eigenvalue multiplicity against direct enumeration.
 
-    For each q0 and each k in [0, n], the rank-based multiplicity must
+    For each q0 and each k in [0, n], the proven multiplicity must
     equal the number of permutations with exactly k fixed points, and
-    the multiplicities must sum to n!.
+    the multiplicities must sum to n!.  A q0 whose certificate fails
+    gets one failing row with the witness instead.
     """
     qs = list(q_values)
     fixed_counts = [0] * (n + 1)
@@ -176,7 +234,12 @@ def verify_multiplicities(
     rows = []
     ok_all = True
     for q0 in qs:
-        mults = [multiplicity(n, k, q0, allow_large) for k in range(n + 1)]
+        try:
+            mults = [multiplicity(n, k, q0, allow_large) for k in range(n + 1)]
+        except CertificateError as exc:
+            rows.append({"q0": q0, **exc.witness, "pass": False})
+            ok_all = False
+            continue
         for k in range(n + 1):
             ok = mults[k] == fixed_counts[k]
             row = {

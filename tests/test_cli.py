@@ -146,7 +146,10 @@ def test_multiplicities_command(capsys):
 
 def test_multiplicities_large_gate(capsys):
     assert main(["multiplicities", "--n", "6"]) == 2
-    assert "allow_large" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "allow_large" in err
+    assert "--allow-large" in err
+    assert "720x720 elimination mod p" in err
 
 
 def test_failing_check_exits_one(monkeypatch, capsys):

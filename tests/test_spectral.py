@@ -1,5 +1,6 @@
-"""Tests for exact ranks and eigenvalue multiplicities."""
+"""Tests for exact ranks and proven eigenvalue multiplicities."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,9 +8,12 @@ from fractions import Fraction
 import pytest
 
 import qshuffle.spectral as spectral
+from qshuffle.cli import main
 from qshuffle.hecke import HeckeElt, mul, tau
+from qshuffle.polyring import q_int
 from qshuffle.spectral import (
-    _PREPASS_PRIMES,
+    _CERT_PRIME,
+    _certified_nullities,
     multiplicity,
     rank,
     rank_mod,
@@ -37,6 +41,10 @@ def test_rank_input_validation():
                 rank_of(ragged)
         with pytest.raises(TypeError):
             rank_of([[1.0, 2.0]])
+    # a modulus below 2 is refused, not divided by or silently reduced
+    for p in (0, 1, -7):
+        with pytest.raises(ValueError, match="modulus"):
+            rank_mod([[2, 1], [1, 1]], p)
 
 
 def test_rank_does_not_mutate():
@@ -97,10 +105,31 @@ def test_rank_mod_agrees_on_small_entries():
         nrows = rng.randint(1, 5)
         ncols = rng.randint(1, 5)
         m = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
+        # entries are tiny next to the prime, so no rank drop
+        assert rank_mod(m, _CERT_PRIME) == rank(m)
+
+
+def test_rank_mod_never_exceeds_rank():
+    # the inequality the multiplicity certificate rests on; small primes
+    # make the drops below the rank over Q common
+    rng = random.Random(23)
+    drops = 0
+    for _ in range(200):
+        nrows = rng.randint(1, 6)
+        ncols = rng.randint(1, 6)
+        m = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(nrows)]
         exact = rank(m)
-        for p in _PREPASS_PRIMES:
-            # entries are tiny next to these primes, so no rank drop
-            assert rank_mod(m, p) == exact
+        for p in (2, 3, 5):
+            got = rank_mod(m, p)
+            assert got <= exact, (m, p)
+            drops += got < exact
+    assert drops > 0
+
+
+def test_cert_prime_is_prime():
+    p = _CERT_PRIME
+    assert p > 2 and p % 2
+    assert all(p % d for d in range(3, math.isqrt(p) + 1, 2))
 
 
 def test_tau_matrix_rank_two_frozen():
@@ -171,12 +200,83 @@ def test_large_n_gate():
         multiplicity(6, 0, 2)
 
 
-def test_modular_prepass_matches_exact(monkeypatch):
-    # force the consensus path on a size where exact answers are known
-    multiplicity.cache_clear()
-    monkeypatch.setattr(spectral, "_EXACT_N_CEILING", 2)
+def test_certificate_needs_no_bareiss(monkeypatch):
+    # the multiplicities come from the certificate alone: with the exact
+    # rank switched off they are still proven and sum to n!
+    def no_rank(matrix):
+        raise AssertionError("rank over Q called on the multiplicity path")
+
+    monkeypatch.setattr(spectral, "rank", no_rank)
+    _certified_nullities.cache_clear()
     try:
-        got = [multiplicity(3, k, 2, allow_large=True) for k in range(4)]
+        for n in (1, 2, 3, 4):
+            for q0 in (1, 2):
+                got = _certified_nullities(n, q0)
+                assert len(got) == n + 1
+                assert sum(got) == math.factorial(n)
+        assert verify_multiplicities(4, (1, 2)).passed
     finally:
-        multiplicity.cache_clear()
-    assert got == [2, 3, 0, 1]
+        _certified_nullities.cache_clear()
+
+
+def test_certified_matches_bareiss_oracle():
+    # slow oracle: n! - rank over Q of M - [k]_{q0} I, by Bareiss
+    cases = [(n, q0) for n in (1, 2, 3, 4) for q0 in (1, 2, 3, 5)] + [(5, 2)]
+    for n, q0 in cases:
+        m = tau_matrix(n, q0)
+        want = []
+        for k in range(n + 1):
+            c = q_int(k)(q0)
+            shifted = [list(row) for row in m]
+            for i in range(len(shifted)):
+                shifted[i][i] -= c
+            want.append(math.factorial(n) - rank(shifted))
+        assert list(_certified_nullities(n, q0)) == want, (n, q0)
+        assert [multiplicity(n, k, q0) for k in range(n + 1)] == want
+
+
+def _small_prime(monkeypatch):
+    # at q0 = 1 the eigenvalues 0 and [2]_1 = 2 collide mod 2
+    monkeypatch.setattr(spectral, "_CERT_PRIME", 2)
+    return {"q0": 1, "prime": 2, "sum": 10, "expected_sum": 6, "pass": False}
+
+
+def _perturbed_tau_matrix(monkeypatch):
+    real = spectral.tau_matrix
+
+    def perturbed(n, q0):
+        m = [list(row) for row in real(n, q0)]
+        m[1][2] += 1
+        return m
+
+    monkeypatch.setattr(spectral, "tau_matrix", perturbed)
+    return {"q0": 1, "prime": _CERT_PRIME, "sum": 3, "expected_sum": 6, "pass": False}
+
+
+def _surviving_annihilator(monkeypatch):
+    monkeypatch.setattr(spectral, "wallach_product", tau)
+    return {"q0": 1, "surviving_terms": 3, "pass": False}
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_small_prime, _perturbed_tau_matrix, _surviving_annihilator]
+)
+def test_failed_certificate_fails_closed(monkeypatch, capsys, corrupt):
+    witness = corrupt(monkeypatch)
+    _certified_nullities.cache_clear()
+    try:
+        with pytest.raises(spectral.CertificateError):
+            multiplicity(3, 0, 1)
+        result = verify_multiplicities(3, (1,))
+        assert not result.passed
+        assert result.details == [witness]
+        assert main(["multiplicities", "--n", "3", "--q", "1", "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert not doc["pass"]
+        assert doc["checks"][0]["details"] == [witness]
+        assert main(["multiplicities", "--n", "3", "--q", "1"]) == 1
+        out = capsys.readouterr().out
+        assert f"  FAIL {witness}" in out
+        assert "OVERALL: FAIL" in out
+    finally:
+        _certified_nullities.cache_clear()
