@@ -37,14 +37,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .hecke import HeckeElt, basis_times, tau
+from .hecke import _basis_walk, tau
 from .polyring import q_int
 from .report import CheckResult
-from .spectral import rank
-from .symgroup import Perm, enumerate_perms
+from .spectral import _is_prime, rank
+from .symgroup import Perm, _tuple_getter, enumerate_perms
 
 __all__ = [
     "BudgetExceeded",
@@ -77,13 +76,10 @@ class BudgetExceeded(ValueError):
 def _require_prime(q: int) -> None:
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q must be a prime, got {q!r}")
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            # TODO prime powers need a field abstraction; arithmetic mod q
-            # only covers prime q
-            raise ValueError(f"q must be prime (prime fields only), got {q}")
-        d += 1
+    if not _is_prime(q):
+        # TODO prime powers need a field abstraction; arithmetic mod q
+        # only covers prime q
+        raise ValueError(f"q must be prime (prime fields only), got {q}")
 
 
 # ---------------------------------------------------------------------------
@@ -655,13 +651,6 @@ class _Geometry:
         return out
 
 
-def _tuple_getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
-    # itemgetter returns a bare item for one index and refuses none
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return lambda seq: tuple(seq[i] for i in indices)
-
-
 _GEOMETRY: dict[tuple[int, int], _Geometry] = {}
 
 
@@ -1062,9 +1051,9 @@ def compare_structure_constants(
     product_misses: list[tuple[int, int]] = []
     reversed_misses: list[tuple[int, int]] = []
     for yi, y in enumerate(perms):
-        for x, prod in basis_times(HeckeElt.basis(y)).items():
-            xi = index[x.image]
-            h = {index[w.image]: c for w, c in prod.specialize(q).items()}
+        for x, prod in _basis_walk(n, {y.image: 1}, q).items():
+            xi = index[x]
+            h = {index[w]: c for w, c in prod.items()}
             if table[xi * nperms + yi] != h:
                 product_misses.append((xi, yi))
             if table[yi * nperms + xi] != h:

@@ -15,6 +15,17 @@ operator in Z[S_n].  ``wallach_product`` multiplies tau by the factors
 (tau - [k]_q) for k in [1, n] with k = n - 1 skipped, and the result
 vanishes identically.
 
+The relation above lives in one generator step, T_i times a sparse
+element, and the step takes q as a ring element: the Poly Q for Z[q],
+or a plain int for the value at an integer q.  Left multiplication by
+tau (n - 1 steps with a running sum) and T_x b for every x (one step
+per x) are walks over that step.  ``tau_times``, ``basis_times`` and
+``mul`` walk at Q.  The spectrum's tau matrix and the structure-constant
+check walk at their integer q.  ``wallach_product`` walks at q = 2^B
+(Kronecker substitution) and decodes each coefficient as balanced
+base-2^B digits, with B from a proven bound on the coefficients.  The
+q = 1 group algebra (``group_mul``) stays independent of the step.
+
 >>> print(tau(3))
 T[1 2 3] + T[1 3 2] + T[2 3 1]
 >>> wallach_product(2).is_zero()
@@ -23,10 +34,10 @@ True
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, TypeVar, Union
 
-from .polyring import ONE, Poly, Q, ZERO, q_int
-from .symgroup import Perm, cycle_element, enumerate_perms
+from .polyring import ONE, Poly, Q, ZERO
+from .symgroup import Perm, _tuple_getter, cycle_element, enumerate_perms
 
 __all__ = [
     "HeckeElt",
@@ -43,7 +54,10 @@ __all__ = [
 ]
 
 Scalar = Union[Poly, int]
-_Q_MINUS_1 = Q - 1
+# a permutation's image tuple, the key of the internal walks
+Img = tuple[int, ...]
+# the coefficient ring of a walk: Poly for Z[q], int at an integer q
+R = TypeVar("R", Poly, int)
 
 
 def _as_coeff(value: object) -> Poly | None:
@@ -202,19 +216,39 @@ class HeckeElt:
         return f"<HeckeElt n={self.n} with {len(self.terms)} terms>"
 
 
-def _simple_times(i: int, terms: Mapping[Perm, Poly]) -> dict[Perm, Poly]:
-    # T_i * sum c_u T_u; zero coefficients are kept, callers drop them
-    out: dict[Perm, Poly] = {}
+def _simple_times(i: int, terms: Mapping[Img, R], q: R) -> dict[Img, R]:
+    # T_i * sum c_u T_u, keyed by images, over the ring of q (the Poly Q
+    # or an int); zero coefficients are kept, callers drop them
+    qm1 = q - 1
+    out: dict[Img, R] = {}
+    get = out.get
+    j = i + 1
     for u, c in terms.items():
-        ui = u.image
-        su = Perm._make(tuple(i + 1 if x == i else i if x == i + 1 else x for x in ui))
-        if ui.index(i) < ui.index(i + 1):
+        a, b = u.index(i), u.index(j)
+        s = list(u)
+        s[a], s[b] = j, i
+        su = tuple(s)
+        old = get(su)
+        if a < b:
             # length goes up: plain basis element
-            out[su] = out.get(su, ZERO) + c
+            out[su] = c if old is None else old + c
         else:
-            out[su] = out.get(su, ZERO) + Q * c
-            out[u] = out.get(u, ZERO) + _Q_MINUS_1 * c
+            out[su] = q * c if old is None else old + q * c
+            old = get(u)
+            out[u] = qm1 * c if old is None else old + qm1 * c
     return out
+
+
+def _images(a: HeckeElt) -> dict[Img, Poly]:
+    return {w.image: c for w, c in a.terms.items()}
+
+
+def _elt(n: int, terms: Mapping[Img, Poly]) -> HeckeElt:
+    # the element with these image-keyed terms; zero terms dropped
+    e = object.__new__(HeckeElt)
+    e.n = n
+    e.terms = {Perm._make(u): c for u, c in terms.items() if c}
+    return e
 
 
 def simple_times_basis(i: int, w: Perm) -> HeckeElt:
@@ -227,7 +261,7 @@ def simple_times_basis(i: int, w: Perm) -> HeckeElt:
     """
     if not 1 <= i < w.n:
         raise ValueError(f"generator index {i} outside 1..{w.n - 1}")
-    return HeckeElt(w.n, _simple_times(i, {w: ONE}))
+    return _elt(w.n, _simple_times(i, {w.image: ONE}, Q))
 
 
 def _peel(
@@ -255,54 +289,53 @@ def mul(a: HeckeElt, b: HeckeElt, pick: Callable[[list[int]], int] = min) -> Hec
     if a.n != b.n:
         raise ValueError(f"rank mismatch: {a.n} vs {b.n}")
     n = a.n
-    memo: dict[tuple[int, ...], dict[Perm, Poly]] = {
-        Perm.identity(n).image: dict(b.terms)
-    }
+    memo: dict[Img, dict[Img, Poly]] = {Perm.identity(n).image: _images(b)}
 
-    def t_times_b(img: tuple[int, ...]) -> dict[Perm, Poly]:
+    def t_times_b(img: Img) -> dict[Img, Poly]:
         hit = memo.get(img)
         if hit is not None:
             return hit
         i, shorter = _peel(img, pick)
-        memo[img] = out = _simple_times(i, t_times_b(shorter))
+        memo[img] = out = _simple_times(i, t_times_b(shorter), Q)
         return out
 
-    acc: dict[Perm, Poly] = {}
+    acc: dict[Img, Poly] = {}
     for w, p in a.terms.items():
         for u, c in t_times_b(w.image).items():
-            s = acc.get(u, ZERO) + p * c
-            if s:
-                acc[u] = s
-            else:
-                acc.pop(u, None)
-    e = object.__new__(HeckeElt)
-    e.n, e.terms = n, acc
-    return e
+            acc[u] = acc.get(u, ZERO) + p * c
+    return _elt(n, acc)
+
+
+def _basis_walk(n: int, terms: Mapping[Img, R], q: R) -> dict[Img, dict[Img, R]]:
+    # T_x * b for every x, keyed by the image of x in enumerate_perms
+    # order, over the ring of q; zero terms dropped.  Each product is one
+    # generator step from a shorter one, T_x b = T_i (T_{s_i x} b) for a
+    # left descent i of x.  The walk may follow enumerate_perms order
+    # because s_i x precedes x there: its image swaps the values i + 1, i
+    # of x back into increasing order.
+    out: dict[Img, dict[Img, R]] = {}
+    for x in enumerate_perms(n):
+        if out:
+            i, shorter = _peel(x.image)
+            step = _simple_times(i, out[shorter], q)
+            out[x.image] = {u: c for u, c in step.items() if c}
+        else:  # the identity comes first
+            out[x.image] = dict(terms)
+    return out
 
 
 def basis_times(b: HeckeElt) -> dict[Perm, HeckeElt]:
     """T_x * b for every x in S_n, keyed by x in lexicographic order.
 
-    Each product is one generator step from a shorter one,
-    T_x b = T_i (T_{s_i x} b) for a left descent i of x.  The walk may
-    follow enumerate_perms order because s_i x precedes x there: its
-    image swaps the values i + 1, i of x back into increasing order.
+    All n! products come from one walk, each a single generator step
+    from a shorter product.
 
     >>> cols = basis_times(HeckeElt.unit(3))
     >>> all(cols[x] == HeckeElt.basis(x) for x in enumerate_perms(3))
     True
     """
-    out: dict[Perm, HeckeElt] = {}
-    for x in enumerate_perms(b.n):
-        if out:
-            i, shorter = _peel(x.image)
-            step = _simple_times(i, out[Perm._make(shorter)].terms)
-            terms = {u: c for u, c in step.items() if c}
-        else:  # the identity comes first
-            terms = dict(b.terms)
-        e = out[x] = object.__new__(HeckeElt)
-        e.n, e.terms = b.n, terms
-    return out
+    walk = _basis_walk(b.n, _images(b), Q)
+    return {Perm._make(x): _elt(b.n, col) for x, col in walk.items()}
 
 
 def tau(n: int) -> HeckeElt:
@@ -310,6 +343,20 @@ def tau(n: int) -> HeckeElt:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return HeckeElt(n, [(cycle_element(g, n), ONE) for g in range(1, n + 1)])
+
+
+def _tau_walk(n: int, terms: Mapping[Img, R], q: R) -> dict[Img, R]:
+    # tau * x over the ring of q in n - 1 generator steps.  The result
+    # holds every key of `terms` (the g = n term is x itself) and keeps
+    # zero coefficients.
+    acc = dict(terms)
+    step = terms
+    for g in range(n - 1, 0, -1):
+        step = _simple_times(g, step, q)
+        for u, c in step.items():
+            old = acc.get(u)
+            acc[u] = c if old is None else old + c
+    return acc
 
 
 def tau_times(a: HeckeElt) -> HeckeElt:
@@ -320,19 +367,36 @@ def tau_times(a: HeckeElt) -> HeckeElt:
     >>> tau_times(HeckeElt.unit(3)) == tau(3)
     True
     """
-    acc = dict(a.terms)
-    step = a.terms
-    for g in range(a.n - 1, 0, -1):
-        step = _simple_times(g, step)
-        for u, c in step.items():
-            acc[u] = acc.get(u, ZERO) + c
-    return HeckeElt(a.n, acc)
+    return _elt(a.n, _tau_walk(a.n, _images(a), Q))
 
 
 def _retained_ks(n: int) -> list[int]:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return [k for k in range(1, n + 1) if k != n - 1]
+
+
+def _kronecker_bits(n: int, omit: int | None) -> int:
+    # B with every coefficient of wallach_product(n, omit) below 2^(B-1)
+    # in absolute value; the bound is proven in wallach_product
+    bound = 1 if omit == 0 else n
+    for k in _retained_ks(n):
+        if k != omit:
+            bound *= (3**n - 1) // 2 + k
+    return bound.bit_length() + 2
+
+
+def _kronecker_decode(value: int, bits: int) -> Poly:
+    # the Poly p with p(2^bits) = value and every |coefficient| below
+    # 2^(bits-1): balanced base-2^bits digits, least significant first
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    coeffs = []
+    while value:
+        digit = ((value + half) & mask) - half
+        coeffs.append(digit)
+        value = (value - digit) >> bits
+    return Poly(coeffs)
 
 
 def wallach_product(n: int, omit: int | None = None) -> HeckeElt:
@@ -343,15 +407,39 @@ def wallach_product(n: int, omit: int | None = None) -> HeckeElt:
     `omit` skips one factor: omit=0 drops the leading tau, omit=k drops
     the (tau - [k]_q) factor.  Used by minimality checks; the full
     product is identically zero, every omitted variant is not.
+
+    The walk runs on plain ints at q = 2^B (Kronecker substitution) and
+    reads each coefficient back as balanced base-2^B digits.  Evaluation
+    at 2^B is a ring homomorphism Z[q] -> Z, so the int walk is the
+    exact image of the Z[q] walk; B only has to make the decoding
+    unique, which holds when every coefficient c of the result has
+    |c| < 2^(B-1).  Let N be the l1 norm over all coefficients of all
+    terms.  One generator step gives N(T_i x) <= 3 N(x): a term either
+    moves unchanged or splits into q c (norm N(c)) and (q - 1) c (norm
+    at most 2 N(c)).  T_{c_g} is n - g steps, so
+    N(tau x) <= (1 + 3 + ... + 3^(n-1)) N(x) = ((3^n - 1) / 2) N(x) and
+    N((tau - [k]_q) x) <= ((3^n - 1) / 2 + k) N(x).  With N(tau) = n
+    and N(1) = 1 the product of these factors bounds every coefficient,
+    and B = bit_length(bound) + 2 leaves a factor of two to spare:
+    B = 66 at n = 7 and 87 at n = 8.
     """
     ks = _retained_ks(n)
     if omit is not None and omit != 0 and omit not in ks:
         raise ValueError(f"omit must be 0 or one of {ks}, got {omit}")
-    prod = HeckeElt.unit(n) if omit == 0 else tau(n)
+    bits = _kronecker_bits(n, omit)
+    q = 1 << bits
+    prod = {Perm.identity(n).image: 1}
+    if omit != 0:
+        prod = _tau_walk(n, prod, q)
     for k in ks:
-        if k != omit:
-            prod = tau_times(prod) - q_int(k) * prod
-    return prod
+        if k == omit:
+            continue
+        qk = (q**k - 1) // (q - 1)
+        shifted = _tau_walk(n, prod, q)
+        for u, c in prod.items():
+            shifted[u] -= qk * c
+        prod = {u: c for u, c in shifted.items() if c}
+    return _elt(n, {u: _kronecker_decode(c, bits) for u, c in prod.items()})
 
 
 def specialize(a: HeckeElt, q0: int) -> dict[Perm, int]:
@@ -360,18 +448,24 @@ def specialize(a: HeckeElt, q0: int) -> dict[Perm, int]:
 
 
 def group_mul(a: Mapping[Perm, int], b: Mapping[Perm, int]) -> dict[Perm, int]:
-    """Product in the group algebra Z[S_n] of dicts Perm -> int."""
-    out: dict[Perm, int] = {}
-    for u, cu in a.items():
-        ui = u.image
-        for v, cv in b.items():
-            w = Perm._make(tuple(ui[x - 1] for x in v.image))
-            s = out.get(w, 0) + cu * cv
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return out
+    """Product in the group algebra Z[S_n] of dicts Perm -> int.
+
+    Each term v of the right factor composes the whole left factor
+    through one getter, (u v)(i) = u(v(i)), and the sums collect on
+    image tuples; Perm keys are built once, for the nonzero results.
+    """
+    ranks = {u.n for u in a} | {v.n for v in b}
+    if len(ranks) > 1:
+        raise ValueError(f"rank mismatch: {sorted(ranks)}")
+    left = [(u.image, cu) for u, cu in a.items()]
+    out: dict[Img, int] = {}
+    get = out.get
+    for v, cv in b.items():
+        compose = _tuple_getter([x - 1 for x in v.image])
+        for ui, cu in left:
+            w = compose(ui)
+            out[w] = get(w, 0) + cu * cv
+    return {Perm._make(w): c for w, c in out.items() if c}
 
 
 def wallach_group_product(n: int, omit: int | None = None) -> dict[Perm, int]:

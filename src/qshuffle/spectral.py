@@ -27,7 +27,7 @@ import functools
 import math
 from typing import Iterable, Sequence
 
-from .hecke import HeckeElt, tau_times, wallach_product
+from .hecke import _tau_walk, wallach_product
 from .polyring import q_int
 from .report import CheckResult
 from .symgroup import enumerate_perms
@@ -112,14 +112,29 @@ def rank(matrix: Sequence[Sequence[int]]) -> int:
     return r
 
 
+@functools.lru_cache(maxsize=256)
+def _is_prime(p: int) -> bool:
+    # trial division, cached: every elimination mod the certificate
+    # prime asks again
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def rank_mod(matrix: Sequence[Sequence[int]], p: int) -> int:
     """Rank of the matrix reduced modulo a prime p (Gaussian elimination).
 
     Never more than the rank over Q.  Each row update touches only the
-    columns from the pivot column on, as the earlier ones are zero.
+    columns from the pivot column on, as the earlier ones are zero.  A
+    modulus that is not prime is refused: Z/p is then not a field.
     """
-    if p < 2:
-        raise ValueError(f"need a prime modulus p >= 2, got {p}")
+    if not _is_prime(p):
+        raise ValueError(f"need a prime modulus p, got {p}")
     _check_int_matrix(matrix)
     a = [[x % p for x in row] for row in matrix]
     if not a:
@@ -153,13 +168,13 @@ def tau_matrix(n: int, q0: int) -> tuple[tuple[int, ...], ...]:
     """Dense matrix of left multiplication by tau at q = q0.
 
     Rows and columns follow enumerate_perms(n); entry (i, j) is the
-    coefficient of T_{w_i} in tau * T_{w_j}.
+    coefficient of T_{w_i} in tau * T_{w_j}, walked on ints at q0.
     """
     if q0 < 1:
         raise ValueError(f"need an integer q0 >= 1, got {q0}")
-    perms = enumerate_perms(n)
-    cols = [tau_times(HeckeElt.basis(w)).specialize(q0) for w in perms]
-    return tuple(tuple(col.get(u, 0) for col in cols) for u in perms)
+    images = [w.image for w in enumerate_perms(n)]
+    cols = [_tau_walk(n, {w: 1}, q0) for w in images]
+    return tuple(tuple(col.get(u, 0) for col in cols) for u in images)
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,7 +182,7 @@ def _certified_nullities(n: int, q0: int) -> tuple[int, ...]:
     """nullity(M - [k]_{q0} I) over Q for k = 0..n, M = tau_matrix(n, q0).
 
     Proven as in the module docstring: the annihilator is checked with
-    the tau_times operator that builds M, then each nullity is taken mod
+    the tau walk that builds M, then each nullity is taken mod
     _CERT_PRIME and their sum must be n!.  Raises CertificateError
     otherwise.
     """

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterable
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "Perm",
@@ -170,3 +171,11 @@ def enumerate_perms(n: int) -> tuple[Perm, ...]:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"need a positive int, got {n!r}")
     return tuple(Perm._make(img) for img in itertools.permutations(range(1, n + 1)))
+
+
+def _tuple_getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    # picks `indices` out of a sequence as a tuple; itemgetter returns a
+    # bare item for one index and refuses none
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda seq: tuple(seq[i] for i in indices)

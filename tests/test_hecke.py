@@ -118,6 +118,43 @@ def test_wallach_product_minimality_small():
         wallach_product(3, omit=2)  # k = n-1 is not a factor
 
 
+def test_kronecker_bits_bound_the_oracle():
+    # every coefficient of the Z[q] product is below 2^(B-1) in absolute
+    # value, so the balanced base-2^B digits read it back uniquely
+    for n in range(1, 7):
+        retained = [k for k in range(1, n + 1) if k != n - 1]
+        for omit in [None, 0] + retained:
+            bits = hecke._kronecker_bits(n, omit)
+            prod = _wallach_product_by_mul(n, omit)
+            top = max((abs(c) for p in prod.terms.values() for c in p.coeffs), default=0)
+            assert top < 2 ** (bits - 1), (n, omit, top, bits)
+    assert hecke._kronecker_bits(7, None) == 66
+    assert hecke._kronecker_bits(8, None) == 87
+
+
+def test_wallach_product_rank_one():
+    # tau = T_e = 1 at n = 1, so tau - [1]_q is zero and only omit=1
+    # leaves a nonzero product
+    for omit in (None, 0, 1):
+        prod = wallach_product(1, omit=omit)
+        assert prod == _wallach_product_by_mul(1, omit), omit
+        assert prod.is_zero() == (omit != 1), omit
+
+
+def test_kronecker_decode_round_trips():
+    rng = random.Random(31)
+    for n in range(1, 9):
+        bits = hecke._kronecker_bits(n, None)
+        half = 2 ** (bits - 1)
+        assert hecke._kronecker_decode(0, bits) == Poly()
+        # the extreme balanced digits, at both ends of the polynomial
+        for edge in (Poly([-half, half - 1]), Poly([half - 1, 0, -half])):
+            assert hecke._kronecker_decode(edge(2**bits), bits) == edge
+        for _ in range(30):
+            p = Poly([rng.randint(-half, half - 1) for _ in range(rng.randint(1, 12))])
+            assert hecke._kronecker_decode(p(2**bits), bits) == p, (n, p)
+
+
 def test_tau_times_matches_mul():
     # slow oracle: the general product with tau(n) as left factor
     for n in range(1, 6):
@@ -163,6 +200,20 @@ def test_basis_times_matches_mul():
     assert cols[s1].terms == {e2: Q}
 
 
+def test_basis_walk_at_int_q_matches_specialized_products():
+    # the int walk of the structure-constant check against basis_times
+    # in Z[q] specialized at q
+    for n in range(1, 5):
+        for q in (2, 3, 5):
+            for y in enumerate_perms(n):
+                walk = hecke._basis_walk(n, {y.image: 1}, q)
+                cols = basis_times(HeckeElt.basis(y))
+                assert list(walk) == [x.image for x in cols]
+                for x, col in cols.items():
+                    want = {w.image: c for w, c in col.specialize(q).items()}
+                    assert walk[x.image] == want, (n, q, x, y)
+
+
 def test_factors_commute():
     t = tau(3)
     f1 = t - q_int(1)
@@ -194,11 +245,21 @@ def _group_mul_oracle(a, b):
 
 def test_group_mul_matches_oracle():
     rng = random.Random(17)
-    perms = enumerate_perms(4)
-    for _ in range(40):
-        a = {rng.choice(perms): rng.randint(-3, 3) for _ in range(3)}
-        b = {rng.choice(perms): rng.randint(-3, 3) for _ in range(3)}
-        assert group_mul(a, b) == _group_mul_oracle(a, b)
+    # n = 1 composes through a one-index getter
+    for n in range(1, 6):
+        perms = enumerate_perms(n)
+        for _ in range(40):
+            a = {rng.choice(perms): rng.randint(-3, 3) for _ in range(3)}
+            b = {rng.choice(perms): rng.randint(-3, 3) for _ in range(3)}
+            assert group_mul(a, b) == _group_mul_oracle(a, b), (a, b)
+    # (e + s_1)(e - s_1) = e - s_1^2 = 0: every term cancels
+    e2, s1 = Perm.identity(2), Perm.simple(1, 2)
+    assert group_mul({e2: 1, s1: 1}, {e2: 1, s1: -1}) == {}
+    # mismatched ranks are refused in either order, as in mul
+    with pytest.raises(ValueError, match="rank mismatch"):
+        group_mul({Perm((2, 3, 1)): 1}, {Perm((2, 1)): 1})
+    with pytest.raises(ValueError, match="rank mismatch"):
+        group_mul({Perm((2, 1)): 1}, {Perm((2, 3, 1)): 1})
 
 
 def test_group_product_vanishes_small():

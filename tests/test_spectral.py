@@ -9,7 +9,7 @@ import pytest
 
 import qshuffle.spectral as spectral
 from qshuffle.cli import main
-from qshuffle.hecke import HeckeElt, mul, tau
+from qshuffle.hecke import HeckeElt, mul, tau, tau_times
 from qshuffle.polyring import q_int
 from qshuffle.spectral import (
     _CERT_PRIME,
@@ -41,10 +41,13 @@ def test_rank_input_validation():
                 rank_of(ragged)
         with pytest.raises(TypeError):
             rank_of([[1.0, 2.0]])
-    # a modulus below 2 is refused, not divided by or silently reduced
-    for p in (0, 1, -7):
+    # a modulus below 2 or a composite one is refused, not divided by or
+    # silently reduced: Z/p is a field only for a prime p
+    for p in (0, 1, -7, 4, 6, 9):
         with pytest.raises(ValueError, match="modulus"):
             rank_mod([[2, 1], [1, 1]], p)
+        with pytest.raises(ValueError, match="modulus"):
+            rank_mod([[1, 0], [0, 1]], p)
 
 
 def test_rank_does_not_mutate():
@@ -152,6 +155,17 @@ def test_tau_matrix_columns_are_products():
             col = {index[u]: c for u, c in prod.items()}
             for i in range(6):
                 assert m[i][j] == col.get(i, 0)
+
+
+def test_tau_matrix_matches_tau_times():
+    # slow oracle: the columns of tau * T_w in Z[q], specialized at q0
+    for n in range(1, 6):
+        perms = enumerate_perms(n)
+        for q0 in (1, 2, 3):
+            m = tau_matrix(n, q0)
+            for j, w in enumerate(perms):
+                col = tau_times(HeckeElt.basis(w)).specialize(q0)
+                assert [row[j] for row in m] == [col.get(u, 0) for u in perms], (n, q0, w)
 
 
 def test_multiplicity_frozen_small():
