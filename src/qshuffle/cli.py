@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import __version__
 from .flagmodel import (
@@ -123,16 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_hecke_identity(n: int) -> CheckResult:
     elt = wallach_product(n)
-    ok = elt.is_zero()
-    details = [{"surviving_terms": len(elt.terms), "pass": ok}]
-    return CheckResult("hecke-identity", {"n": n}, ok, details)
+    details = [{"surviving_terms": len(elt.terms), "pass": elt.is_zero()}]
+    return CheckResult("hecke-identity", {"n": n}, details)
 
 
 def _check_group_identity(n: int) -> CheckResult:
     prod = wallach_group_product(n)
-    ok = not prod
-    details = [{"surviving_terms": len(prod), "pass": ok}]
-    return CheckResult("group-identity", {"n": n}, ok, details)
+    details = [{"surviving_terms": len(prod), "pass": not prod}]
+    return CheckResult("group-identity", {"n": n}, details)
 
 
 def _refuse_ignored(args: argparse.Namespace) -> None:
@@ -191,32 +189,24 @@ def _run_all(args: argparse.Namespace) -> list[CheckResult]:
     return results
 
 
-def _emit_text(results: Iterable[CheckResult]) -> bool:
-    ok_all = True
-    count = 0
+def _emit_text(results: Sequence[CheckResult], ok: bool) -> None:
     for r in results:
-        count += 1
         print(r.summary())
-        if not r.passed:
-            ok_all = False
-            for row in r.details:
-                if not row.get("pass", True):
-                    print(f"  FAIL {row}")
-    print(f"OVERALL: {'PASS' if ok_all else 'FAIL'} ({count} checks)")
-    return ok_all
+        for row in r.details:
+            if not row["pass"]:
+                print(f"  FAIL {row}")
+    print(f"OVERALL: {'PASS' if ok else 'FAIL'} ({len(results)} checks)")
 
 
-def _emit_json(command: str, results: Sequence[CheckResult]) -> bool:
-    ok_all = all(r.passed for r in results)
+def _emit_json(command: str, results: Sequence[CheckResult], ok: bool) -> None:
     doc = {
         "schema": 1,
         "tool": {"name": "qshuffle", "version": __version__},
         "command": command,
-        "pass": ok_all,
+        "pass": ok,
         "checks": [r.as_dict() for r in results],
     }
     print(json.dumps(doc, sort_keys=True, indent=2))
-    return ok_all
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -234,10 +224,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (BudgetExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    ok = all(r.passed for r in results)
     if args.format == "json":
-        ok = _emit_json(args.command, results)
+        _emit_json(args.command, results, ok)
     else:
-        ok = _emit_text(results)
+        _emit_text(results, ok)
     return 0 if ok else 1
 
 

@@ -847,6 +847,15 @@ def _first_mismatch(a: OrbitFn, b: OrbitFn) -> str:
     return "none"
 
 
+def _row(head: Mapping[str, object], lhs: OrbitFn, rhs: OrbitFn) -> dict[str, object]:
+    # the comparison row lhs == rhs; on failure its witness names the
+    # first mismatched orbit
+    row = {**head, "pass": lhs == rhs}
+    if not row["pass"]:
+        row["witness"] = _first_mismatch(lhs, rhs)
+    return row
+
+
 def verify_lemma3(
     n: int,
     q: int,
@@ -868,17 +877,11 @@ def verify_lemma3(
     needed = sorted(set(ts) | {t + 1 for t in ts})
     fs = {t: f_t(n, q, t) for t in needed}
     rows = []
-    ok_all = True
     for t in ts:
         lhs = convolve(base, fs[t], budget, debug)
         rhs = q_int(t)(q) * fs[t] + (q ** t) * fs[t + 1]
-        ok = lhs == rhs
-        row: dict[str, object] = {"t": t, "pass": ok}
-        if not ok:
-            row["witness"] = _first_mismatch(lhs, rhs)
-        rows.append(row)
-        ok_all = ok_all and ok
-    return CheckResult("lemma3", {"n": n, "q": q}, ok_all, rows)
+        rows.append(_row({"t": t}, lhs, rhs))
+    return CheckResult("lemma3", {"n": n, "q": q}, rows)
 
 
 def verify_factorization(
@@ -901,31 +904,19 @@ def verify_factorization(
     f0 = OrbitFn.indicator(Perm.identity(n), q)
     base = f1(n, q)
     rows = []
-    ok_all = True
     prod = base
     for t in range(1, n):
         if t > 1:
             prod = convolve(prod, base - q_int(t - 1)(q) * f0, budget, debug)
-        lhs = (q ** (t * (t - 1) // 2)) * f_t(n, q, t)
-        ok = lhs == prod
-        row: dict[str, object] = {"t": t, "pass": ok}
-        if not ok:
-            row["witness"] = _first_mismatch(lhs, prod)
-        rows.append(row)
-        ok_all = ok_all and ok
-    collapse_ok = f_t(n, q, n - 1) == f_t(n, q, n)
-    rows.append({"check": "f_(n-1) == f_n", "pass": collapse_ok})
-    ok_all = ok_all and collapse_ok
+        ft = f_t(n, q, t)
+        rows.append(_row({"t": t}, (q ** (t * (t - 1) // 2)) * ft, prod))
+    # ft is f_(n-1) after the loop
+    rows.append(_row({"check": "f_(n-1) == f_n"}, ft, f_t(n, q, n)))
     # continue the chain with the k = n factor (k = n-1 is skipped, the
     # same factor layout as the Hecke-side product)
     full = convolve(prod, base - q_int(n)(q) * f0, budget, debug)
-    zero_ok = full.is_zero()
-    row = {"check": "full product == 0", "pass": zero_ok}
-    if not zero_ok:
-        row["witness"] = _first_mismatch(full, OrbitFn(n, q))
-    rows.append(row)
-    ok_all = ok_all and zero_ok
-    return CheckResult("factorization", {"n": n, "q": q}, ok_all, rows)
+    rows.append(_row({"check": "full product == 0"}, full, OrbitFn(n, q)))
+    return CheckResult("factorization", {"n": n, "q": q}, rows)
 
 
 def verify_span_commutativity(
@@ -949,7 +940,6 @@ def verify_span_commutativity(
     fs = [f_t(n, q, t) for t in range(n + 1)]
     base = f1(n, q)
     rows = []
-    ok_all = True
 
     powers = [OrbitFn.indicator(Perm.identity(n), q)]
     for _ in range(n):
@@ -973,45 +963,29 @@ def verify_span_commutativity(
         expansion = OrbitFn(n, q)
         for s, c in coeffs[t].items():
             expansion = expansion + c * fs[s]
-        ok = expansion == powers[t]
-        row: dict[str, object] = {"check": f"f1^{t} expansion", "pass": ok}
-        if not ok:
-            row["witness"] = _first_mismatch(expansion, powers[t])
-        rows.append(row)
-        ok_all = ok_all and ok
+        rows.append(_row({"check": f"f1^{t} expansion"}, expansion, powers[t]))
         diag_ok = coeffs[t].get(t, 0) == q ** (t * (t - 1) // 2)
         rows.append({"check": f"diagonal C[{t}][{t}]", "pass": diag_ok})
-        ok_all = ok_all and diag_ok
 
     perms = enumerate_perms(n)
     mat_f = [[f.values.get(w, 0) for w in perms] for f in fs]
     mat_p = [[p.values.get(w, 0) for w in perms] for p in powers]
     r_f, r_p, r_all = rank(mat_f), rank(mat_p), rank(mat_f + mat_p)
-    span_ok = r_f == r_p == r_all == n
     rows.append(
         {"check": "span ranks", "rank_f": r_f, "rank_powers": r_p,
-         "rank_union": r_all, "expected": n, "pass": span_ok}
+         "rank_union": r_all, "expected": n, "pass": r_f == r_p == r_all == n}
     )
-    ok_all = ok_all and span_ok
 
-    comm_ok = True
-    witness = "none"
-    for s in range(n + 1):
-        for t in range(s + 1, n + 1):
-            left = convolve(fs[s], fs[t], budget, debug)
-            right = convolve(fs[t], fs[s], budget, debug)
-            if left != right:
-                comm_ok = False
-                witness = f"s={s}, t={t}: " + _first_mismatch(left, right)
-                break
-        if not comm_ok:
+    comm: dict[str, object] = {"check": "commutativity of all f_s, f_t", "pass": True}
+    for s, t in itertools.combinations(range(n + 1), 2):
+        left = convolve(fs[s], fs[t], budget, debug)
+        right = convolve(fs[t], fs[s], budget, debug)
+        if left != right:
+            comm["pass"] = False
+            comm["witness"] = f"s={s}, t={t}: " + _first_mismatch(left, right)
             break
-    row = {"check": "commutativity of all f_s, f_t", "pass": comm_ok}
-    if not comm_ok:
-        row["witness"] = witness
-    rows.append(row)
-    ok_all = ok_all and comm_ok
-    return CheckResult("span", {"n": n, "q": q}, ok_all, rows)
+    rows.append(comm)
+    return CheckResult("span", {"n": n, "q": q}, rows)
 
 
 def _pair_name(perms: Sequence[Perm], misses: list[tuple[int, int]]) -> str:
@@ -1051,9 +1025,9 @@ def compare_structure_constants(
     product_misses: list[tuple[int, int]] = []
     reversed_misses: list[tuple[int, int]] = []
     for yi, y in enumerate(perms):
-        for x, prod in _basis_walk(n, {y.image: 1}, q).items():
-            xi = index[x]
-            h = {index[w]: c for w, c in prod.items()}
+        walk = _basis_walk(n, {y.image: 1}, q)
+        for xi, x in enumerate(perms):
+            h = {index[w]: c for w, c in walk(x.image).items()}
             if table[xi * nperms + yi] != h:
                 product_misses.append((xi, yi))
             if table[yi * nperms + xi] != h:
@@ -1069,22 +1043,18 @@ def compare_structure_constants(
     else:
         orientation = "inconsistent"
 
-    f1_match = f1(n, q).values == tau(n).specialize(q)
-
-    passed = orientation != "inconsistent" and f1_match
-    rows = [
-        {
-            "pairs": total,
-            "product_order_matches": product_matches,
-            "reversed_order_matches": reversed_matches,
-            "orientation": orientation,
-            "pass": orientation != "inconsistent",
-        },
-        {"check": "f1 == specialize(tau, q)", "pass": f1_match},
-    ]
+    tensor_row: dict[str, object] = {
+        "pairs": total,
+        "product_order_matches": product_matches,
+        "reversed_order_matches": reversed_matches,
+        "orientation": orientation,
+        "pass": orientation != "inconsistent",
+    }
     if orientation == "inconsistent":
-        rows[0]["witness"] = (
+        tensor_row["witness"] = (
             f"product order first miss {_pair_name(perms, product_misses)}; "
             f"reversed order first miss {_pair_name(perms, reversed_misses)}"
         )
-    return CheckResult("structure-constants", {"n": n, "q": q}, passed, rows)
+    tau_at_q = OrbitFn(n, q, tau(n).specialize(q))
+    f1_row = _row({"check": "f1 == specialize(tau, q)"}, f1(n, q), tau_at_q)
+    return CheckResult("structure-constants", {"n": n, "q": q}, [tensor_row, f1_row])

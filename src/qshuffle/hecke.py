@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, TypeVar, Union
 
-from .polyring import ONE, Poly, Q, ZERO
+from .polyring import ONE, Poly, Q, ZERO, _coerce
 from .symgroup import Perm, _tuple_getter, cycle_element, enumerate_perms
 
 __all__ = [
@@ -60,14 +60,6 @@ Img = tuple[int, ...]
 R = TypeVar("R", Poly, int)
 
 
-def _as_coeff(value: object) -> Poly | None:
-    if isinstance(value, Poly):
-        return value
-    if isinstance(value, int):
-        return Poly((value,))
-    return None
-
-
 class HeckeElt:
     """A Z[q]-linear combination of basis elements T_w, fixed n."""
 
@@ -83,7 +75,7 @@ class HeckeElt:
         for w, c in items:
             if w.n != n:
                 raise ValueError(f"basis index {w!r} does not live in S_{n}")
-            p = _as_coeff(c)
+            p = _coerce(c)
             if p is None:
                 raise TypeError(f"coefficient must be Poly or int, got {c!r}")
             p = acc.get(w, ZERO) + p
@@ -118,7 +110,7 @@ class HeckeElt:
     def _lift(self, other: object) -> "HeckeElt | None":
         if isinstance(other, HeckeElt):
             return other
-        c = _as_coeff(other)
+        c = _coerce(other)
         if c is None:
             return None
         return HeckeElt(self.n, {Perm.identity(self.n): c})
@@ -170,7 +162,7 @@ class HeckeElt:
         return self._scale(other)
 
     def _scale(self, c: object) -> "HeckeElt":
-        p = _as_coeff(c)
+        p = _coerce(c)
         if p is None:
             return NotImplemented
         if not p:
@@ -277,6 +269,28 @@ def _peel(
     return i, tuple(i + 1 if x == i else i if x == i + 1 else x for x in img)
 
 
+def _basis_walk(
+    n: int, terms: Mapping[Img, R], q: R, pick: Callable[[list[int]], int] = min
+) -> Callable[[Img], dict[Img, R]]:
+    # x -> T_x * b for b = sum of `terms`, keyed by images, over the ring
+    # of q; zero terms dropped.  Each product is one generator step from
+    # a shorter one, T_x b = T_i (T_{s_i x} b) for the left descent
+    # i of x chosen by `pick`, and is memoized, so products share their
+    # common prefixes: in enumerate_perms order every call is one step,
+    # as s_i x precedes x there.
+    memo: dict[Img, dict[Img, R]] = {Perm.identity(n).image: dict(terms)}
+
+    def walk(x: Img) -> dict[Img, R]:
+        hit = memo.get(x)
+        if hit is None:
+            i, shorter = _peel(x, pick)
+            step = _simple_times(i, walk(shorter), q)
+            memo[x] = hit = {u: c for u, c in step.items() if c}
+        return hit
+
+    return walk
+
+
 def mul(a: HeckeElt, b: HeckeElt, pick: Callable[[list[int]], int] = min) -> HeckeElt:
     """Product in the algebra.
 
@@ -288,40 +302,12 @@ def mul(a: HeckeElt, b: HeckeElt, pick: Callable[[list[int]], int] = min) -> Hec
     """
     if a.n != b.n:
         raise ValueError(f"rank mismatch: {a.n} vs {b.n}")
-    n = a.n
-    memo: dict[Img, dict[Img, Poly]] = {Perm.identity(n).image: _images(b)}
-
-    def t_times_b(img: Img) -> dict[Img, Poly]:
-        hit = memo.get(img)
-        if hit is not None:
-            return hit
-        i, shorter = _peel(img, pick)
-        memo[img] = out = _simple_times(i, t_times_b(shorter), Q)
-        return out
-
+    walk = _basis_walk(a.n, _images(b), Q, pick)
     acc: dict[Img, Poly] = {}
     for w, p in a.terms.items():
-        for u, c in t_times_b(w.image).items():
+        for u, c in walk(w.image).items():
             acc[u] = acc.get(u, ZERO) + p * c
-    return _elt(n, acc)
-
-
-def _basis_walk(n: int, terms: Mapping[Img, R], q: R) -> dict[Img, dict[Img, R]]:
-    # T_x * b for every x, keyed by the image of x in enumerate_perms
-    # order, over the ring of q; zero terms dropped.  Each product is one
-    # generator step from a shorter one, T_x b = T_i (T_{s_i x} b) for a
-    # left descent i of x.  The walk may follow enumerate_perms order
-    # because s_i x precedes x there: its image swaps the values i + 1, i
-    # of x back into increasing order.
-    out: dict[Img, dict[Img, R]] = {}
-    for x in enumerate_perms(n):
-        if out:
-            i, shorter = _peel(x.image)
-            step = _simple_times(i, out[shorter], q)
-            out[x.image] = {u: c for u, c in step.items() if c}
-        else:  # the identity comes first
-            out[x.image] = dict(terms)
-    return out
+    return _elt(a.n, acc)
 
 
 def basis_times(b: HeckeElt) -> dict[Perm, HeckeElt]:
@@ -335,7 +321,7 @@ def basis_times(b: HeckeElt) -> dict[Perm, HeckeElt]:
     True
     """
     walk = _basis_walk(b.n, _images(b), Q)
-    return {Perm._make(x): _elt(b.n, col) for x, col in walk.items()}
+    return {x: _elt(b.n, walk(x.image)) for x in enumerate_perms(b.n)}
 
 
 def tau(n: int) -> HeckeElt:

@@ -247,27 +247,22 @@ def verify_multiplicities(
     for w in enumerate_perms(n):
         fixed_counts[w.fixed_point_count()] += 1
     rows = []
-    ok_all = True
     for q0 in qs:
         try:
             mults = [multiplicity(n, k, q0, allow_large) for k in range(n + 1)]
         except CertificateError as exc:
             rows.append({"q0": q0, **exc.witness, "pass": False})
-            ok_all = False
             continue
         for k in range(n + 1):
-            ok = mults[k] == fixed_counts[k]
-            row = {
+            rows.append({
                 "q0": q0,
                 "k": k,
                 "eigenvalue": q_int(k)(q0),
                 "multiplicity": mults[k],
                 "fixed_point_count": fixed_counts[k],
-                "pass": ok,
-            }
-            rows.append(row)
-            ok_all = ok_all and ok
-        total_ok = sum(mults) == math.factorial(n)
-        rows.append({"q0": q0, "sum": sum(mults), "expected_sum": math.factorial(n), "pass": total_ok})
-        ok_all = ok_all and total_ok
-    return CheckResult("multiplicities", {"n": n, "q0": qs}, ok_all, rows)
+                "pass": mults[k] == fixed_counts[k],
+            })
+        total = sum(mults)
+        expected = math.factorial(n)
+        rows.append({"q0": q0, "sum": total, "expected_sum": expected, "pass": total == expected})
+    return CheckResult("multiplicities", {"n": n, "q0": qs}, rows)

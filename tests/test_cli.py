@@ -9,6 +9,7 @@ import pytest
 
 import qshuffle
 import qshuffle.cli as cli
+from qshuffle import flagmodel
 from qshuffle.cli import main
 from qshuffle.report import CheckResult
 
@@ -153,12 +154,52 @@ def test_multiplicities_large_gate(capsys):
 
 
 def test_failing_check_exits_one(monkeypatch, capsys):
-    fake = CheckResult("lemma3", {"n": 3, "q": 2}, False, [{"t": 1, "pass": False}])
+    fake = CheckResult("lemma3", {"n": 3, "q": 2}, [{"t": 1, "pass": False}])
     monkeypatch.setattr(cli, "verify_lemma3", lambda *a, **k: fake)
     assert main(["verify", "lemma3", "--n", "3", "--q", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL lemma3" in out
     assert "OVERALL: FAIL" in out
+
+
+def _f_n_doubled(monkeypatch):
+    real = flagmodel.f_t
+    monkeypatch.setattr(flagmodel, "f_t", lambda n, q, t: (2 if t == n else 1) * real(n, q, t))
+
+
+def _tau_plus_one(monkeypatch):
+    real = flagmodel.tau
+    monkeypatch.setattr(flagmodel, "tau", lambda n: real(n) + 1)
+
+
+@pytest.mark.parametrize(
+    "check, verify, row_name, patch",
+    [
+        ("factorization", flagmodel.verify_factorization, "f_(n-1) == f_n", _f_n_doubled),
+        ("structure-constants", flagmodel.compare_structure_constants,
+         "f1 == specialize(tau, q)", _tau_plus_one),
+    ],
+)
+def test_failing_orbit_row_names_its_witness(monkeypatch, capsys, check, verify, row_name, patch):
+    # a broken f_n or tau fails exactly the one row that compares against
+    # it, and that row names the first mismatched orbit
+    patch(monkeypatch)
+    witness = "orbit (1 2 3): 1 != 2"
+    result = verify(3, 2)
+    assert result.passed is False
+    failing = [row for row in result.details if not row["pass"]]
+    assert failing == [{"check": row_name, "pass": False, "witness": witness}]
+
+    argv = ["verify", check, "--n", "3", "--q", "2"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL {check} [n=3 q=2]" in out
+    assert f"'witness': '{witness}'" in out
+    assert main([*argv, "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False
+    rows = [row for c in doc["checks"] for row in c["details"] if not row["pass"]]
+    assert rows == [{"check": row_name, "pass": False, "witness": witness}]
 
 
 def test_debug_orbit_checks_flag(capsys):
@@ -171,6 +212,16 @@ def test_all_grid(capsys):
     assert main(["all"]) == 0
     out = capsys.readouterr().out
     assert "OVERALL: PASS (33 checks)" in out
+
+
+def test_json_verdicts_are_the_conjunction_of_their_rows(capsys):
+    assert main(["all", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for check in doc["checks"]:
+        assert check["details"], check["name"]
+        assert all(isinstance(row["pass"], bool) for row in check["details"]), check
+        assert check["pass"] == all(row["pass"] for row in check["details"]), check
+    assert doc["pass"] == all(check["pass"] for check in doc["checks"])
 
 
 def test_module_entry_point():
