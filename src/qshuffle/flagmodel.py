@@ -866,11 +866,14 @@ def verify_lemma3(
     """Check the convolution product rule f1 * f_t = [t]_q f_t + q^t f_{t+1}.
 
     By default t runs over [1, n+2], past the collapse point f_n =
-    f_{n-1} and into the range where both sides vanish.
+    f_{n-1} and into the range where both sides vanish.  An empty
+    list of t values is refused.
     """
     _require_prime(q)
     _check_budget(n, q, budget)
     ts = sorted(set(t_values)) if t_values is not None else list(range(1, n + 3))
+    if not ts:
+        raise ValueError("empty t list: a check of no t values proves nothing")
     if any(t < 1 for t in ts):
         raise ValueError(f"t values must be >= 1, got {ts}")
     base = f1(n, q)

@@ -23,8 +23,13 @@ per x) are walks over that step.  ``tau_times``, ``basis_times`` and
 ``mul`` walk at Q.  The spectrum's tau matrix and the structure-constant
 check walk at their integer q.  ``wallach_product`` walks at q = 2^B
 (Kronecker substitution) and decodes each coefficient as balanced
-base-2^B digits, with B from a proven bound on the coefficients.  The
-q = 1 group algebra (``group_mul``) stays independent of the step.
+base-2^B digits, with B from a proven bound on the coefficients.
+
+The q = 1 identity stays independent of the step.
+``wallach_group_product`` keeps its running product as a dense vector
+over the n! permutations and applies right multiplication by each cycle
+c_g as a permutation of the indices.  ``group_mul`` is the general
+product in Z[S_n] and the oracle of that walk.
 
 >>> print(tau(3))
 T[1 2 3] + T[1 3 2] + T[2 3 1]
@@ -34,6 +39,8 @@ True
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Callable, Iterable, Mapping, TypeVar, Union
 
 from .polyring import ONE, Poly, Q, ZERO, _coerce
@@ -454,29 +461,54 @@ def group_mul(a: Mapping[Perm, int], b: Mapping[Perm, int]) -> dict[Perm, int]:
     return {Perm._make(w): c for w, c in out.items() if c}
 
 
+def _shuffle_pulls(n: int) -> list[list[int]]:
+    # pull_g for g in [1, n - 1]: pull_g[j] is the enumerate_perms(n)
+    # index of w_j c_g^-1, which rotates the last m = n - g + 1 entries
+    # of w_j right by one and keeps the prefix.  In lexicographic order
+    # the permutations sharing a prefix form a block of m! in the order
+    # of S_m, so pull_g is the rotation map of S_m tiled over the blocks.
+    size = math.factorial(n)
+    pulls = []
+    for m in range(n, 1, -1):
+        perms = list(itertools.permutations(range(m)))
+        index = {p: i for i, p in enumerate(perms)}
+        rot = [index[p[-1:] + p[:-1]] for p in perms]
+        pulls.append([b + r for b in range(0, size, len(rot)) for r in rot])
+    return pulls
+
+
 def wallach_group_product(n: int, omit: int | None = None) -> dict[Perm, int]:
     """The q = 1 product in Z[S_n]; an empty dict means zero.
 
     Same factor layout as :func:`wallach_product` with tau replaced by
-    its q = 1 specialization and [k]_q by the integer k.
+    its q = 1 specialization, the sum of the cycles c_g, and [k]_q by
+    the integer k.  The running product x is a dense vector of n! ints
+    in enumerate_perms(n) order, and each factor is applied on the
+    right: (x (shuffle - k))(w) = sum over g of x(w c_g^-1) - k x(w).
+    w c_g^-1 rotates the last n - g + 1 entries of w right by one, so
+    every term is one gather of x through a fixed index map; no
+    permutation is built until the result.
+
+    >>> wallach_group_product(3) == {}
+    True
+    >>> wallach_group_product(3, omit=3) == dict.fromkeys(enumerate_perms(3), 1)
+    True
     """
     ks = _retained_ks(n)
     if omit is not None and omit != 0 and omit not in ks:
         raise ValueError(f"omit must be 0 or one of {ks}, got {omit}")
-    ident = Perm.identity(n)
-    shuffle = {cycle_element(g, n): 1 for g in range(1, n + 1)}
-    prod = dict(shuffle) if omit != 0 else {ident: 1}
-    for k in ks:
-        if k == omit:
-            continue
-        factor = dict(shuffle)
-        c = factor.get(ident, 0) - k
-        if c:
-            factor[ident] = c
-        else:
-            factor.pop(ident, None)
-        prod = group_mul(prod, factor)
-    return prod
+    pulls = _shuffle_pulls(n)
+    # the identity leads the lexicographic order
+    vec = [1] + [0] * (math.factorial(n) - 1)
+    # the leading shuffle is the factor with k = 0
+    for k in [j for j in [0, *ks] if j != omit]:
+        get = vec.__getitem__
+        terms = [map(get, pull) for pull in pulls]
+        # the g = n cycle is the identity, so its term joins -k x
+        vec = list(map(sum, zip(map((1 - k).__mul__, vec), *terms)))
+    # enumerate_perms(n) order, without caching n! Perm objects
+    perms = itertools.permutations(range(1, n + 1))
+    return {Perm._make(w): c for w, c in zip(perms, vec) if c}
 
 
 def left_mult_matrix(a: HeckeElt) -> list[dict[int, Poly]]:

@@ -240,9 +240,12 @@ def verify_multiplicities(
     For each q0 and each k in [0, n], the proven multiplicity must
     equal the number of permutations with exactly k fixed points, and
     the multiplicities must sum to n!.  A q0 whose certificate fails
-    gets one failing row with the witness instead.
+    gets one failing row with the witness instead.  An empty list of
+    q0 values is refused.
     """
     qs = list(q_values)
+    if not qs:
+        raise ValueError("empty q0 list: a check of no q0 values proves nothing")
     fixed_counts = [0] * (n + 1)
     for w in enumerate_perms(n):
         fixed_counts[w.fixed_point_count()] += 1

@@ -43,14 +43,14 @@ def test_criterion_1_hecke_annihilation():
 
 def test_criterion_2_group_annihilation_and_minimality():
     def run():
-        for n in range(2, 8):
+        for n in range(2, 9):
             assert wallach_group_product(n) == {}, n
-        for n in range(2, 6):
+        for n in range(2, 7):
             retained = [k for k in range(1, n + 1) if k != n - 1]
             for omit in [0] + retained:
                 assert wallach_group_product(n, omit=omit) != {}, (n, omit)
 
-    _line(2, "group algebra product vanishes for n = 2..7, minimally", run)
+    _line(2, "group algebra product vanishes for n = 2..8, minimally for n = 2..6", run)
 
 
 def test_criterion_3_product_rule():

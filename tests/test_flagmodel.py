@@ -508,6 +508,12 @@ def test_lemma3_product_rule():
         assert all(row["pass"] for row in result.details)
 
 
+def test_lemma3_refuses_empty_t_list():
+    # no rows would be a vacuous PASS
+    with pytest.raises(ValueError, match="empty t list"):
+        verify_lemma3(3, 2, [])
+
+
 def test_lemma3_debug_mode():
     assert verify_lemma3(2, 2, debug=True).passed
 

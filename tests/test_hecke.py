@@ -274,6 +274,51 @@ def test_group_product_minimality_small():
             assert wallach_group_product(n, omit=omit) != {}, (n, omit)
 
 
+def _group_product_oracle(n, omit):
+    # the same factors multiplied left to right by group_mul
+    ident = Perm.identity(n)
+    shuffle = {cycle_element(g, n): 1 for g in range(1, n + 1)}
+    prod = dict(shuffle) if omit != 0 else {ident: 1}
+    for k in range(1, n + 1):
+        if k in (n - 1, omit):
+            continue
+        factor = dict(shuffle)
+        factor[ident] -= k
+        prod = group_mul(prod, {w: c for w, c in factor.items() if c})
+    return prod
+
+
+def test_group_walk_matches_group_mul_oracle():
+    for n in range(1, 7):
+        retained = [k for k in range(1, n + 1) if k != n - 1]
+        for omit in [None, 0] + retained:
+            got = wallach_group_product(n, omit=omit)
+            assert got == _group_product_oracle(n, omit), (n, omit)
+
+
+def test_shuffle_pulls_match_composition():
+    # pull_g[j] is the index of w_j c_g^-1, read here off composed images
+    for n in range(1, 7):
+        perms = enumerate_perms(n)
+        index = {w.image: j for j, w in enumerate(perms)}
+        pulls = hecke._shuffle_pulls(n)
+        assert len(pulls) == n - 1
+        for g, pull in zip(range(1, n), pulls):
+            inv = cycle_element(g, n).inverse()
+            assert pull == [index[(w * inv).image] for w in perms], (n, g)
+
+
+def test_group_walk_needs_no_group_mul_or_hecke_step(monkeypatch):
+    # the q = 1 check shares no code with the Hecke step or group_mul
+    def refuse(*args, **kwargs):
+        raise AssertionError("the q = 1 walk called a shared product")
+
+    for name in ("group_mul", "_simple_times", "_tau_walk"):
+        monkeypatch.setattr(hecke, name, refuse)
+    assert wallach_group_product(6) == {}
+    assert wallach_group_product(6, omit=0) != {}
+
+
 def test_specialization_commutes_with_multiplication():
     # the q = 1 route and the symbolic route agree
     t = tau(3)

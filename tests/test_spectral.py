@@ -209,6 +209,12 @@ def test_verify_multiplicities():
     assert len(result.details) == 3 * (4 + 1)
 
 
+def test_verify_multiplicities_refuses_empty_q0_list():
+    # no rows would be a vacuous PASS
+    with pytest.raises(ValueError, match="empty q0 list"):
+        verify_multiplicities(3, [])
+
+
 def test_large_n_gate():
     with pytest.raises(ValueError, match="allow_large"):
         multiplicity(6, 0, 2)
