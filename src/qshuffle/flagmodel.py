@@ -35,6 +35,8 @@ the full flag list takes a `budget` and refuses (with
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -42,7 +44,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .hecke import _basis_walk, tau
 from .polyring import q_int
 from .report import CheckResult
-from .spectral import _is_prime, rank
+from .spectral import _echelon, _is_prime, _reduce, rank
 from .symgroup import Perm, _tuple_getter, enumerate_perms
 
 __all__ = [
@@ -73,9 +75,13 @@ class BudgetExceeded(ValueError):
     """Raised before enumerating a flag variety larger than the budget."""
 
 
-def _require_prime(q: int) -> None:
+def _require_field_size(q: int) -> None:
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q must be a prime, got {q!r}")
+
+
+def _require_prime(q: int) -> None:
+    _require_field_size(q)
     if not _is_prime(q):
         # TODO prime powers need a field abstraction; arithmetic mod q
         # only covers prime q
@@ -87,41 +93,19 @@ def _require_prime(q: int) -> None:
 
 
 def _rref(rows: Iterable[Sequence[int]], q: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical reduced row echelon form; zero rows dropped."""
-    mat = [[x % q for x in row] for row in rows]
-    if not mat:
-        return ()
-    ncols = len(mat[0])
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][col], -1, q)
-        mat[r] = [(x * inv) % q for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [(x - f * y) % q for x, y in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return tuple(tuple(row) for row in mat[:r])
+    """Canonical reduced row echelon form; zero rows dropped.
 
-
-def _reduce_vector(v: Sequence[int], rows: Sequence[Sequence[int]], q: int) -> tuple[int, ...]:
-    out = [x % q for x in v]
-    for row in rows:
-        p = next(i for i, x in enumerate(row) if x)
-        c = out[p]
-        if c:
-            out = [(x - c * y) % q for x, y in zip(out, row)]
-    return tuple(out)
+    The echelon rows of spectral._echelon, then back-substitution: each
+    row, from the last lead up, clears the leads of the rows below it.
+    """
+    done: dict[int, list[int]] = {}
+    for i, row in sorted(_echelon(rows, q).items(), reverse=True):
+        for j, below in done.items():
+            c = row[j - i]
+            if c:
+                row[j - i :] = [(x - c * y) % q for x, y in zip(row[j - i :], below)]
+        done[i] = row
+    return tuple((0,) * i + tuple(row) for i, row in reversed(done.items()))
 
 
 def _invert_mod(rows: Sequence[Sequence[int]], q: int) -> list[tuple[int, ...]]:
@@ -131,7 +115,7 @@ def _invert_mod(rows: Sequence[Sequence[int]], q: int) -> list[tuple[int, ...]]:
         raise ValueError("matrix is not square")
     red = _rref([[*row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)], q)
     # [A | I] has rank n; A is invertible iff all n pivots lie in A
-    if red and next(j for j, x in enumerate(red[-1]) if x) != n - 1:
+    if red and red[-1].index(1) != n - 1:
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
 
@@ -160,9 +144,12 @@ def _invert_mod(rows: Sequence[Sequence[int]], q: int) -> list[tuple[int, ...]]:
 # pivot.  _Geometry._build thus computes Q over the lattice of column
 # subsets, 2^n - 2 steps per flag, and reads pos(zE, M) for all n!
 # orders z off chains of Q values, without inverting C or reducing any
-# row order.  Columns over F_2 are bit-packed ints (bit i = entry i),
-# other q use lists mod q, both selected once by _row_backend; a step
-# returns its pivot as the bit 1 << i.
+# row order.  _row_backend selects the two ops of this lattice once:
+# pack a column, and step it against the stored columns.  Columns over
+# F_2 are bit-packed ints (bit i = entry i), other q use lists mod q;
+# a step returns its pivot as the bit 1 << i.  These steps share no
+# code with the elimination kernel of the literal layer (_rref,
+# Subspace, relative_position), which is their oracle in the tests.
 
 
 def _step_generic(
@@ -209,28 +196,14 @@ def _pack2(row: Sequence[int]) -> int:
 
 def _matmul_mod(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], q: int) -> list[list[int]]:
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % q for col in cols] for row in a]
+    return [[sum(map(operator.mul, row, col)) % q for col in cols] for row in a]
 
 
-def _matmul2(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = []
-    for r in a:
-        acc = 0
-        j = 0
-        while r:
-            if r & 1:
-                acc ^= b[j]
-            r >>= 1
-            j += 1
-        out.append(acc)
-    return out
-
-
-def _row_backend(q: int) -> tuple[Callable, Callable, Callable]:
-    """The (pack, step, matmul) vector operations over F_q."""
+def _row_backend(q: int) -> tuple[Callable, Callable]:
+    """The (pack, step) column operations of the subset lattice over F_q."""
     if q == 2:
-        return _pack2, _step2, _matmul2
-    return list, partial(_step_generic, q=q), partial(_matmul_mod, q=q)
+        return _pack2, _step2
+    return list, partial(_step_generic, q=q)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +230,7 @@ class FqMatrix:
         return cls.make([[int(i == j) for j in range(n)] for i in range(n)], q)
 
     def rank(self) -> int:
-        return len(_rref(self.rows, self.q))
+        return len(_echelon(self.rows, self.q))
 
     def is_invertible(self) -> bool:
         return bool(self.rows) and len(self.rows) == len(self.rows[0]) == self.rank()
@@ -276,19 +249,13 @@ class FqMatrix:
         """Row vector times the matrix."""
         if len(v) != len(self.rows):
             raise ValueError(f"row vector of length {len(v)} for {len(self.rows)} rows")
-        q = self.q
-        out = [0] * len(self.rows[0])
-        for c, row in zip(v, self.rows):
-            if c % q:
-                for j, x in enumerate(row):
-                    out[j] = (out[j] + c * x) % q
-        return tuple(out)
+        return tuple(_matmul_mod([v], self.rows, self.q)[0])
 
 
 class Subspace:
     """A subspace of F_q^n held in canonical reduced row echelon form."""
 
-    __slots__ = ("ambient", "q", "rows")
+    __slots__ = ("ambient", "q", "rows", "_pivots")
 
     def __init__(self, vectors: Iterable[Sequence[int]], ambient: int, q: int) -> None:
         _require_prime(q)
@@ -299,11 +266,12 @@ class Subspace:
         self.ambient = ambient
         self.q = q
         self.rows: tuple[tuple[int, ...], ...] = _rref(vecs, q)
+        self._pivots: dict[int, Sequence[int]] | None = None
 
     @classmethod
     def _make(cls, ambient: int, q: int, rref_rows: tuple[tuple[int, ...], ...]) -> "Subspace":
         s = object.__new__(cls)
-        s.ambient, s.q, s.rows = ambient, q, rref_rows
+        s.ambient, s.q, s.rows, s._pivots = ambient, q, rref_rows, None
         return s
 
     @property
@@ -311,7 +279,14 @@ class Subspace:
         return len(self.rows)
 
     def contains_vector(self, v: Sequence[int]) -> bool:
-        return not any(_reduce_vector(v, self.rows, self.q))
+        if len(v) != self.ambient:
+            raise ValueError(f"vector of length {len(v)} in F_q^{self.ambient}")
+        # the rref rows keyed by their leads, as _reduce reads them, are
+        # built once: __le__ and in_x_t ask the same step many times
+        if self._pivots is None:
+            self._pivots = {(i := row.index(1)): row[i:] for row in self.rows}
+        w = [x % self.q for x in v]
+        return _reduce(w, self._pivots, self.q) == len(w)
 
     def __le__(self, other: "Subspace") -> bool:
         if not isinstance(other, Subspace):
@@ -375,7 +350,7 @@ class Flag:
             if sub.dim != i:
                 raise ValueError("vectors are linearly dependent")
             steps.append(sub)
-        if len(_rref(vecs, q)) != n:
+        if len(_echelon(vecs, q)) != n:
             raise ValueError("vectors are linearly dependent")
         return cls(steps, q) if n > 1 else cls._make(q, n, ())
 
@@ -421,22 +396,29 @@ class Flag:
         return f"<Flag in F_{self.q}^{self.n}>"
 
 
+def _q_factorial(n: int, q: int) -> int:
+    return math.prod(q_int(k)(q) for k in range(1, n + 1))
+
+
 def flag_count(n: int, q: int) -> int:
     """Number of complete flags in F_q^n: the q-factorial [1][2]...[n] at q."""
     _require_prime(q)
-    count = 1
-    for k in range(1, n + 1):
-        count *= q_int(k)(q)
-    return count
+    return _q_factorial(n, q)
 
 
 def _check_budget(n: int, q: int, budget: int) -> int:
-    """The flag count of F_q^n; BudgetExceeded when it is over `budget`."""
-    total = flag_count(n, q)
+    """The flag count of F_q^n; BudgetExceeded when it is over `budget`.
+
+    The size is refused before q is tested for primality: trial division
+    of a large q takes far longer than the refusal.
+    """
+    _require_field_size(q)
+    total = _q_factorial(n, q)
     if total > budget:
         raise BudgetExceeded(
             f"F_{q}^{n} has {total} complete flags, over the budget of {budget}"
         )
+    _require_prime(q)
     return total
 
 
@@ -482,25 +464,13 @@ def enumerate_flags(n: int, q: int, budget: int = FLAG_BUDGET) -> tuple[Flag, ..
     The predicted count is checked against `budget` before any
     enumeration starts; BudgetExceeded is raised when it would not fit.
     """
-    _require_prime(q)
+    _check_budget(n, q, budget)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    _check_budget(n, q, budget)
-    flags = []
-    for basis in _chain_bases(n, q):
-        # b_k is zero at the earlier leading coordinates, so clearing its
-        # leading coordinate p from the earlier rows keeps them reduced
-        reduced: dict[int, tuple[int, ...]] = {}
-        steps = []
-        for v in basis[:-1]:
-            p = v.index(1)
-            for lead, r in reduced.items():
-                if r[p]:
-                    reduced[lead] = tuple((a - r[p] * b) % q for a, b in zip(r, v))
-            reduced[p] = v
-            steps.append(Subspace._make(n, q, tuple(reduced[k] for k in sorted(reduced))))
-        flags.append(Flag._make(q, n, tuple(steps)))
-    return tuple(flags)
+    return tuple(
+        Flag._make(q, n, tuple(Subspace._make(n, q, _rref(basis[:i], q)) for i in range(1, n)))
+        for basis in _chain_bases(n, q)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +478,7 @@ def enumerate_flags(n: int, q: int, budget: int = FLAG_BUDGET) -> tuple[Flag, ..
 
 
 def _intersection_dim(a: Subspace, b: Subspace) -> int:
-    stacked = _rref(a.rows + b.rows, a.q)
-    return a.dim + b.dim - len(stacked)
+    return a.dim + b.dim - len(_echelon(a.rows + b.rows, a.q))
 
 
 def _check_pair(w_flag: Flag, v_flag: Flag) -> None:
@@ -574,7 +543,7 @@ class _Geometry:
         self.perms = enumerate_perms(n)
         self.nperms = len(self.perms)
         self.index = {w.image: i for i, w in enumerate(self.perms)}
-        self._backend = pack, _, _ = _row_backend(q)
+        self._backend = pack, _ = _row_backend(q)
         # the columns of every chain matrix, one packed vector each
         self._columns = [[pack(c) for c in zip(*basis)] for basis in _chain_bases(n, q)]
         self._tensor: list[dict[int, int]] | None = None
@@ -582,9 +551,9 @@ class _Geometry:
 
     def tensor(self, debug: bool = False) -> list[dict[int, int]]:
         if self._tensor is None:
-            self._tensor = self._build(None)
+            self._tensor = self._build(self._columns)
         if debug and not self._debug_checked:
-            other = self._build(self._debug_transform())
+            other = self._build(self._debug_columns())
             if other != self._tensor:
                 raise ArithmeticError(
                     "structure tensor differs between two orbit representatives"
@@ -592,18 +561,20 @@ class _Geometry:
             self._debug_checked = True
         return self._tensor
 
-    def _debug_transform(self) -> list:
+    def _debug_columns(self) -> Iterator[list]:
         # a fixed invertible matrix h, all-ones superdiagonal unipotent
         # with its rows rotated; h times the columns of C is the column
         # list of C g^-1 with g = h^-T, which moves the representative
         # pairs off the coordinate flags to (g zE, g E)
-        n = self.n
+        n, q = self.n, self.q
         uni = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+        h = [uni[(i + 1) % n] for i in range(n)]
         pack = self._backend[0]
-        return [pack(uni[(i + 1) % n]) for i in range(n)]
+        for basis in _chain_bases(n, q):
+            yield [pack(c) for c in _matmul_mod(h, list(zip(*basis)), q)]
 
-    def _build(self, transform) -> list[dict[int, int]]:
-        _, step, matmul = self._backend
+    def _build(self, columns: Iterable[list]) -> list[dict[int, int]]:
+        _, step = self._backend
         n = self.n
         nperms = self.nperms
         full = (1 << n) - 1
@@ -630,9 +601,7 @@ class _Geometry:
         patterns: dict[tuple[int, ...], int] = {}
         pivots = [0] * full
         stored: list[dict] = [{}] * half
-        for cols in self._columns:
-            if transform is not None:
-                cols = matmul(transform, cols)
+        for cols in columns:
             for b, top, rest in lower:
                 below = stored[rest]
                 t, reduced = step(below, cols[top])
@@ -869,7 +838,6 @@ def verify_lemma3(
     f_{n-1} and into the range where both sides vanish.  An empty
     list of t values is refused.
     """
-    _require_prime(q)
     _check_budget(n, q, budget)
     ts = sorted(set(t_values)) if t_values is not None else list(range(1, n + 3))
     if not ts:
@@ -900,7 +868,6 @@ def verify_factorization(
     then the collapse f_{n-1} == f_n, and finally the full product with
     the factors (f1 - [k]_q f0) over k in [1, n] \\ {n-1} vanishes.
     """
-    _require_prime(q)
     _check_budget(n, q, budget)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -938,7 +905,6 @@ def verify_span_commutativity(
     matrices (f_t rows, power rows, both stacked) must share rank n,
     and f_s * f_t must equal f_t * f_s for all s, t in [0, n].
     """
-    _require_prime(q)
     _check_budget(n, q, budget)
     fs = [f_t(n, q, t) for t in range(n + 1)]
     base = f1(n, q)
@@ -1016,7 +982,6 @@ def compare_structure_constants(
     commutative both hold and "product" is reported).  Additionally f1
     must coincide with tau specialized at q.
     """
-    _require_prime(q)
     geo = _geometry(n, q, budget)
     table = geo.tensor(debug)
     perms = geo.perms

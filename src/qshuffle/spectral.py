@@ -18,7 +18,10 @@ So one elimination mod p per eigenvalue gives exact multiplicities.
 When the annihilator survives or the sum misses n!, the helper raises
 `CertificateError` with a witness and no multiplicity is returned.
 `rank` (fraction-free Bareiss elimination over Z) stays for the span
-ranks of the flag model and as the oracle of the tests.
+ranks of the flag model and as the oracle of the tests.  The
+elimination mod p, `_reduce`, is the one kernel of the package: the
+literal flag layer (rref, subspaces, intersection dimensions) runs on
+it too.
 """
 
 from __future__ import annotations
@@ -126,50 +129,66 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def rank_mod(matrix: Sequence[Sequence[int]], p: int) -> int:
-    """Rank of the matrix reduced modulo a prime p (Gaussian elimination).
+def _reduce(v: list[int], pivots: dict[int, Sequence[int]], p: int) -> int:
+    """Reduce v, entries in [0, p), in place against echelon rows mod p.
 
-    Never more than the rank over Q.  Each row update touches only the
-    columns from the pivot column on, as the earlier ones are zero.  A
-    modulus that is not prime is refused: Z/p is then not a field.
+    `pivots` maps a leading index i to the tail row[i:] of an echelon
+    row with row[i] == 1.  The entries of v before i are already zero,
+    and so are those of the row, so an update touches only the tails.
+    Returns the leading index of the remainder, len(v) when it is zero.
+    """
+    i = 0
+    n = len(v)
+    while True:
+        while i < n and not v[i]:
+            i += 1
+        tail = pivots.get(i)
+        if tail is None:
+            return i
+        c = v[i]
+        v[i:] = [(x - c * y) % p for x, y in zip(v[i:], tail)]
+
+
+def _echelon(rows: Iterable[Sequence[int]], p: int) -> dict[int, list[int]]:
+    """Echelon rows of the span of `rows` mod a prime p, as _reduce keys them.
+
+    One row per dimension of the span, so its length is the rank.
+    """
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        v = [x % p for x in row]
+        i = _reduce(v, pivots, p)
+        if i < len(v):
+            inv = pow(v[i], -1, p)
+            pivots[i] = [(x * inv) % p for x in v[i:]]
+    return pivots
+
+
+def rank_mod(matrix: Sequence[Sequence[int]], p: int) -> int:
+    """Rank of the matrix reduced modulo a prime p.
+
+    Never more than the rank over Q.  The rows are brought to echelon
+    form one at a time by _reduce, the one elimination kernel mod p of
+    the package.  A modulus that is not prime is refused: Z/p is then
+    not a field.
     """
     if not _is_prime(p):
         raise ValueError(f"need a prime modulus p, got {p}")
     _check_int_matrix(matrix)
-    a = [[x % p for x in row] for row in matrix]
-    if not a:
-        return 0
-    nrows, ncols = len(a), len(a[0])
-    r = 0
-    for col in range(ncols):
-        piv_row = None
-        for i in range(r, nrows):
-            if a[i][col]:
-                piv_row = i
-                break
-        if piv_row is None:
-            continue
-        a[r], a[piv_row] = a[piv_row], a[r]
-        inv = pow(a[r][col], -1, p)
-        tail = [(x * inv) % p for x in a[r][col:]]
-        for i in range(r + 1, nrows):
-            row_i = a[i]
-            f = row_i[col]
-            if f:
-                row_i[col:] = [(x - f * y) % p for x, y in zip(row_i[col:], tail)]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(_echelon(matrix, p))
 
 
-@functools.lru_cache(maxsize=None)
+# typed caches: 2.0 and True must not hit the entries of 2 and 1
+@functools.lru_cache(maxsize=None, typed=True)
 def tau_matrix(n: int, q0: int) -> tuple[tuple[int, ...], ...]:
     """Dense matrix of left multiplication by tau at q = q0.
 
     Rows and columns follow enumerate_perms(n); entry (i, j) is the
-    coefficient of T_{w_i} in tau * T_{w_j}, walked on ints at q0.
+    coefficient of T_{w_i} in tau * T_{w_j}, walked on ints at q0.  A
+    q0 that is not an int, or is a bool, is refused.
     """
+    if not isinstance(q0, int) or isinstance(q0, bool):
+        raise TypeError(f"need an integer q0 >= 1, got {q0!r}")
     if q0 < 1:
         raise ValueError(f"need an integer q0 >= 1, got {q0}")
     images = [w.image for w in enumerate_perms(n)]
@@ -177,7 +196,7 @@ def tau_matrix(n: int, q0: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(col.get(u, 0) for col in cols) for u in images)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def _certified_nullities(n: int, q0: int) -> tuple[int, ...]:
     """nullity(M - [k]_{q0} I) over Q for k = 0..n, M = tau_matrix(n, q0).
 

@@ -17,7 +17,9 @@ from prop_checks import (
     check_gl_invariance,
     check_orbit_partition_matches_bruteforce,
 )
-from qshuffle import flagmodel
+from test_acceptance import FLAG_GRID
+from qshuffle import flagmodel, spectral
+from qshuffle.cli import main
 from qshuffle.flagmodel import (
     BudgetExceeded,
     Flag,
@@ -38,6 +40,7 @@ from qshuffle.flagmodel import (
     verify_span_commutativity,
 )
 from qshuffle.hecke import mul, tau
+from qshuffle.spectral import rank_mod
 from qshuffle.symgroup import Perm, cycle_element, enumerate_perms
 
 
@@ -62,6 +65,9 @@ def test_subspace_membership_and_order():
     w = Subspace([(1, 2, 0), (0, 0, 1)], 3, 3)
     assert v.contains_vector((2, 1, 0))  # 2 * (1, 2, 0) mod 3
     assert not v.contains_vector((1, 0, 0))
+    for bad in ((1, 2, 0, 1), (1, 2)):
+        with pytest.raises(ValueError, match="length"):
+            v.contains_vector(bad)
     assert v <= w
     assert not w <= v
     assert v <= v
@@ -158,6 +164,30 @@ def test_budget_refusals(monkeypatch):
             verify(n, q)
 
 
+def test_budget_refusal_comes_before_the_primality_test(monkeypatch, capsys):
+    # trial division of 2^61 - 1 runs for hours; [3]_q! is far over the
+    # budget, and that refusal must come first
+    def no_prime_test(q):
+        raise AssertionError("primality tested before the budget")
+
+    monkeypatch.setattr(flagmodel, "_is_prime", no_prime_test)
+    q = 2**61 - 1
+    for call in (
+        verify_lemma3,
+        verify_factorization,
+        verify_span_commutativity,
+        compare_structure_constants,
+        enumerate_flags,
+    ):
+        with pytest.raises(BudgetExceeded):
+            call(3, q)
+    assert main(["verify", "lemma3", "--n", "3", "--q", str(q)]) == 2
+    assert "budget" in capsys.readouterr().err
+    # within the budget the primality test still runs
+    with pytest.raises(AssertionError, match="primality"):
+        enumerate_flags(1, q)
+
+
 # ---------------------------------------------------------------------------
 # relative position
 
@@ -209,6 +239,44 @@ def _local_position(w_flag, v_flag):
         assert len(js) == 1
         image.append(js[0])
     return Perm(tuple(image))
+
+
+def _random_matrices(rng, q):
+    # zero, full, dependent, wide and tall matrices over F_q
+    out = []
+    for nrows, ncols in ((1, 1), (3, 3), (4, 4), (2, 5), (3, 6), (5, 2), (6, 3)):
+        out.append([[0] * ncols for _ in range(nrows)])
+        full = [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)]
+        out.append(full)
+        combo = [sum(rng.randrange(q) * row[j] for row in full[:-1]) for j in range(ncols)]
+        out.append(full[:-1] + [combo])
+        # entries outside [0, q) must be read mod q
+        out.append([[x + q * rng.randrange(-2, 3) for x in row] for row in full])
+    return out
+
+
+def test_kernel_matches_local_rref():
+    rng = random.Random(20261018)
+    for q in (2, 3, 5, 7):
+        for mat in _random_matrices(rng, q):
+            reduced = [[x % q for x in row] for row in mat]
+            local = [tuple(row) for row in _local_rref(reduced, q)]
+            assert list(flagmodel._rref(mat, q)) == local, (q, mat)
+            ncols = len(mat[0])
+            sub = Subspace(mat, ncols, q)
+            for _ in range(4):
+                v = [rng.randrange(q) for _ in range(ncols)]
+                if rng.randrange(2):
+                    # a combination of the rows, so inside the span
+                    v = [sum(rng.randrange(q) * row[j] for row in reduced) for j in range(ncols)]
+                inside = len(_local_rref(reduced + [v], q)) == len(local)
+                assert sub.contains_vector(v) == inside, (q, mat, v)
+            # split the rows into two subspaces and intersect them
+            cut = len(mat) // 2
+            a = Subspace(mat[:cut], ncols, q)
+            b = Subspace(mat[cut:], ncols, q)
+            dims = [len(_local_rref(rows, q)) for rows in (reduced[:cut], reduced[cut:], reduced)]
+            assert flagmodel._intersection_dim(a, b) == dims[0] + dims[1] - dims[2], (q, mat)
 
 
 def test_representative_pairs_label_correctly():
@@ -480,11 +548,7 @@ def test_convolution_debug_representative_agrees():
 
 def test_packed_f2_backend_matches_generic(monkeypatch):
     def generic_rows(q):
-        return (
-            list,
-            lambda stored, col: flagmodel._step_generic(stored, col, q),
-            lambda a, b: flagmodel._matmul_mod(a, b, q),
-        )
+        return list, lambda stored, col: flagmodel._step_generic(stored, col, q)
 
     for n in (3, 4):
         packed = flagmodel._Geometry(n, 2)
@@ -494,6 +558,43 @@ def test_packed_f2_backend_matches_generic(monkeypatch):
             generic_tensor = generic.tensor(debug=True)
         assert packed._columns != generic._columns
         assert packed.tensor(debug=True) == generic_tensor
+
+
+def test_debug_rebuild_moves_every_chain_matrix():
+    # the second representative must really differ, flag by flag, and
+    # still give the same tensor, on both row backends
+    for n, q in FLAG_GRID:
+        if n < 2:
+            continue
+        geo = flagmodel._geometry(n, q, flagmodel.FLAG_BUDGET)
+        moved = list(geo._debug_columns())
+        assert len(moved) == len(geo._columns), (n, q)
+        assert all(a != b for a, b in zip(moved, geo._columns)), (n, q)
+        assert geo._build(moved) == geo.tensor(), (n, q)
+
+
+def test_fast_lattice_shares_no_code_with_the_kernel(monkeypatch):
+    # the literal layer runs on the elimination kernel; the pivot-profile
+    # lattice, its fast path, must not, or it would not be checked by it
+    expected = {q: flagmodel._Geometry(3, q).tensor() for q in (2, 3)}
+    wf, vf = representative_pair(Perm((2, 3, 1)), 3)
+
+    def refuse(*args):
+        raise AssertionError("the elimination kernel was called")
+
+    monkeypatch.setattr(spectral, "_reduce", refuse)
+    monkeypatch.setattr(flagmodel, "_reduce", refuse)
+    for call in (
+        lambda: rank_mod([[1, 2], [3, 4]], 7),
+        lambda: Subspace([(1, 1, 0)], 3, 2),
+        lambda: relative_position(wf, vf),
+        lambda: enumerate_flags(2, 2),
+        lambda: vf.step(1).contains_vector((1, 0, 0)),
+    ):
+        with pytest.raises(AssertionError, match="kernel"):
+            call()
+    for q in (2, 3):
+        assert flagmodel._Geometry(3, q).tensor() == expected[q]
 
 
 # ---------------------------------------------------------------------------

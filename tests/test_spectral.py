@@ -129,6 +129,17 @@ def test_rank_mod_never_exceeds_rank():
     assert drops > 0
 
 
+def test_tau_matrix_refuses_q0_that_is_not_an_int():
+    # cached int entries must not answer for 2.0, True or Fraction(2)
+    tau_matrix(3, 1)
+    tau_matrix(3, 2)
+    for bad in (2.0, True, Fraction(2)):
+        with pytest.raises(TypeError, match="integer q0"):
+            tau_matrix(3, bad)
+        with pytest.raises(TypeError, match="integer q0"):
+            verify_multiplicities(3, [bad])
+
+
 def test_cert_prime_is_prime():
     p = _CERT_PRIME
     assert p > 2 and p % 2
