@@ -9,7 +9,8 @@ they agree, with integer and polynomial arithmetic throughout:
   pairs of complete flags over F_q, the functions f_t, their product
   rule, factorization, span, and structure constants;
 * :mod:`qshuffle.spectral`: eigenvalue multiplicities of the tau
-  action, proven from the annihilator and one elimination mod p.
+  action, proven from the annihilator and an elimination mod p in each
+  irreducible representation of :mod:`qshuffle.seminormal`.
 
 The command line entry point lives in :mod:`qshuffle.cli`.
 """

@@ -110,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--q", default="1,2,3",
                     help="comma-separated evaluation points q0 (default 1,2,3)")
     pm.add_argument("--allow-large", action="store_true",
-                    help="allow n >= 6 (an n! x n! elimination mod p per eigenvalue)")
+                    help="allow n >= 9 (the annihilator over n! basis elements, "
+                         "and an elimination mod p per eigenvalue on each seminormal block)")
 
     pa = sub.add_parser("all", help="run the default verification grid")
     pa.add_argument("--q", default="2,3",

@@ -38,7 +38,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .hecke import _basis_walk, tau
@@ -95,17 +95,48 @@ def _require_prime(q: int) -> None:
 def _rref(rows: Iterable[Sequence[int]], q: int) -> tuple[tuple[int, ...], ...]:
     """Canonical reduced row echelon form; zero rows dropped.
 
-    The echelon rows of spectral._echelon, then back-substitution: each
-    row, from the last lead up, clears the leads of the rows below it.
+    The rows are added one at a time by _rref_extend.
     """
-    done: dict[int, list[int]] = {}
-    for i, row in sorted(_echelon(rows, q).items(), reverse=True):
-        for j, below in done.items():
-            c = row[j - i]
-            if c:
-                row[j - i :] = [(x - c * y) % q for x, y in zip(row[j - i :], below)]
-        done[i] = row
-    return tuple((0,) * i + tuple(row) for i, row in reversed(done.items()))
+    pivots: dict[int, tuple[int, ...]] = {}
+    for row in rows:
+        pivots = _rref_extend(pivots, row, q)
+    return _rref_rows(pivots)
+
+
+def _rref_rows(pivots: Mapping[int, tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    # the full rows of reduced echelon tails keyed by their leads
+    return tuple((0,) * i + pivots[i] for i in sorted(pivots))
+
+
+def _rref_extend(
+    pivots: dict[int, tuple[int, ...]], v: Sequence[int], q: int
+) -> dict[int, tuple[int, ...]]:
+    """The reduced echelon rows of span(pivots, v), keyed as _reduce keys them.
+
+    `pivots` holds reduced echelon rows, each as its tail from its lead
+    on; it is not changed.  One _reduce call brings v to a new lead j,
+    then v is cleared at the later leads and j is cleared from the
+    earlier rows, so the result is again reduced.
+    """
+    w = [x % q for x in v]
+    j = _reduce(w, pivots, q)
+    if j == len(w):
+        return pivots
+    new = w[j:]
+    if new[0] != 1:
+        inv = pow(new[0], -1, q)
+        new = [(x * inv) % q for x in new]
+    for lead, tail in pivots.items():
+        if lead > j and (c := new[lead - j]):
+            new[lead - j :] = [(x - c * y) % q for x, y in zip(new[lead - j :], tail)]
+    out = dict(pivots)
+    for lead, tail in pivots.items():
+        if lead < j and (c := tail[j - lead]):
+            out[lead] = tail[: j - lead] + tuple(
+                (x - c * y) % q for x, y in zip(tail[j - lead :], new)
+            )
+    out[j] = tuple(new)
+    return out
 
 
 def _invert_mod(rows: Sequence[Sequence[int]], q: int) -> list[tuple[int, ...]]:
@@ -371,10 +402,9 @@ class Flag:
         if not 0 <= i <= self.n:
             raise ValueError(f"step index {i} outside 0..{self.n}")
         if i == 0:
-            return Subspace._make(self.n, self.q, ())
+            return _end_steps(self.n, self.q)[0]
         if i == self.n:
-            full = tuple(tuple(int(r == c) for c in range(self.n)) for r in range(self.n))
-            return Subspace._make(self.n, self.q, full)
+            return _end_steps(self.n, self.q)[1]
         return self.steps[i - 1]
 
     def transformed(self, g: FqMatrix) -> "Flag":
@@ -394,6 +424,15 @@ class Flag:
 
     def __repr__(self) -> str:
         return f"<Flag in F_{self.q}^{self.n}>"
+
+
+@lru_cache(maxsize=None)
+def _end_steps(n: int, q: int) -> tuple[Subspace, Subspace]:
+    # the zero space and the whole space of F_q^n, one pair per (n, q):
+    # relative_position asks every flag for them, and a shared pair keeps
+    # the pivots that contains_vector caches on it
+    full = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+    return Subspace._make(n, q, ()), Subspace._make(n, q, full)
 
 
 def _q_factorial(n: int, q: int) -> int:
@@ -467,10 +506,15 @@ def enumerate_flags(n: int, q: int, budget: int = FLAG_BUDGET) -> tuple[Flag, ..
     _check_budget(n, q, budget)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return tuple(
-        Flag._make(q, n, tuple(Subspace._make(n, q, _rref(basis[:i], q)) for i in range(1, n)))
-        for basis in _chain_bases(n, q)
-    )
+    flags = []
+    for basis in _chain_bases(n, q):
+        pivots: dict[int, tuple[int, ...]] = {}
+        steps = []
+        for v in basis[:-1]:
+            pivots = _rref_extend(pivots, v, q)
+            steps.append(Subspace._make(n, q, _rref_rows(pivots)))
+        flags.append(Flag._make(q, n, tuple(steps)))
+    return tuple(flags)
 
 
 # ---------------------------------------------------------------------------

@@ -146,11 +146,12 @@ def test_multiplicities_command(capsys):
 
 
 def test_multiplicities_large_gate(capsys):
-    assert main(["multiplicities", "--n", "6"]) == 2
+    assert main(["multiplicities", "--n", "9"]) == 2
     err = capsys.readouterr().err
     assert "allow_large" in err
     assert "--allow-large" in err
-    assert "720x720 elimination mod p" in err
+    assert "9! = 362880 basis elements" in err
+    assert "seminormal block" in err
 
 
 def test_failing_check_exits_one(monkeypatch, capsys):

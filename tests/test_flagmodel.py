@@ -93,6 +93,13 @@ def test_flag_steps():
     assert e.step(2) == Subspace([(1, 0, 0), (0, 1, 0)], 3, 2)
     with pytest.raises(ValueError):
         e.step(4)
+    # the zero and whole steps are one pair per (n, q), so the pivots that
+    # contains_vector caches on them survive from one flag to the next
+    other = Flag.permuted(Perm((3, 1, 2)), 2)
+    assert other.step(0) is e.step(0) and other.step(3) is e.step(3)
+    assert other.step(3).contains_vector((1, 1, 0))
+    assert e.step(3)._pivots is not None
+    assert Flag.standard(3, 3).step(3) is not e.step(3)
 
     w = Perm((2, 3, 1))
     f = Flag.permuted(w, 3)
@@ -165,8 +172,8 @@ def test_budget_refusals(monkeypatch):
 
 
 def test_budget_refusal_comes_before_the_primality_test(monkeypatch, capsys):
-    # trial division of 2^61 - 1 runs for hours; [3]_q! is far over the
-    # budget, and that refusal must come first
+    # [3]_q! is far over the budget at q = 2^61 - 1, and that refusal
+    # must come before any primality test of q
     def no_prime_test(q):
         raise AssertionError("primality tested before the budget")
 
@@ -262,6 +269,10 @@ def test_kernel_matches_local_rref():
             reduced = [[x % q for x in row] for row in mat]
             local = [tuple(row) for row in _local_rref(reduced, q)]
             assert list(flagmodel._rref(mat, q)) == local, (q, mat)
+            pivots = {}
+            for row in mat:
+                pivots = flagmodel._rref_extend(pivots, row, q)
+            assert [(0,) * i + pivots[i] for i in sorted(pivots)] == local, (q, mat)
             ncols = len(mat[0])
             sub = Subspace(mat, ncols, q)
             for _ in range(4):
@@ -277,6 +288,16 @@ def test_kernel_matches_local_rref():
             b = Subspace(mat[cut:], ncols, q)
             dims = [len(_local_rref(rows, q)) for rows in (reduced[:cut], reduced[cut:], reduced)]
             assert flagmodel._intersection_dim(a, b) == dims[0] + dims[1] - dims[2], (q, mat)
+
+
+def test_enumerate_flags_matches_per_step_rref():
+    # one _rref_extend per step against the local rref of every prefix
+    for n, q in FLAG_GRID:
+        want = [
+            tuple(tuple(map(tuple, _local_rref(basis[:i], q))) for i in range(1, n))
+            for basis in flagmodel._chain_bases(n, q)
+        ]
+        assert [tuple(s.rows for s in f.steps) for f in enumerate_flags(n, q)] == want, (n, q)
 
 
 def test_representative_pairs_label_correctly():

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,14 @@ import qshuffle.spectral as spectral
 from qshuffle.cli import main
 from qshuffle.hecke import HeckeElt, mul, tau, tau_times
 from qshuffle.polyring import q_int
+from qshuffle.seminormal import Block, partitions, standard_tableaux
 from qshuffle.spectral import (
     _CERT_PRIME,
+    _MR_LIMIT,
+    _block_nullities,
     _certified_nullities,
+    _is_prime,
+    _surviving_terms,
     multiplicity,
     rank,
     rank_mod,
@@ -146,6 +152,45 @@ def test_cert_prime_is_prime():
     assert all(p % d for d in range(3, math.isqrt(p) + 1, 2))
 
 
+def _trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    for p in range(-3, 20000):
+        assert _is_prime(p) == _trial_division(p), p
+
+
+def test_is_prime_on_pseudoprimes():
+    # Carmichael numbers, then the least strong pseudoprimes to the first
+    # 1, 2, ..., 12 prime bases; the last needs the thirteenth base, 41
+    composites = (
+        561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 3825123056546413051, 318665857834031151167461,
+    )
+    for c in composites:
+        assert not _is_prime(c), c
+    for p in (2, 37, 41, 43, 2**31 - 1, 1000000000000037, 2**61 - 1):
+        assert _is_prime(p), p
+    # at and above the least strong pseudoprime to all thirteen bases the
+    # answer is refused, not guessed
+    for big in (_MR_LIMIT, 2**89 - 1):
+        with pytest.raises(ValueError, match="cannot decide"):
+            _is_prime(big)
+
+
+def test_huge_prime_at_n_one_is_quick(capsys):
+    # [1]_q! = 1 is never over the budget, so the primality test of q runs;
+    # trial division of 2^61 - 1 would take minutes
+    start = time.perf_counter()
+    assert main(["verify", "lemma3", "--n", "1", "--q", str(2**61 - 1)]) == 0
+    assert time.perf_counter() - start < 10
+    assert "PASS lemma3" in capsys.readouterr().out
+    assert main(["verify", "lemma3", "--n", "1", "--q", str(2**89 - 1)]) == 2
+    assert "cannot decide" in capsys.readouterr().err
+
+
 def test_tau_matrix_rank_two_frozen():
     for q0 in (1, 2, 3, 5):
         assert tau_matrix(2, q0) == ((1, q0), (1, q0))
@@ -226,9 +271,18 @@ def test_verify_multiplicities_refuses_empty_q0_list():
         verify_multiplicities(3, [])
 
 
-def test_large_n_gate():
+def test_large_n_gate(monkeypatch):
+    # refused before any work, the fixed-point count of S_9 included
+    monkeypatch.setattr(spectral, "enumerate_perms", None)
     with pytest.raises(ValueError, match="allow_large"):
-        multiplicity(6, 0, 2)
+        multiplicity(9, 0, 2)
+    with pytest.raises(ValueError, match="allow_large"):
+        verify_multiplicities(9)
+
+
+def _clear_caches():
+    for cached in (_block_nullities, _certified_nullities, _surviving_terms):
+        cached.cache_clear()
 
 
 def test_certificate_needs_no_bareiss(monkeypatch):
@@ -238,16 +292,17 @@ def test_certificate_needs_no_bareiss(monkeypatch):
         raise AssertionError("rank over Q called on the multiplicity path")
 
     monkeypatch.setattr(spectral, "rank", no_rank)
-    _certified_nullities.cache_clear()
+    _clear_caches()
     try:
         for n in (1, 2, 3, 4):
             for q0 in (1, 2):
-                got = _certified_nullities(n, q0)
-                assert len(got) == n + 1
-                assert sum(got) == math.factorial(n)
+                for nullities in (_certified_nullities, _block_nullities):
+                    got = nullities(n, q0)
+                    assert len(got) == n + 1
+                    assert sum(got) == math.factorial(n)
         assert verify_multiplicities(4, (1, 2)).passed
     finally:
-        _certified_nullities.cache_clear()
+        _clear_caches()
 
 
 def test_certified_matches_bareiss_oracle():
@@ -266,35 +321,144 @@ def test_certified_matches_bareiss_oracle():
         assert [multiplicity(n, k, q0) for k in range(n + 1)] == want
 
 
+def test_blocks_match_the_regular_representation():
+    # the n! x n! eliminations of M itself are the oracle of the blocks
+    for n in range(1, 6):
+        for q0 in (1, 2, 3, 5):
+            assert _block_nullities(n, q0) == _certified_nullities(n, q0), (n, q0)
+
+
+def test_n_seven_and_eight_never_build_the_regular_matrix(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("an n! x n! matrix was built")
+
+    monkeypatch.setattr(spectral, "tau_matrix", refuse)
+    monkeypatch.setattr(spectral, "_certified_nullities", refuse)
+    for n in (7, 8):
+        result = verify_multiplicities(n, (1, 2, 3))
+        assert result.passed, result.details
+        assert len(result.details) == 3 * (n + 2)
+    assert _block_nullities(7, 2) == (1854, 1855, 924, 315, 70, 21, 0, 1)
+    assert _block_nullities(8, 2) == (14833, 14832, 7420, 2464, 630, 112, 28, 0, 1)
+    assert main(["multiplicities", "--n", "8", "--q", "2"]) == 0
+    assert "PASS multiplicities [n=8 q0=[2]]" in capsys.readouterr().out
+
+
+def _hook_length_dimension(shape):
+    n = sum(shape)
+    cols = [sum(1 for r in shape if r > j) for j in range(shape[0])]
+    hooks = math.prod(
+        (shape[i] - j) + (cols[j] - i) - 1 for i in range(len(shape)) for j in range(shape[i])
+    )
+    return math.factorial(n) // hooks
+
+
+def test_seminormal_blocks_hold_every_fact_of_the_proof():
+    for n in range(1, 7):
+        shapes = partitions(n)
+        assert len(set(shapes)) == len(shapes)
+        assert all(sum(s) == n and list(s) == sorted(s, reverse=True) for s in shapes)
+        assert sum(len(standard_tableaux(s)) ** 2 for s in shapes) == math.factorial(n)
+        for shape in shapes:
+            tableaux = standard_tableaux(shape)
+            assert len(tableaux) == _hook_length_dimension(shape)
+            for q0 in (1, 2, 3, 5):
+                block = Block(shape, q0)
+                assert block.relation_failure() is None, (shape, q0)
+                assert block.jucys_murphy_failure() is None, (shape, q0)
+                assert block.connected(), (shape, q0)
+
+
+def test_block_checks_catch_broken_blocks():
+    # a perturbed generator breaks a relation
+    block = Block((3, 2), 2)
+    block.gens[1][0][0] += 1
+    assert block.relation_failure() == "T1 T2 T1 = T2 T1 T2"
+    # relabeling two tableaux conjugates every generator, so the relations
+    # hold, but L_k no longer acts by the contents of its tableaux
+    block = Block((2, 1), 3)
+    swap = [1, 0]
+    for diag, partner, off in block.gens:
+        diag[:], off[:] = [diag[s] for s in swap], [off[s] for s in swap]
+        partner[:] = [swap[partner[s]] if partner[s] >= 0 else -1 for s in swap]
+    assert block.relation_failure() is None
+    assert block.jucys_murphy_failure() == 2
+    # without off-diagonal entries no tableau reaches another
+    block = Block((2, 2), 2)
+    for _, _, off in block.gens:
+        off[:] = [0] * len(off)
+    assert not block.connected()
+
+
 def _small_prime(monkeypatch):
-    # at q0 = 1 the eigenvalues 0 and [2]_1 = 2 collide mod 2
-    monkeypatch.setattr(spectral, "_CERT_PRIME", 2)
-    return {"q0": 1, "prime": 2, "sum": 10, "expected_sum": 6, "pass": False}
+    # every prime up to 3 divides a difference of the eigenvalues 0..3 at
+    # q0 = 1, so no prime fits the first block
+    monkeypatch.setattr(spectral, "_CERT_PRIME", 3)
+    return {"q0": 1, "shape": [3], "step": "prime", "max_prime": 3, "pass": False}
 
 
 def _perturbed_tau_matrix(monkeypatch):
-    real = spectral.tau_matrix
+    real = Block.tau_mod
 
-    def perturbed(n, q0):
-        m = [list(row) for row in real(n, q0)]
-        m[1][2] += 1
+    def perturbed(self, p):
+        m = real(self, p)
+        if len(m) > 1:
+            m[-1][0] += 1
         return m
 
-    monkeypatch.setattr(spectral, "tau_matrix", perturbed)
-    return {"q0": 1, "prime": _CERT_PRIME, "sum": 3, "expected_sum": 6, "pass": False}
+    monkeypatch.setattr(Block, "tau_mod", perturbed)
+    return {"q0": 1, "shape": [2, 1], "step": "sum", "prime": _CERT_PRIME, "sum": 1,
+            "expected_sum": 2, "pass": False}
 
 
 def _surviving_annihilator(monkeypatch):
     monkeypatch.setattr(spectral, "wallach_product", tau)
-    return {"q0": 1, "surviving_terms": 3, "pass": False}
+    return {"q0": 1, "step": "annihilator", "surviving_terms": 3, "pass": False}
+
+
+def _perturbed_generator(monkeypatch):
+    real = Block.__init__
+
+    def perturbed(self, shape, q0):
+        real(self, shape, q0)
+        if shape == (2, 1):
+            self.gens[0][0][0] += 1
+
+    monkeypatch.setattr(Block, "__init__", perturbed)
+    return {"q0": 1, "shape": [2, 1], "step": "relations",
+            "relation": "(T1 - q)(T1 + 1) = 0", "pass": False}
+
+
+def _unlinked_tableaux(monkeypatch):
+    monkeypatch.setattr(Block, "connected", lambda self: len(self.tableaux) == 1)
+    return {"q0": 1, "shape": [2, 1], "step": "connected", "pass": False}
+
+
+def _repeated_shape(monkeypatch):
+    monkeypatch.setattr(spectral, "partitions", lambda n: [*partitions(n), (n,)])
+    return {"q0": 1, "shape": [3], "step": "contents", "pass": False}
+
+
+def _missing_shape(monkeypatch):
+    monkeypatch.setattr(spectral, "partitions", lambda n: partitions(n)[:-1])
+    return {"q0": 1, "step": "dimension", "sum_of_squares": 5, "expected": 6, "pass": False}
 
 
 @pytest.mark.parametrize(
-    "corrupt", [_small_prime, _perturbed_tau_matrix, _surviving_annihilator]
+    "corrupt",
+    [
+        _small_prime,
+        _perturbed_tau_matrix,
+        _surviving_annihilator,
+        _perturbed_generator,
+        _unlinked_tableaux,
+        _repeated_shape,
+        _missing_shape,
+    ],
 )
 def test_failed_certificate_fails_closed(monkeypatch, capsys, corrupt):
     witness = corrupt(monkeypatch)
-    _certified_nullities.cache_clear()
+    _clear_caches()
     try:
         with pytest.raises(spectral.CertificateError):
             multiplicity(3, 0, 1)
@@ -310,4 +474,4 @@ def test_failed_certificate_fails_closed(monkeypatch, capsys, corrupt):
         assert f"  FAIL {witness}" in out
         assert "OVERALL: FAIL" in out
     finally:
-        _certified_nullities.cache_clear()
+        _clear_caches()
