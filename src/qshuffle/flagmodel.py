@@ -37,6 +37,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -45,7 +47,7 @@ from .hecke import _basis_walk, tau
 from .polyring import q_int
 from .report import CheckResult
 from .spectral import _echelon, _is_prime, _reduce, rank
-from .symgroup import Perm, _tuple_getter, enumerate_perms
+from .symgroup import Perm, enumerate_perms
 
 __all__ = [
     "BudgetExceeded",
@@ -393,9 +395,7 @@ class Flag:
     @classmethod
     def permuted(cls, w: Perm, q: int) -> "Flag":
         """The coordinate flag wE: step i spanned by e_{w(1)}, ..., e_{w(i)}."""
-        n = w.n
-        unit = [tuple(int(j == w(i) - 1) for j in range(n)) for i in range(1, n + 1)]
-        return cls.from_basis(unit, q)
+        return _coordinate_flag(w.image, q)
 
     def step(self, i: int) -> Subspace:
         """Step i for i in [0, n]: 0 is the zero space, n the whole space."""
@@ -433,6 +433,15 @@ def _end_steps(n: int, q: int) -> tuple[Subspace, Subspace]:
     # the pivots that contains_vector caches on it
     full = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
     return Subspace._make(n, q, ()), Subspace._make(n, q, full)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _coordinate_flag(image: tuple[int, ...], q: int) -> Flag:
+    # one flag per (image, q): f1 and f_t ask for every coordinate flag,
+    # and a shared flag keeps the pivots that contains_vector caches on
+    # its steps
+    n = len(image)
+    return Flag.from_basis([[int(j == image[i] - 1) for j in range(n)] for i in range(n)], q)
 
 
 def _q_factorial(n: int, q: int) -> int:
@@ -579,11 +588,32 @@ class _Geometry:
     structure constant of the convolution algebra, so a product reads
     only the (x, y) pairs in the supports of its factors.  The caller
     checks the flag budget first.
+
+    The build has two passes.  _patterns runs the subset lattice of
+    every chain matrix and keeps its pivot sets, one byte per column
+    subset, as a pattern; flags with equal patterns are merged with a
+    weight.  _count then reads every label off chains of pivot sets.
+    For the flag zE the label x = pos(zE, M) comes from the chain
+    Q(B_1), ..., Q(B_{n-1}), B_k the coordinates outside z(1), ...,
+    z(k), and the identity order gives pos(E, M), whose inverse is
+    y = pos(M, E).  A chain is named by one int, the sum of its sets
+    as digit vectors: set S adds 1 at bit j * w for each row j in S,
+    w = (n - 1).bit_length().  The digit of row j counts the sets that
+    hold j, and a chain of sizes n - 1, ..., 1 has the digits 0..n-1 in
+    some order, so the name is injective (the plain sum of the masks
+    is not, for n >= 4).  The names at one subset, over all patterns of
+    one weight, are packed as one int of fixed-width fields; the y
+    names go to the upper half of each field.  For each z the keys
+    (y, x) of all patterns are then one sum of n big ints with no carry
+    between fields, and one Counter over the fields counts them, so the
+    tensor is written once per distinct (x, y, z).  A field needs
+    2 * n * w bits, so n >= 9 is refused before anything is enumerated.
     """
 
     def __init__(self, n: int, q: int) -> None:
         self.n = n
         self.q = q
+        self._field = _key_field(n)
         self.perms = enumerate_perms(n)
         self.nperms = len(self.perms)
         self.index = {w.image: i for i, w in enumerate(self.perms)}
@@ -618,9 +648,18 @@ class _Geometry:
             yield [pack(c) for c in _matmul_mod(h, list(zip(*basis)), q)]
 
     def _build(self, columns: Iterable[list]) -> list[dict[int, int]]:
+        return self._count(self._patterns(columns))
+
+    def _patterns(self, columns: Iterable[list]) -> dict[bytes, int]:
+        """The pivot pattern of every chain matrix, with how many share it.
+
+        Byte b of a pattern is the pivot set Q(b) of the column subset
+        b, as a bit mask of rows (byte 0 is the empty set).  Flags with
+        equal patterns add equal counts; for q > 2 there are far fewer
+        patterns than flags.
+        """
         _, step = self._backend
         n = self.n
-        nperms = self.nperms
         full = (1 << n) - 1
         # every proper nonempty column subset b, split as (b, top column,
         # rest); rest < b, so its stored columns and pivots are ready
@@ -628,21 +667,7 @@ class _Geometry:
         splits = [(b, b.bit_length() - 1, b & ~(1 << (b.bit_length() - 1)))
                   for b in range(1, full)]
         lower, upper = splits[: half - 1], splits[half - 1 :]
-
-        # the chain Q(B_1), ..., Q(B_{n-1}) for the order w, B_k the
-        # coordinates outside w(1), ..., w(k); for the flag zE it is read
-        # at those subsets, and for a label x it is x's own chain
-        def chain(w: Perm) -> list[int]:
-            return [full ^ m for m in itertools.accumulate(1 << (k - 1) for k in w.image)][:-1]
-
-        getters = [_tuple_getter(chain(z)) for z in self.perms]
-        x_keys = {tuple(chain(x)): xi * nperms for xi, x in enumerate(self.perms)}
-        # the identity order gives pos(E, M), whose inverse is y = pos(M, E)
-        y_keys = {tuple(chain(x)): self.index[x.inverse().image] for x in self.perms}
-        identity_getter = getters[0]
-        # flags with equal pivot patterns add equal counts; for q > 2
-        # there are far fewer patterns than flags
-        patterns: dict[tuple[int, ...], int] = {}
+        patterns: dict[bytes, int] = {}
         pivots = [0] * full
         stored: list[dict] = [{}] * half
         for cols in columns:
@@ -653,15 +678,76 @@ class _Geometry:
                 pivots[b] = pivots[rest] | t
             for b, top, rest in upper:
                 pivots[b] = pivots[rest] | step(stored[rest], cols[top])[0]
-            pattern = tuple(pivots)
+            pattern = bytes(pivots)
             patterns[pattern] = patterns.get(pattern, 0) + 1
+        return patterns
+
+    def _count(self, patterns: Mapping[bytes, int]) -> list[dict[int, int]]:
+        # the counting kernel of the class docstring
+        n, nperms, (fmt, size) = self.n, self.nperms, self._field
+        full = (1 << n) - 1
+        shift = n * (n - 1).bit_length()
+        low = (1 << shift) - 1
+        order = sys.byteorder
+
+        # B_k is the set of coordinates outside z(1), ..., z(k)
+        def chain(z: Perm) -> list[int]:
+            return [full ^ m for m in itertools.accumulate(1 << (k - 1) for k in z.image)][:-1]
+
+        chains = [chain(z) for z in self.perms]
+        x_keys = {_chain_name(c, n): xi * nperms for xi, c in enumerate(chains)}
+        y_keys = {_chain_name(c, n): self.index[x.inverse().image]
+                  for x, c in zip(self.perms, chains)}
+        # byte k of the field of every pivot mask, as a translation table
+        fields = [_chain_name([m], n).to_bytes(size, order) for m in range(256)]
+        planes = [bytes(f[k] for f in fields) for k in range(size)]
+        groups: dict[int, list[bytes]] = {}
+        for pattern, weight in patterns.items():
+            groups.setdefault(weight, []).append(pattern)
         out: list[dict[int, int]] = [dict() for _ in range(nperms * nperms)]
-        for pattern, count in patterns.items():
-            y = y_keys[identity_getter(pattern)]
-            for z, getter in enumerate(getters):
-                counts = out[x_keys[getter(pattern)] + y]
-                counts[z] = counts.get(z, 0) + count
+        for weight, group in groups.items():
+            # one buffer of packed columns: field p of subset b's column,
+            # at byte (b * len(group) + p) * size, names Q(b) of pattern p
+            table = b"".join(group)
+            masks = b"".join(table[b::full] for b in range(full))
+            del table
+            span = len(group) * size
+            packed = bytearray(len(masks) * size)
+            for k, plane in enumerate(planes):
+                packed[k::size] = masks.translate(plane)
+            del masks
+            view = memoryview(packed)
+
+            def column(b: int) -> int:
+                return int.from_bytes(view[b * span : (b + 1) * span], order)
+
+            y_column = sum(map(column, chains[0])) << shift
+            for z, subsets in enumerate(chains):
+                acc = y_column + sum(map(column, subsets))
+                keys = Counter(memoryview(acc.to_bytes(span, order)).cast(fmt))
+                for key, c in keys.items():
+                    counts = out[x_keys[key & low] + y_keys[key >> shift]]
+                    counts[z] = counts.get(z, 0) + c * weight
         return out
+
+
+def _chain_name(sets: Iterable[int], n: int) -> int:
+    # the sum of the sets, as bit masks of 0..n-1, as digit vectors: set
+    # S adds 1 at bit j * w for each j in S, w = (n - 1).bit_length()
+    w = (n - 1).bit_length()
+    return sum(1 << j * w for s in sets for j in range(n) if s >> j & 1)
+
+
+def _key_field(n: int) -> tuple[str, int]:
+    """The memoryview format and byte size of one counting field at n.
+
+    A field holds the names of two chains, 2 * n * w bits.  Past 64
+    bits no native int holds it, so n >= 9 is refused.
+    """
+    bits = 2 * n * (n - 1).bit_length()
+    if bits > 64:
+        raise ValueError(f"a counting field at n = {n} needs {bits} bits, over 64")
+    return ("I", 4) if bits <= 32 else ("Q", 8)
 
 
 _GEOMETRY: dict[tuple[int, int], _Geometry] = {}

@@ -7,6 +7,8 @@ intersection-dimension computation, and a literal sum over middle
 flags.
 """
 
+import itertools
+import math
 import random
 
 import pytest
@@ -41,7 +43,7 @@ from qshuffle.flagmodel import (
 )
 from qshuffle.hecke import mul, tau
 from qshuffle.spectral import rank_mod
-from qshuffle.symgroup import Perm, cycle_element, enumerate_perms
+from qshuffle.symgroup import Perm, _tuple_getter, cycle_element, enumerate_perms
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +108,21 @@ def test_flag_steps():
     for i in range(1, 4):
         units = [tuple(1 if c == w(r) else 0 for c in (1, 2, 3)) for r in range(1, i + 1)]
         assert f.step(i) == Subspace(units, 3, 3)
+
+
+def test_coordinate_flags_are_cached():
+    # one validated flag per (image, q), equal to the one from_basis builds
+    for n, q in ((1, 2), (2, 3), (3, 2), (4, 5)):
+        for w in enumerate_perms(n):
+            f = Flag.permuted(w, q)
+            units = [[int(j == w(i) - 1) for j in range(n)] for i in range(1, n + 1)]
+            assert f == Flag.from_basis(units, q), (w, q)
+            assert Flag.permuted(w, q) is f
+    assert Flag.standard(3, 2) is Flag.permuted(Perm.identity(3), 2)
+    assert Flag.permuted(Perm((2, 1)), 2) != Flag.permuted(Perm((2, 1)), 3)
+    # a cached q = 2 must not answer for 2.0
+    with pytest.raises(ValueError, match="prime"):
+        Flag.permuted(Perm((2, 1)), 2.0)
 
 
 def test_chain_bases_span_the_enumerated_flags():
@@ -581,9 +598,77 @@ def test_packed_f2_backend_matches_generic(monkeypatch):
         assert packed.tensor(debug=True) == generic_tensor
 
 
+def _label_chain(image, n):
+    # B_k = the coordinates outside image[:k], as masks, for k = 1..n-1
+    full = (1 << n) - 1
+    return [full ^ sum(1 << (i - 1) for i in image[:k]) for k in range(1, n)]
+
+
+def _scatter(geo, patterns):
+    """The tensor by one dict update per (pattern, z): the counting kernel's oracle.
+
+    Each pattern is read at the chain subsets of every z with a tuple
+    getter, and the tuple of pivot sets is looked up as a label's chain.
+    """
+    nperms = geo.nperms
+
+    def chain(w):
+        return _label_chain(w.image, geo.n)
+
+    getters = [_tuple_getter(chain(z)) for z in geo.perms]
+    x_keys = {tuple(chain(x)): xi * nperms for xi, x in enumerate(geo.perms)}
+    y_keys = {tuple(chain(x)): geo.index[x.inverse().image] for x in geo.perms}
+    out = [dict() for _ in range(nperms * nperms)]
+    for pattern, count in patterns.items():
+        y = y_keys[getters[0](pattern)]
+        for z, getter in enumerate(getters):
+            counts = out[x_keys[getter(pattern)] + y]
+            counts[z] = counts.get(z, 0) + count
+    return out
+
+
+def test_counting_kernel_matches_the_scatter():
+    weight_groups = set()
+    for n, q in FLAG_GRID:
+        geo = flagmodel._geometry(n, q, flagmodel.FLAG_BUDGET)
+        patterns = geo._patterns(geo._columns)
+        assert sum(patterns.values()) == flag_count(n, q)
+        weight_groups.add(len(set(patterns.values())))
+        assert geo.tensor() == _scatter(geo, patterns), (n, q)
+    # patterns of several weights are counted in separate groups
+    assert max(weight_groups) > 1
+
+
+def test_chain_names_are_distinct_and_fit_the_field():
+    for n in range(1, 9):
+        bits = n * (n - 1).bit_length()
+        fmt, size = flagmodel._key_field(n)
+        assert 2 * bits <= 8 * size and len(memoryview(bytes(size)).cast(fmt)) == 1
+        names = set()
+        for image in itertools.permutations(range(1, n + 1)):
+            name = flagmodel._chain_name(_label_chain(image, n), n)
+            assert 0 <= name < 1 << bits, (n, image)
+            names.add(name)
+        assert len(names) == math.factorial(n), n
+    # the plain sum of the masks does not name a chain: it collides at n = 4
+    sums = [sum(_label_chain(image, 4)) for image in itertools.permutations(range(1, 5))]
+    assert len(set(sums)) < len(sums)
+
+
+def test_counting_field_width_guard(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("flags or labels were enumerated")
+
+    monkeypatch.setattr(flagmodel, "_chain_bases", refuse)
+    monkeypatch.setattr(flagmodel, "enumerate_perms", refuse)
+    with pytest.raises(ValueError, match="72 bits, over 64"):
+        flagmodel._Geometry(9, 2)
+
+
 def test_debug_rebuild_moves_every_chain_matrix():
     # the second representative must really differ, flag by flag, and
-    # still give the same tensor, on both row backends
+    # still give the same tensor, on both row backends, by the counting
+    # kernel and by its oracle
     for n, q in FLAG_GRID:
         if n < 2:
             continue
@@ -591,7 +676,9 @@ def test_debug_rebuild_moves_every_chain_matrix():
         moved = list(geo._debug_columns())
         assert len(moved) == len(geo._columns), (n, q)
         assert all(a != b for a, b in zip(moved, geo._columns)), (n, q)
-        assert geo._build(moved) == geo.tensor(), (n, q)
+        patterns = geo._patterns(moved)
+        assert geo._count(patterns) == geo.tensor(), (n, q)
+        assert _scatter(geo, patterns) == geo.tensor(), (n, q)
 
 
 def test_fast_lattice_shares_no_code_with_the_kernel(monkeypatch):
