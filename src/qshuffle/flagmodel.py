@@ -40,7 +40,7 @@ import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .hecke import _basis_walk, tau
@@ -157,13 +157,12 @@ def _invert_mod(rows: Sequence[Sequence[int]], q: int) -> list[tuple[int, ...]]:
 # pivot profiles: the fast route to a relative position
 #
 # Let C be the chain matrix of a middle flag M: row i is the i-th chain
-# vector, so M_i is spanned by rows 1..i.  _chain_bases grows these rows
-# directly, and _Geometry keeps only the packed columns of each C, never
-# the flag's subspaces.  For a set A of coordinates
-# write E_A for their span, and let P(A) be the set of i at which
-# dim(M_i cap E_A) goes up.  For the coordinate flag zE, the relative
-# position x = pos(zE, M) has x(k) = the one element of P(A_k) missing
-# from P(A_{k-1}), where A_k = {z(1), ..., z(k)}; this is the
+# vector, so M_i is spanned by rows 1..i.  _Geometry keeps only the
+# columns of each C, never the flag's subspaces.  For a set A of
+# coordinates write E_A for their span, and let P(A) be the set of i at
+# which dim(M_i cap E_A) goes up.  For the coordinate flag zE, the
+# relative position x = pos(zE, M) has x(k) = the one element of P(A_k)
+# missing from P(A_{k-1}), where A_k = {z(1), ..., z(k)}; this is the
 # second-difference rule of relative_position read along one chain,
 # and tests compare the two exhaustively.
 #
@@ -174,15 +173,21 @@ def _invert_mod(rows: Sequence[Sequence[int]], q: int) -> list[tuple[int, ...]]:
 # depend on the order of those columns, and Q(B) follows from Q(B
 # minus its top column) by one step: reduce that column against the
 # stored columns, keyed by their leading pivots, and read off the new
-# pivot.  _Geometry._build thus computes Q over the lattice of column
-# subsets, 2^n - 2 steps per flag, and reads pos(zE, M) for all n!
-# orders z off chains of Q values, without inverting C or reducing any
-# row order.  _row_backend selects the two ops of this lattice once:
-# pack a column, and step it against the stored columns.  Columns over
-# F_2 are bit-packed ints (bit i = entry i), other q use lists mod q;
-# a step returns its pivot as the bit 1 << i.  These steps share no
-# code with the elimination kernel of the literal layer (_rref,
-# Subspace, relative_position), which is their oracle in the tests.
+# pivot.  _Geometry thus computes Q over the lattice of column subsets,
+# 2^n - 2 steps, and reads pos(zE, M) for all n! orders z off chains of
+# Q values, without inverting C or reducing any row order.
+#
+# _row_backend selects the three ops of this lattice once: the chain
+# matrices of all flags, the same moved by a fixed matrix, and the
+# pivot sets Q(b) of every flag, as the subset-major buffers that
+# _Geometry._count reads.  Over F_2 all flags run at once: _chain_lanes
+# holds entry (i, j) of every chain matrix as one int, a lane, whose
+# byte f is the entry of flag f, so one XOR or AND of two lanes steps
+# every flag; the tests check the lanes against _chain_bases, which
+# grows the same bases one flag at a time.  Other q run the lattice
+# flag by flag on lists mod q, with _step_generic.  Neither shares code
+# with the elimination kernel of the literal layer (_rref, Subspace,
+# relative_position), which is their oracle in the tests.
 
 
 def _step_generic(
@@ -206,37 +211,186 @@ def _step_generic(
     return 1 << i, [(x * inv) % q for x in r]
 
 
-def _step2(stored: Mapping[int, int], r: int) -> tuple[int, int]:
-    # same as _step_generic with columns packed into ints, bit i = entry i
-    t = r & -r
-    s = stored.get(t)
-    while s is not None:
-        r ^= s
-        t = r & -r
-        s = stored.get(t)
-    if not r:
-        raise ArithmeticError("dependent columns have no pivot")
-    return t, r
-
-
-def _pack2(row: Sequence[int]) -> int:
-    acc = 0
-    for i, x in enumerate(row):
-        if x & 1:
-            acc |= 1 << i
-    return acc
-
-
 def _matmul_mod(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], q: int) -> list[list[int]]:
     cols = list(zip(*b))
     return [[sum(map(operator.mul, row, col)) % q for col in cols] for row in a]
 
 
-def _row_backend(q: int) -> tuple[Callable, Callable]:
-    """The (pack, step) column operations of the subset lattice over F_q."""
+def _subset_splits(n: int) -> list[tuple[int, int, int]]:
+    # every proper nonempty column subset b, split as (b, top column,
+    # rest); rest < b, so its stored columns and pivots are ready
+    return [(b, b.bit_length() - 1, b & ~(1 << (b.bit_length() - 1)))
+            for b in range(1, (1 << n) - 1)]
+
+
+def _flag_columns(n: int, q: int) -> list[list[list[int]]]:
+    # the columns of every chain matrix, flag by flag
+    return [[list(c) for c in zip(*basis)] for basis in _chain_bases(n, q)]
+
+
+def _moved_columns(
+    columns: Iterable[list[list[int]]], h: Sequence[Sequence[int]], q: int
+) -> Iterator[list[list[int]]]:
+    for cols in columns:
+        yield _matmul_mod(h, cols, q)
+
+
+def _flag_masks(columns: Iterable[Sequence[Sequence[int]]], n: int, q: int) -> dict[int, bytes]:
+    """The pivot sets of every chain matrix, reduced flag by flag.
+
+    Byte b of a flag's pattern is the pivot set Q(b) of the column
+    subset b, as a bit mask of rows (byte 0 is the empty set).  Flags
+    with equal patterns add equal counts, so they are merged: for q > 2
+    there are far fewer patterns than flags.  The patterns of one weight
+    go to one buffer, subset-major: byte b * len(group) + p is Q(b) of
+    pattern p.
+    """
+    full = (1 << n) - 1
+    splits = _subset_splits(n)
+    half = 1 << (n - 1)
+    lower, upper = splits[: half - 1], splits[half - 1 :]
+    patterns: dict[bytes, int] = {}
+    pivots = [0] * full
+    stored: list[dict] = [{}] * half
+    for cols in columns:
+        for b, top, rest in lower:
+            below = stored[rest]
+            t, reduced = _step_generic(below, cols[top], q)
+            stored[b] = {**below, t: reduced}
+            pivots[b] = pivots[rest] | t
+        for b, top, rest in upper:
+            pivots[b] = pivots[rest] | _step_generic(stored[rest], cols[top], q)[0]
+        pattern = bytes(pivots)
+        patterns[pattern] = patterns.get(pattern, 0) + 1
+    groups: dict[int, list[bytes]] = {}
+    for pattern, weight in patterns.items():
+        groups.setdefault(weight, []).append(pattern)
+    out = {}
+    for weight, group in groups.items():
+        table = b"".join(group)
+        out[weight] = b"".join(table[b::full] for b in range(full))
+    return out
+
+
+def _chain_lanes(n: int) -> list[list[int]]:
+    """The chain matrices of all complete flags in F_2^n, as byte lanes.
+
+    lanes[j][i] is entry i of column j of every chain matrix: its byte
+    f is coordinate j of row b_{i+1} of the f-th basis of
+    _chain_bases(n, 2), so the flags come in the same order.  The lanes
+    are built by the same recursion, one leading coordinate p at a time:
+    the row with its 1 at p takes one byte block per tail digit, and the
+    rows below it repeat the lanes of the remaining coordinates, which
+    are built once per set of coordinates.  Raises ArithmeticError if
+    the count is not flag_count(n, 2).
+    """
+    memo: dict[tuple[int, ...], tuple[int, list[list[bytes]]]] = {}
+
+    def grow(free: tuple[int, ...]) -> tuple[int, list[list[bytes]]]:
+        # the number of flags on the coordinates `free`, and their last
+        # len(free) rows as planes [row][coordinate]
+        if not free:
+            return 1, []
+        if free in memo:
+            return memo[free]
+        pieces: list[list[list[bytes]]] = [[[] for _ in range(n)] for _ in free]
+        total = 0
+        for ip, p in enumerate(free):
+            later = free[ip + 1 :]
+            m, below = grow(free[:ip] + later)
+            tails = 1 << len(later)
+            head = pieces[0]
+            for j in range(n):
+                if j == p:
+                    head[j].append(b"\x01" * (m * tails))
+                elif j in later:
+                    # itertools.product order: the first later coordinate
+                    # is the slowest digit, 2^s blocks of m flags per value
+                    s = len(later) - 1 - later.index(j)
+                    head[j].append((bytes(m << s) + b"\x01" * (m << s)) * (tails >> (s + 1)))
+                else:
+                    head[j].append(bytes(m * tails))
+            for row, planes in zip(pieces[1:], below):
+                for j in range(n):
+                    row[j].append(planes[j] * tails)
+            total += m * tails
+        memo[free] = out = total, [[b"".join(x) for x in row] for row in pieces]
+        return out
+
+    count, planes = grow(tuple(range(n)))
+    if count != flag_count(n, 2):
+        raise ArithmeticError(f"enumerated {count} flags, expected {flag_count(n, 2)}")
+    return [[int.from_bytes(planes[i][j], "little") for i in range(n)] for j in range(n)]
+
+
+def _moved_lanes(lanes: Sequence[Sequence[int]], h: Sequence[Sequence[int]]) -> list[list[int]]:
+    # h times the column list of every chain matrix; over F_2 a sum of
+    # columns is the XOR of their lanes
+    n = len(lanes)
+    return [[reduce(operator.xor, (lanes[k][i] for k in range(n) if row[k]), 0)
+             for i in range(n)] for row in h]
+
+
+def _lane_masks(lanes: Sequence[Sequence[int]], n: int) -> dict[int, bytes]:
+    """The pivot sets of every chain matrix over F_2, all flags at once.
+
+    The same lattice as _flag_masks on lanes: s[i][j] is entry j of the
+    stored column with pivot i, zero in the flags that have none.  Row
+    by row, the flags still without a new pivot and with entry i set
+    reduce by s[i]; those where entry i is still set have their pivot at
+    i.  The pivot sets, one byte per flag, form a single buffer of
+    weight 1, subset-major: byte b * count + f is Q(b) of flag f.
+    """
+    count = flag_count(n, 2)
+    full = (1 << n) - 1
+    half = 1 << (n - 1)
+    ones = int.from_bytes(b"\x01" * count, "little")
+    pivots = [0] * full
+    stored: list[list[list[int]]] = [[[0] * n for _ in range(n)]] * half
+    for b, top, rest in _subset_splits(n):
+        below = stored[rest]
+        keep = b < half
+        s = list(below)
+        r = list(lanes[top])
+        pending = ones
+        mask = pivots[rest]
+        for i in range(n):
+            c = r[i] & pending
+            if not c:
+                continue
+            si = below[i]
+            for j in range(i, n):
+                r[j] ^= c & si[j]
+            new = r[i] & pending
+            if new:
+                pending ^= new
+                mask |= new << i
+                if keep:
+                    s[i] = [x | (new & y) for x, y in zip(si, r)]
+        if pending:
+            raise ArithmeticError("dependent columns have no pivot")
+        pivots[b] = mask
+        if keep:
+            stored[b] = s
+    return {1: b"".join(m.to_bytes(count, "little") for m in pivots)}
+
+
+def _flag_backend(q: int) -> tuple[Callable, Callable, Callable]:
+    # the lattice ops flag by flag, on lists mod q
+    return partial(_flag_columns, q=q), partial(_moved_columns, q=q), partial(_flag_masks, q=q)
+
+
+def _row_backend(q: int) -> tuple[Callable, Callable, Callable]:
+    """The (chains, moved, masks) ops of the subset lattice over F_q.
+
+    chains(n) holds the chain matrices of all flags, moved(chains, h)
+    the same with h times every column list, and masks(chains, n) the
+    pivot sets of every flag, keyed by weight, as _Geometry._count
+    reads them.  F_2 runs on byte lanes, other q flag by flag.
+    """
     if q == 2:
-        return _pack2, _step2
-    return list, partial(_step_generic, q=q)
+        return _chain_lanes, _moved_lanes, _lane_masks
+    return _flag_backend(q)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +733,7 @@ def representative_pair(w: Perm, q: int) -> tuple[Flag, Flag]:
 
 
 class _Geometry:
-    """Chain bases, orbit labels, and the convolution structure tensor for one (n, q).
+    """Chain matrices, orbit labels, and the convolution structure tensor for one (n, q).
 
     Labels are indices into perms.  tensor()[x * n! + y] maps z to the
     number of middle flags M with relative_position(A, M) labeled x and
@@ -589,10 +743,12 @@ class _Geometry:
     only the (x, y) pairs in the supports of its factors.  The caller
     checks the flag budget first.
 
-    The build has two passes.  _patterns runs the subset lattice of
-    every chain matrix and keeps its pivot sets, one byte per column
-    subset, as a pattern; flags with equal patterns are merged with a
-    weight.  _count then reads every label off chains of pivot sets.
+    The build has two passes.  The masks op of _row_backend runs the
+    subset lattice of every chain matrix and keeps its pivot sets, one
+    byte per column subset: over F_2 for all flags at once in byte
+    lanes, each flag with weight 1; for other q flag by flag, flags
+    with equal patterns merged with a weight.  _count then reads every
+    label off chains of pivot sets.
     For the flag zE the label x = pos(zE, M) comes from the chain
     Q(B_1), ..., Q(B_{n-1}), B_k the coordinates outside z(1), ...,
     z(k), and the identity order gives pos(E, M), whose inverse is
@@ -617,17 +773,17 @@ class _Geometry:
         self.perms = enumerate_perms(n)
         self.nperms = len(self.perms)
         self.index = {w.image: i for i, w in enumerate(self.perms)}
-        self._backend = pack, _ = _row_backend(q)
-        # the columns of every chain matrix, one packed vector each
-        self._columns = [[pack(c) for c in zip(*basis)] for basis in _chain_bases(n, q)]
+        self._backend = chains, _, _ = _row_backend(q)
+        # the chain matrices of every flag, in the backend's layout
+        self._chains = chains(n)
         self._tensor: list[dict[int, int]] | None = None
         self._debug_checked = False
 
     def tensor(self, debug: bool = False) -> list[dict[int, int]]:
         if self._tensor is None:
-            self._tensor = self._build(self._columns)
+            self._tensor = self._count(self._masks(self._chains))
         if debug and not self._debug_checked:
-            other = self._build(self._debug_columns())
+            other = self._count(self._masks(self._debug_chains()))
             if other != self._tensor:
                 raise ArithmeticError(
                     "structure tensor differs between two orbit representatives"
@@ -635,54 +791,21 @@ class _Geometry:
             self._debug_checked = True
         return self._tensor
 
-    def _debug_columns(self) -> Iterator[list]:
+    def _debug_chains(self) -> object:
         # a fixed invertible matrix h, all-ones superdiagonal unipotent
         # with its rows rotated; h times the columns of C is the column
         # list of C g^-1 with g = h^-T, which moves the representative
         # pairs off the coordinate flags to (g zE, g E)
-        n, q = self.n, self.q
+        n = self.n
         uni = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
         h = [uni[(i + 1) % n] for i in range(n)]
-        pack = self._backend[0]
-        for basis in _chain_bases(n, q):
-            yield [pack(c) for c in _matmul_mod(h, list(zip(*basis)), q)]
+        return self._backend[1](self._chains, h)
 
-    def _build(self, columns: Iterable[list]) -> list[dict[int, int]]:
-        return self._count(self._patterns(columns))
+    def _masks(self, chains: object) -> dict[int, bytes]:
+        # the pivot sets of every flag, as subset-major buffers by weight
+        return self._backend[2](chains, self.n)
 
-    def _patterns(self, columns: Iterable[list]) -> dict[bytes, int]:
-        """The pivot pattern of every chain matrix, with how many share it.
-
-        Byte b of a pattern is the pivot set Q(b) of the column subset
-        b, as a bit mask of rows (byte 0 is the empty set).  Flags with
-        equal patterns add equal counts; for q > 2 there are far fewer
-        patterns than flags.
-        """
-        _, step = self._backend
-        n = self.n
-        full = (1 << n) - 1
-        # every proper nonempty column subset b, split as (b, top column,
-        # rest); rest < b, so its stored columns and pivots are ready
-        half = 1 << (n - 1)
-        splits = [(b, b.bit_length() - 1, b & ~(1 << (b.bit_length() - 1)))
-                  for b in range(1, full)]
-        lower, upper = splits[: half - 1], splits[half - 1 :]
-        patterns: dict[bytes, int] = {}
-        pivots = [0] * full
-        stored: list[dict] = [{}] * half
-        for cols in columns:
-            for b, top, rest in lower:
-                below = stored[rest]
-                t, reduced = step(below, cols[top])
-                stored[b] = {**below, t: reduced}
-                pivots[b] = pivots[rest] | t
-            for b, top, rest in upper:
-                pivots[b] = pivots[rest] | step(stored[rest], cols[top])[0]
-            pattern = bytes(pivots)
-            patterns[pattern] = patterns.get(pattern, 0) + 1
-        return patterns
-
-    def _count(self, patterns: Mapping[bytes, int]) -> list[dict[int, int]]:
+    def _count(self, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
         # the counting kernel of the class docstring
         n, nperms, (fmt, size) = self.n, self.nperms, self._field
         full = (1 << n) - 1
@@ -701,29 +824,20 @@ class _Geometry:
         # byte k of the field of every pivot mask, as a translation table
         fields = [_chain_name([m], n).to_bytes(size, order) for m in range(256)]
         planes = [bytes(f[k] for f in fields) for k in range(size)]
-        groups: dict[int, list[bytes]] = {}
-        for pattern, weight in patterns.items():
-            groups.setdefault(weight, []).append(pattern)
         out: list[dict[int, int]] = [dict() for _ in range(nperms * nperms)]
-        for weight, group in groups.items():
-            # one buffer of packed columns: field p of subset b's column,
-            # at byte (b * len(group) + p) * size, names Q(b) of pattern p
-            table = b"".join(group)
-            masks = b"".join(table[b::full] for b in range(full))
-            del table
-            span = len(group) * size
+        for weight, masks in groups.items():
+            # field p of subset b's packed column names Q(b) of pattern p;
+            # every column is read into one int once
+            span = len(masks) // full * size
             packed = bytearray(len(masks) * size)
             for k, plane in enumerate(planes):
                 packed[k::size] = masks.translate(plane)
-            del masks
-            view = memoryview(packed)
-
-            def column(b: int) -> int:
-                return int.from_bytes(view[b * span : (b + 1) * span], order)
-
-            y_column = sum(map(column, chains[0])) << shift
+            column = [int.from_bytes(packed[b * span : (b + 1) * span], order)
+                      for b in range(full)]
+            del packed
+            y_column = sum(column[b] for b in chains[0]) << shift
             for z, subsets in enumerate(chains):
-                acc = y_column + sum(map(column, subsets))
+                acc = y_column + sum(column[b] for b in subsets)
                 keys = Counter(memoryview(acc.to_bytes(span, order)).cast(fmt))
                 for key, c in keys.items():
                     counts = out[x_keys[key & low] + y_keys[key >> shift]]

@@ -176,15 +176,16 @@ class Block:
         apply = self.apply
         for t in range(len(self.tableaux)):
             e = {t: 1}
+            # A_j e, built once per column
+            ae = {j: apply(j, e) for j in range(1, m + 1)}
             for i in range(1, m + 1):
-                ae = apply(i, e)
-                want = _combine((q0 - 1) * big_d, ae, q0 * big_d * big_d, e)
-                if apply(i, ae) != want:
+                want = _combine((q0 - 1) * big_d, ae[i], q0 * big_d * big_d, e)
+                if apply(i, ae[i]) != want:
                     return f"(T{i} - q)(T{i} + 1) = 0"
-                if i < m and apply(i, apply(i + 1, ae)) != apply(i + 1, apply(i, apply(i + 1, e))):
+                if i < m and apply(i, apply(i + 1, ae[i])) != apply(i + 1, apply(i, ae[i + 1])):
                     return f"T{i} T{i + 1} T{i} = T{i + 1} T{i} T{i + 1}"
                 for j in range(i + 2, m + 1):
-                    if apply(j, ae) != apply(i, apply(j, e)):
+                    if apply(j, ae[i]) != apply(i, ae[j]):
                         return f"T{i} T{j} = T{j} T{i}"
         return None
 

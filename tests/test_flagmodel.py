@@ -518,7 +518,7 @@ def test_convolution_matches_middle_flag_oracle():
     # sum over M of h(M, V) is sum_y h(y) q^l(y) = 0 for these h, so the
     # all-ones function times h vanishes although no product is zero
     cancelling = {(3, 2): (2, 1, 2, 1, 1, -2), (3, 3): (3, 1, 1, 1, 1, -1)}
-    # both row backends: packed F_2 and lists mod q
+    # both row backends: byte lanes over F_2 and lists mod q
     for n, q in ((2, 2), (3, 2), (3, 3), (3, 5)):
         perms = enumerate_perms(n)
         tables = _conv_tables_oracle(n, q)
@@ -578,24 +578,85 @@ def test_convolution_bilinear_associative():
 
 
 def test_convolution_debug_representative_agrees():
-    # both row backends: packed F_2 and lists mod q
+    # both row backends: byte lanes over F_2 and lists mod q
     for n, q in ((3, 3), (3, 2), (4, 2)):
         got = convolve(f1(n, q), f1(n, q), debug=True)
         assert got == convolve(f1(n, q), f1(n, q))
 
 
-def test_packed_f2_backend_matches_generic(monkeypatch):
-    def generic_rows(q):
-        return list, lambda stored, col: flagmodel._step_generic(stored, col, q)
+def _unlane(lanes, count):
+    # the column lists of every flag: byte f of lanes[j][i] is entry i
+    # of column j of flag f
+    planes = [[x.to_bytes(count, "little") for x in col] for col in lanes]
+    return [[[p[f] for p in col] for col in planes] for f in range(count)]
 
-    for n in (3, 4):
-        packed = flagmodel._Geometry(n, 2)
+
+def _relane(columns):
+    # the inverse of _unlane
+    n = len(columns[0])
+    return [[int.from_bytes(bytes(cols[j][i] for cols in columns), "little") for i in range(n)]
+            for j in range(n)]
+
+
+def _flag_chains(geo, chains):
+    # the column lists of every flag, from either backend's layout
+    if geo.q == 2:
+        return _unlane(chains, flag_count(geo.n, 2))
+    return list(chains)
+
+
+def _patterns(geo, groups):
+    """Every flag's pattern, byte b = Q(b), with its weight, from the buffers."""
+    full = (1 << geo.n) - 1
+    patterns = {}
+    for weight, masks in groups.items():
+        count = len(masks) // full
+        for p in range(count):
+            pattern = masks[p::count]
+            patterns[pattern] = patterns.get(pattern, 0) + weight
+    return patterns
+
+
+def test_chain_lanes_match_chain_bases(monkeypatch):
+    # entry by entry, in the flag order of _chain_bases
+    for n in range(1, 6):
+        expected = [[list(c) for c in zip(*basis)] for basis in flagmodel._chain_bases(n, 2)]
+        lanes = flagmodel._chain_lanes(n)
+        assert _unlane(lanes, flag_count(n, 2)) == expected, n
+        assert _relane(expected) == lanes, n
+    monkeypatch.setattr(flagmodel, "flag_count", lambda n, q: 22)
+    with pytest.raises(ArithmeticError, match="enumerated 21 flags, expected 22"):
+        flagmodel._chain_lanes(3)
+
+
+def test_packed_f2_backend_matches_generic(monkeypatch):
+    # the lane lattice against the flag-by-flag one at q = 2, on the
+    # chain matrices and on their moved copies of the debug rebuild
+    for n in range(1, 6):
+        lanes = flagmodel._Geometry(n, 2)
         with monkeypatch.context() as m:
-            m.setattr(flagmodel, "_row_backend", generic_rows)
+            m.setattr(flagmodel, "_row_backend", flagmodel._flag_backend)
             generic = flagmodel._Geometry(n, 2)
-            generic_tensor = generic.tensor(debug=True)
-        assert packed._columns != generic._columns
-        assert packed.tensor(debug=True) == generic_tensor
+        assert _flag_chains(lanes, lanes._chains) == generic._chains, n
+        moved = lanes._debug_chains()
+        generic_moved = list(generic._debug_chains())
+        assert _flag_chains(lanes, moved) == generic_moved, n
+        for chains, generic_chains in ((lanes._chains, generic._chains), (moved, generic_moved)):
+            got, want = lanes._masks(chains), generic._masks(generic_chains)
+            assert _patterns(lanes, got) == _patterns(generic, want), n
+            assert lanes._count(got) == generic._count(want) == lanes.tensor(), n
+
+
+def test_lattices_refuse_dependent_columns():
+    # column 2 of one flag repeats its column 1, so the subset {1, 2}
+    # has no new pivot there
+    n = 3
+    columns = _unlane(flagmodel._chain_lanes(n), flag_count(n, 2))
+    columns[5][2] = columns[5][1]
+    with pytest.raises(ArithmeticError, match="dependent columns have no pivot"):
+        flagmodel._lane_masks(_relane(columns), n)
+    with pytest.raises(ArithmeticError, match="dependent columns have no pivot"):
+        flagmodel._flag_masks(columns, n, 2)
 
 
 def _label_chain(image, n):
@@ -631,9 +692,10 @@ def test_counting_kernel_matches_the_scatter():
     weight_groups = set()
     for n, q in FLAG_GRID:
         geo = flagmodel._geometry(n, q, flagmodel.FLAG_BUDGET)
-        patterns = geo._patterns(geo._columns)
+        groups = geo._masks(geo._chains)
+        patterns = _patterns(geo, groups)
         assert sum(patterns.values()) == flag_count(n, q)
-        weight_groups.add(len(set(patterns.values())))
+        weight_groups.add(len(groups))
         assert geo.tensor() == _scatter(geo, patterns), (n, q)
     # patterns of several weights are counted in separate groups
     assert max(weight_groups) > 1
@@ -660,6 +722,7 @@ def test_counting_field_width_guard(monkeypatch):
         raise AssertionError("flags or labels were enumerated")
 
     monkeypatch.setattr(flagmodel, "_chain_bases", refuse)
+    monkeypatch.setattr(flagmodel, "_chain_lanes", refuse)
     monkeypatch.setattr(flagmodel, "enumerate_perms", refuse)
     with pytest.raises(ValueError, match="72 bits, over 64"):
         flagmodel._Geometry(9, 2)
@@ -673,12 +736,15 @@ def test_debug_rebuild_moves_every_chain_matrix():
         if n < 2:
             continue
         geo = flagmodel._geometry(n, q, flagmodel.FLAG_BUDGET)
-        moved = list(geo._debug_columns())
-        assert len(moved) == len(geo._columns), (n, q)
-        assert all(a != b for a, b in zip(moved, geo._columns)), (n, q)
-        patterns = geo._patterns(moved)
-        assert geo._count(patterns) == geo.tensor(), (n, q)
-        assert _scatter(geo, patterns) == geo.tensor(), (n, q)
+        moved = geo._debug_chains()
+        if q != 2:
+            moved = list(moved)
+        before, after = _flag_chains(geo, geo._chains), _flag_chains(geo, moved)
+        assert len(after) == len(before), (n, q)
+        assert all(a != b for a, b in zip(after, before)), (n, q)
+        groups = geo._masks(moved)
+        assert geo._count(groups) == geo.tensor(), (n, q)
+        assert _scatter(geo, _patterns(geo, groups)) == geo.tensor(), (n, q)
 
 
 def test_fast_lattice_shares_no_code_with_the_kernel(monkeypatch):

@@ -374,6 +374,11 @@ def test_block_checks_catch_broken_blocks():
     block = Block((3, 2), 2)
     block.gens[1][0][0] += 1
     assert block.relation_failure() == "T1 T2 T1 = T2 T1 T2"
+    # T1 changed at the second tableau, which the first column's checks
+    # reach first through T3: the commutation is the first broken relation
+    block = Block((3, 1), 1)
+    block.gens[0][0][1] += 1
+    assert block.relation_failure() == "T1 T3 = T3 T1"
     # relabeling two tableaux conjugates every generator, so the relations
     # hold, but L_k no longer acts by the contents of its tableaux
     block = Block((2, 1), 3)
