@@ -34,7 +34,6 @@ from .flagmodel import (
     FLAG_BUDGET,
     BudgetExceeded,
     Flag,
-    FqMatrix,
     OrbitFn,
     Subspace,
     compare_structure_constants,
@@ -67,7 +66,7 @@ __all__ = [
     "Perm", "compose", "cycle_element", "enumerate_perms",
     "HeckeElt", "simple_times_basis", "mul", "basis_times", "tau", "tau_times",
     "wallach_product", "specialize", "group_mul", "wallach_group_product", "left_mult_matrix",
-    "FLAG_BUDGET", "BudgetExceeded", "FqMatrix", "Subspace", "Flag",
+    "FLAG_BUDGET", "BudgetExceeded", "Subspace", "Flag",
     "flag_count", "enumerate_flags", "relative_position", "representative_pair",
     "OrbitFn", "f1", "f_t", "in_x_t", "convolve",
     "verify_lemma3", "verify_factorization", "verify_span_commutativity",

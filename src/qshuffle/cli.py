@@ -5,7 +5,7 @@ Subcommands:
     qshuffle verify {hecke-identity,group-identity,lemma3,factorization,
                      span,structure-constants} [--n N] [--q LIST] ...
     qshuffle multiplicities [--n N] [--q LIST] [--allow-large]
-    qshuffle all
+    qshuffle all [--q LIST] [--budget B] [--debug-orbit-checks]
 
 Results go to stdout as human-readable text or as a stable JSON
 document (--format json); diagnostics go to stderr.  Exit status is 0
@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .flagmodel import (
@@ -35,14 +35,23 @@ from .spectral import verify_multiplicities
 
 __all__ = ["main"]
 
-_VERIFY_CHECKS = (
-    "hecke-identity",
-    "group-identity",
-    "lemma3",
-    "factorization",
-    "span",
-    "structure-constants",
-)
+
+def _flag_checks() -> dict[str, Callable[..., CheckResult]]:
+    """The flag checks, each called as check(n, q, budget=, debug=), and
+    lemma3 also with t_values=; `all` runs them in this order.
+
+    Built on each call, so a function rebound in this module (a test's
+    stub, a tracer's wrapper) is the one that runs.
+    """
+    return {
+        "lemma3": verify_lemma3,
+        "factorization": verify_factorization,
+        "span": verify_span_commutativity,
+        "structure-constants": compare_structure_constants,
+    }
+
+
+_VERIFY_CHECKS = ("hecke-identity", "group-identity", *_flag_checks())
 _VERIFY_Q = "2,3"
 # the verify options each check reads; the flag checks not listed read
 # _FLAG_OPTIONS
@@ -102,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--t", help="t values for lemma3, e.g. 3 or 1,2,4 or 1:5")
     pv.add_argument("--budget", type=int,
                     help=f"max number of flags to enumerate (default {FLAG_BUDGET})")
-    pv.add_argument("--debug-orbit-checks", action="store_true",
+    pv.add_argument("--debug-orbit-checks", action="store_true", default=None,
                     help="recheck the structure tensor on second orbit representatives")
 
     pm = sub.add_parser("multiplicities", help="eigenvalue multiplicities of tau")
@@ -140,7 +149,7 @@ def _refuse_ignored(args: argparse.Namespace) -> None:
     ignored = [
         "--" + name.replace("_", "-")
         for name in ("q", "t", "budget", "debug_orbit_checks")
-        if name not in reads and getattr(args, name) not in (None, False)
+        if name not in reads and getattr(args, name) is not None
     ]
     if ignored:
         raise ValueError(f"{args.check} does not take {', '.join(ignored)}")
@@ -155,20 +164,11 @@ def _run_verify(args: argparse.Namespace) -> list[CheckResult]:
     if check == "group-identity":
         return [_check_group_identity(n)]
     qs = _parse_ints(args.q if args.q is not None else _VERIFY_Q, "q")
-    ts = _parse_t_range(args.t) if args.t is not None else None
+    # _refuse_ignored let --t through for lemma3 only
+    ts = {"t_values": _parse_t_range(args.t)} if args.t is not None else {}
     budget = args.budget if args.budget is not None else FLAG_BUDGET
-    debug = args.debug_orbit_checks
-    out = []
-    for q in qs:
-        if check == "lemma3":
-            out.append(verify_lemma3(n, q, ts, budget, debug))
-        elif check == "factorization":
-            out.append(verify_factorization(n, q, budget, debug))
-        elif check == "span":
-            out.append(verify_span_commutativity(n, q, budget, debug))
-        else:
-            out.append(compare_structure_constants(n, q, budget, debug))
-    return out
+    run = _flag_checks()[check]
+    return [run(n, q, budget=budget, debug=bool(args.debug_orbit_checks), **ts) for q in qs]
 
 
 def _run_all(args: argparse.Namespace) -> list[CheckResult]:
@@ -181,10 +181,7 @@ def _run_all(args: argparse.Namespace) -> list[CheckResult]:
         results.append(_check_group_identity(n))
     for n in (2, 3, 4):
         for q in qs:
-            results.append(verify_lemma3(n, q, None, budget, debug))
-            results.append(verify_factorization(n, q, budget, debug))
-            results.append(verify_span_commutativity(n, q, budget, debug))
-            results.append(compare_structure_constants(n, q, budget, debug))
+            results.extend(run(n, q, budget=budget, debug=debug) for run in _flag_checks().values())
     for n in (2, 3, 4):
         results.append(verify_multiplicities(n, qs))
     return results

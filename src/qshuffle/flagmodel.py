@@ -39,7 +39,6 @@ import math
 import operator
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -52,7 +51,6 @@ from .symgroup import Perm, enumerate_perms
 __all__ = [
     "BudgetExceeded",
     "FLAG_BUDGET",
-    "FqMatrix",
     "Subspace",
     "Flag",
     "flag_count",
@@ -139,18 +137,6 @@ def _rref_extend(
             )
     out[j] = tuple(new)
     return out
-
-
-def _invert_mod(rows: Sequence[Sequence[int]], q: int) -> list[tuple[int, ...]]:
-    """Inverse of a square invertible matrix over F_q: the right block of rref [A | I]."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix is not square")
-    red = _rref([[*row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)], q)
-    # [A | I] has rank n; A is invertible iff all n pivots lie in A
-    if red and red[-1].index(1) != n - 1:
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
 
 
 # ---------------------------------------------------------------------------
@@ -394,49 +380,7 @@ def _row_backend(q: int) -> tuple[Callable, Callable, Callable]:
 
 
 # ---------------------------------------------------------------------------
-# matrices, subspaces, flags
-
-
-@dataclass(frozen=True)
-class FqMatrix:
-    """A matrix over F_q with entries reduced mod q."""
-
-    q: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def make(cls, rows: Iterable[Sequence[int]], q: int) -> "FqMatrix":
-        _require_prime(q)
-        reduced = tuple(tuple(x % q for x in row) for row in rows)
-        if reduced and any(len(r) != len(reduced[0]) for r in reduced):
-            raise ValueError("ragged matrix")
-        return cls(q, reduced)
-
-    @classmethod
-    def identity(cls, n: int, q: int) -> "FqMatrix":
-        return cls.make([[int(i == j) for j in range(n)] for i in range(n)], q)
-
-    def rank(self) -> int:
-        return len(_echelon(self.rows, self.q))
-
-    def is_invertible(self) -> bool:
-        return bool(self.rows) and len(self.rows) == len(self.rows[0]) == self.rank()
-
-    def inverse(self) -> "FqMatrix":
-        return FqMatrix(self.q, tuple(_invert_mod(self.rows, self.q)))
-
-    def __matmul__(self, other: "FqMatrix") -> "FqMatrix":
-        if self.q != other.q:
-            raise ValueError("field mismatch")
-        if self.rows and len(self.rows[0]) != len(other.rows):
-            raise ValueError("inner dimensions differ")
-        return FqMatrix(self.q, tuple(tuple(r) for r in _matmul_mod(self.rows, other.rows, self.q)))
-
-    def apply_to_row(self, v: Sequence[int]) -> tuple[int, ...]:
-        """Row vector times the matrix."""
-        if len(v) != len(self.rows):
-            raise ValueError(f"row vector of length {len(v)} for {len(self.rows)} rows")
-        return tuple(_matmul_mod([v], self.rows, self.q)[0])
+# subspaces and flags
 
 
 class Subspace:
@@ -481,9 +425,6 @@ class Subspace:
         if (self.ambient, self.q) != (other.ambient, other.q):
             raise ValueError("subspaces of different spaces")
         return all(other.contains_vector(r) for r in self.rows)
-
-    def transformed(self, g: FqMatrix) -> "Subspace":
-        return Subspace([g.apply_to_row(r) for r in self.rows], self.ambient, self.q)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
@@ -560,13 +501,6 @@ class Flag:
         if i == self.n:
             return _end_steps(self.n, self.q)[1]
         return self.steps[i - 1]
-
-    def transformed(self, g: FqMatrix) -> "Flag":
-        if g.q != self.q:
-            raise ValueError("field mismatch")
-        if not g.is_invertible():
-            raise ValueError("flags only transform under invertible matrices")
-        return Flag([s.transformed(g) for s in self.steps], self.q)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Flag):

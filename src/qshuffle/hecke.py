@@ -369,6 +369,16 @@ def _retained_ks(n: int) -> list[int]:
     return [k for k in range(1, n + 1) if k != n - 1]
 
 
+def _factors(n: int, omit: int | None) -> list[int]:
+    # the factors of the product in the order they are applied, less
+    # `omit`: k stands for (tau - [k]_q), and 0 for the leading tau,
+    # which is tau - [0]_q
+    ks = _retained_ks(n)
+    if omit is not None and omit != 0 and omit not in ks:
+        raise ValueError(f"omit must be 0 or one of {ks}, got {omit}")
+    return [k for k in (0, *ks) if k != omit]
+
+
 def _kronecker_bits(n: int, omit: int | None) -> int:
     # B with every coefficient of wallach_product(n, omit) below 2^(B-1)
     # in absolute value; the bound is proven in wallach_product
@@ -416,17 +426,11 @@ def wallach_product(n: int, omit: int | None = None) -> HeckeElt:
     and B = bit_length(bound) + 2 leaves a factor of two to spare:
     B = 66 at n = 7 and 87 at n = 8.
     """
-    ks = _retained_ks(n)
-    if omit is not None and omit != 0 and omit not in ks:
-        raise ValueError(f"omit must be 0 or one of {ks}, got {omit}")
+    factors = _factors(n, omit)
     bits = _kronecker_bits(n, omit)
     q = 1 << bits
     prod = {Perm.identity(n).image: 1}
-    if omit != 0:
-        prod = _tau_walk(n, prod, q)
-    for k in ks:
-        if k == omit:
-            continue
+    for k in factors:
         qk = (q**k - 1) // (q - 1)
         shifted = _tau_walk(n, prod, q)
         for u, c in prod.items():
@@ -494,14 +498,11 @@ def wallach_group_product(n: int, omit: int | None = None) -> dict[Perm, int]:
     >>> wallach_group_product(3, omit=3) == dict.fromkeys(enumerate_perms(3), 1)
     True
     """
-    ks = _retained_ks(n)
-    if omit is not None and omit != 0 and omit not in ks:
-        raise ValueError(f"omit must be 0 or one of {ks}, got {omit}")
+    factors = _factors(n, omit)
     pulls = _shuffle_pulls(n)
     # the identity leads the lexicographic order
     vec = [1] + [0] * (math.factorial(n) - 1)
-    # the leading shuffle is the factor with k = 0
-    for k in [j for j in [0, *ks] if j != omit]:
+    for k in factors:
         get = vec.__getitem__
         terms = [map(get, pull) for pull in pulls]
         # the g = n cycle is the identity, so its term joins -k x

@@ -42,13 +42,13 @@ the step is per shape, the partition lam:
   each equals its nullity over Q.
 
 The blocks are at most 6 x 6 at n = 5, 35 x 35 at n = 7 and 90 x 90 at
-n = 8.  `tau_matrix` and `_certified_nullities`, which take each nullity
-of M itself with one n! x n! elimination mod p, are the oracle of the
-tests, not on the multiplicity path.  `rank` (fraction-free
-Bareiss elimination over Z) stays for the span ranks of the flag model
-and as the oracle of the tests.  The elimination mod p, `_reduce`, is
-the one kernel of the package: the literal flag layer (rref, subspaces,
-intersection dimensions) runs on it too.
+n = 8.  `tau_matrix`, the matrix M itself, is the oracle of the tests
+(one n! x n! elimination mod p per eigenvalue), not on the
+multiplicity path.  `rank` (fraction-free Bareiss elimination over Z)
+stays for the span ranks of the flag model and as the oracle of the
+tests.  The elimination mod p, `_reduce`, is the one kernel of the
+package: the literal flag layer (rref, subspaces, intersection
+dimensions) runs on it too.
 """
 
 from __future__ import annotations
@@ -250,40 +250,6 @@ def tau_matrix(n: int, q0: int) -> tuple[tuple[int, ...], ...]:
     images = [w.image for w in enumerate_perms(n)]
     cols = [_tau_walk(n, {w: 1}, q0) for w in images]
     return tuple(tuple(col.get(u, 0) for col in cols) for u in images)
-
-
-@functools.lru_cache(maxsize=None, typed=True)
-def _certified_nullities(n: int, q0: int) -> tuple[int, ...]:
-    """nullity(M - [k]_{q0} I) over Q for k = 0..n, M = tau_matrix(n, q0).
-
-    The oracle of _block_nullities: the annihilator makes M
-    diagonalizable over Q, then each nullity of M itself is taken mod
-    _CERT_PRIME and their sum must be n!.  Raises CertificateError
-    otherwise.
-    """
-    m = tau_matrix(n, q0)
-    annihilator = wallach_product(n)
-    if not annihilator.is_zero():
-        raise CertificateError(
-            f"tau * prod(tau - [k]_q) is not zero at n={n}",
-            {"surviving_terms": len(annihilator.terms)},
-        )
-    size = math.factorial(n)
-    p = _CERT_PRIME
-    nullities = []
-    for k in range(n + 1):
-        c = q_int(k)(q0)
-        shifted = [list(row) for row in m]
-        for i, row in enumerate(shifted):
-            row[i] -= c
-        nullities.append(size - rank_mod(shifted, p))
-    total = sum(nullities)
-    if total != size:
-        raise CertificateError(
-            f"nullities mod {p} sum to {total}, not {size}, at n={n}, q0={q0}",
-            {"prime": p, "sum": total, "expected_sum": size},
-        )
-    return tuple(nullities)
 
 
 @functools.lru_cache(maxsize=None)

@@ -46,6 +46,9 @@ def test_options_a_check_ignores_are_refused(capsys):
     refused = [
         (["verify", "hecke-identity", "--n", "3", "--q", "4"], "--q"),
         (["verify", "hecke-identity", "--n", "3", "--budget", "10"], "--budget"),
+        # 0 == False must not pass for an option left out
+        (["verify", "hecke-identity", "--n", "3", "--budget", "0"], "--budget"),
+        (["verify", "group-identity", "--n", "3", "--budget", "0"], "--budget"),
         (["verify", "group-identity", "--n", "3", "--t", "1"], "--t"),
         (["verify", "group-identity", "--n", "3", "--q", "2"], "--q"),
         (["verify", "hecke-identity", "--n", "3", "--debug-orbit-checks"],

@@ -2,6 +2,7 @@
 
 import doctest
 import random
+import re
 
 import pytest
 
@@ -116,6 +117,20 @@ def test_wallach_product_minimality_small():
             assert prod.is_zero() == (omit is None), (n, omit)
     with pytest.raises(ValueError):
         wallach_product(3, omit=2)  # k = n-1 is not a factor
+
+
+def test_omit_refusal_is_shared():
+    # both products refuse an omit that names no factor, with one message,
+    # and accept the full product, the leading tau and every retained k
+    for n in (3, 4):
+        retained = [k for k in range(1, n + 1) if k != n - 1]
+        for product in (wallach_product, wallach_group_product):
+            for bad in (n - 1, n + 1, -1):
+                message = f"omit must be 0 or one of {retained}, got {bad}"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    product(n, omit=bad)
+            for omit in [None, 0] + retained:
+                product(n, omit=omit)
 
 
 def test_kronecker_bits_bound_the_oracle():

@@ -17,7 +17,6 @@ from qshuffle.spectral import (
     _CERT_PRIME,
     _MR_LIMIT,
     _block_nullities,
-    _certified_nullities,
     _is_prime,
     _surviving_terms,
     multiplicity,
@@ -281,8 +280,24 @@ def test_large_n_gate(monkeypatch):
 
 
 def _clear_caches():
-    for cached in (_block_nullities, _certified_nullities, _surviving_terms):
+    for cached in (_block_nullities, _surviving_terms):
         cached.cache_clear()
+
+
+def _regular_nullities(n, q0):
+    # the n! x n! oracle of the blocks: n! - rank mod p of M - [k]_{q0} I
+    # for each k, M = tau_matrix(n, q0); the nullities must sum to n!
+    m = tau_matrix(n, q0)
+    size = math.factorial(n)
+    nullities = []
+    for k in range(n + 1):
+        c = q_int(k)(q0)
+        shifted = [list(row) for row in m]
+        for i, row in enumerate(shifted):
+            row[i] -= c
+        nullities.append(size - rank_mod(shifted, _CERT_PRIME))
+    assert sum(nullities) == size, (n, q0, nullities)
+    return tuple(nullities)
 
 
 def test_certificate_needs_no_bareiss(monkeypatch):
@@ -296,7 +311,7 @@ def test_certificate_needs_no_bareiss(monkeypatch):
     try:
         for n in (1, 2, 3, 4):
             for q0 in (1, 2):
-                for nullities in (_certified_nullities, _block_nullities):
+                for nullities in (_regular_nullities, _block_nullities):
                     got = nullities(n, q0)
                     assert len(got) == n + 1
                     assert sum(got) == math.factorial(n)
@@ -317,7 +332,7 @@ def test_certified_matches_bareiss_oracle():
             for i in range(len(shifted)):
                 shifted[i][i] -= c
             want.append(math.factorial(n) - rank(shifted))
-        assert list(_certified_nullities(n, q0)) == want, (n, q0)
+        assert list(_regular_nullities(n, q0)) == want, (n, q0)
         assert [multiplicity(n, k, q0) for k in range(n + 1)] == want
 
 
@@ -325,7 +340,7 @@ def test_blocks_match_the_regular_representation():
     # the n! x n! eliminations of M itself are the oracle of the blocks
     for n in range(1, 6):
         for q0 in (1, 2, 3, 5):
-            assert _block_nullities(n, q0) == _certified_nullities(n, q0), (n, q0)
+            assert _block_nullities(n, q0) == _regular_nullities(n, q0), (n, q0)
 
 
 def test_n_seven_and_eight_never_build_the_regular_matrix(monkeypatch, capsys):
@@ -333,7 +348,6 @@ def test_n_seven_and_eight_never_build_the_regular_matrix(monkeypatch, capsys):
         raise AssertionError("an n! x n! matrix was built")
 
     monkeypatch.setattr(spectral, "tau_matrix", refuse)
-    monkeypatch.setattr(spectral, "_certified_nullities", refuse)
     for n in (7, 8):
         result = verify_multiplicities(n, (1, 2, 3))
         assert result.passed, result.details
