@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .hecke import _basis_walk, tau
 from .polyring import q_int
 from .report import CheckResult
-from .spectral import _echelon, _is_prime, _reduce, rank
+from .spectral import _add_row, _echelon, _is_prime, _reduce, rank
 from .symgroup import Perm, enumerate_perms
 
 __all__ = [
@@ -89,57 +89,6 @@ def _require_prime(q: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# row reduction over F_q
-
-
-def _rref(rows: Iterable[Sequence[int]], q: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical reduced row echelon form; zero rows dropped.
-
-    The rows are added one at a time by _rref_extend.
-    """
-    pivots: dict[int, tuple[int, ...]] = {}
-    for row in rows:
-        pivots = _rref_extend(pivots, row, q)
-    return _rref_rows(pivots)
-
-
-def _rref_rows(pivots: Mapping[int, tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    # the full rows of reduced echelon tails keyed by their leads
-    return tuple((0,) * i + pivots[i] for i in sorted(pivots))
-
-
-def _rref_extend(
-    pivots: dict[int, tuple[int, ...]], v: Sequence[int], q: int
-) -> dict[int, tuple[int, ...]]:
-    """The reduced echelon rows of span(pivots, v), keyed as _reduce keys them.
-
-    `pivots` holds reduced echelon rows, each as its tail from its lead
-    on; it is not changed.  One _reduce call brings v to a new lead j,
-    then v is cleared at the later leads and j is cleared from the
-    earlier rows, so the result is again reduced.
-    """
-    w = [x % q for x in v]
-    j = _reduce(w, pivots, q)
-    if j == len(w):
-        return pivots
-    new = w[j:]
-    if new[0] != 1:
-        inv = pow(new[0], -1, q)
-        new = [(x * inv) % q for x in new]
-    for lead, tail in pivots.items():
-        if lead > j and (c := new[lead - j]):
-            new[lead - j :] = [(x - c * y) % q for x, y in zip(new[lead - j :], tail)]
-    out = dict(pivots)
-    for lead, tail in pivots.items():
-        if lead < j and (c := tail[j - lead]):
-            out[lead] = tail[: j - lead] + tuple(
-                (x - c * y) % q for x, y in zip(tail[j - lead :], new)
-            )
-    out[j] = tuple(new)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # pivot profiles: the fast route to a relative position
 #
 # Let C be the chain matrix of a middle flag M: row i is the i-th chain
@@ -172,7 +121,7 @@ def _rref_extend(
 # every flag; the tests check the lanes against _chain_bases, which
 # grows the same bases one flag at a time.  Other q run the lattice
 # flag by flag on lists mod q, with _step_generic.  Neither shares code
-# with the elimination kernel of the literal layer (_rref, Subspace,
+# with the elimination kernel of the literal layer (Subspace, Flag,
 # relative_position), which is their oracle in the tests.
 
 
@@ -384,9 +333,17 @@ def _row_backend(q: int) -> tuple[Callable, Callable, Callable]:
 
 
 class Subspace:
-    """A subspace of F_q^n held in canonical reduced row echelon form."""
+    """A subspace of F_q^n held as an echelon basis.
 
-    __slots__ = ("ambient", "q", "rows", "_pivots")
+    `pivots` maps the lead of each basis row to its tail from the lead
+    on, with a leading 1, as the elimination kernel (_reduce, _echelon)
+    keys them.  The basis is not canonical: two spanning sets of one
+    space may give different tails.  Every echelon basis of a space has
+    the same set of leads, so equality and hashing read that set, and
+    equal lead sets with different tails are told apart by containment.
+    """
+
+    __slots__ = ("ambient", "q", "pivots")
 
     def __init__(self, vectors: Iterable[Sequence[int]], ambient: int, q: int) -> None:
         _require_prime(q)
@@ -396,28 +353,28 @@ class Subspace:
                 raise ValueError(f"vector of length {len(v)} in F_q^{ambient}")
         self.ambient = ambient
         self.q = q
-        self.rows: tuple[tuple[int, ...], ...] = _rref(vecs, q)
-        self._pivots: dict[int, Sequence[int]] | None = None
+        self.pivots: dict[int, tuple[int, ...]] = _echelon(vecs, q)
 
     @classmethod
-    def _make(cls, ambient: int, q: int, rref_rows: tuple[tuple[int, ...], ...]) -> "Subspace":
+    def _make(cls, ambient: int, q: int, pivots: dict[int, tuple[int, ...]]) -> "Subspace":
         s = object.__new__(cls)
-        s.ambient, s.q, s.rows, s._pivots = ambient, q, rref_rows, None
+        s.ambient, s.q, s.pivots = ambient, q, pivots
         return s
 
     @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The echelon basis as full rows, by increasing lead."""
+        return tuple((0,) * i + self.pivots[i] for i in sorted(self.pivots))
+
+    @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def contains_vector(self, v: Sequence[int]) -> bool:
         if len(v) != self.ambient:
             raise ValueError(f"vector of length {len(v)} in F_q^{self.ambient}")
-        # the rref rows keyed by their leads, as _reduce reads them, are
-        # built once: __le__ and in_x_t ask the same step many times
-        if self._pivots is None:
-            self._pivots = {(i := row.index(1)): row[i:] for row in self.rows}
         w = [x % self.q for x in v]
-        return _reduce(w, self._pivots, self.q) == len(w)
+        return _reduce(w, self.pivots, self.q) == len(w)
 
     def __le__(self, other: "Subspace") -> bool:
         if not isinstance(other, Subspace):
@@ -429,10 +386,15 @@ class Subspace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (self.ambient, self.q, self.rows) == (other.ambient, other.q, other.rows)
+        if (self.ambient, self.q) != (other.ambient, other.q) or (
+            self.pivots.keys() != other.pivots.keys()
+        ):
+            return False
+        # one lead set, so one dimension: equal tails or containment
+        return self.pivots == other.pivots or self <= other
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.q, self.rows))
+        return hash((self.ambient, self.q, frozenset(self.pivots)))
 
     def __repr__(self) -> str:
         return f"<Subspace dim {self.dim} of F_{self.q}^{self.ambient}>"
@@ -470,17 +432,13 @@ class Flag:
     @classmethod
     def from_basis(cls, vectors: Iterable[Sequence[int]], q: int) -> "Flag":
         """The flag whose step i is the span of the first i vectors."""
+        _require_prime(q)
         vecs = [tuple(v) for v in vectors]
         n = len(vecs)
-        steps = []
-        for i in range(1, n):
-            sub = Subspace(vecs[:i], n, q)
-            if sub.dim != i:
-                raise ValueError("vectors are linearly dependent")
-            steps.append(sub)
-        if len(_echelon(vecs, q)) != n:
-            raise ValueError("vectors are linearly dependent")
-        return cls(steps, q) if n > 1 else cls._make(q, n, ())
+        for v in vecs:
+            if len(v) != n:
+                raise ValueError(f"vector of length {len(v)} in a basis of F_q^{n}")
+        return cls._make(q, n, _flag_steps(vecs, q))
 
     @classmethod
     def standard(cls, n: int, q: int) -> "Flag":
@@ -514,20 +472,36 @@ class Flag:
         return f"<Flag in F_{self.q}^{self.n}>"
 
 
+def _flag_steps(basis: Sequence[Sequence[int]], q: int) -> tuple[Subspace, ...]:
+    """The proper steps span(b_1, ..., b_i), i < n, of a basis of F_q^n.
+
+    Each vector takes one _add_row call, so step i holds the first i
+    echelon rows and the steps are nested by construction.  Raises
+    ValueError when a vector depends on the ones before it.
+    """
+    n = len(basis)
+    pivots: dict[int, tuple[int, ...]] = {}
+    steps = []
+    for v in basis:
+        if _add_row(pivots, v, q) == n:
+            raise ValueError("vectors are linearly dependent")
+        if len(pivots) < n:
+            steps.append(Subspace._make(n, q, dict(pivots)))
+    return tuple(steps)
+
+
 @lru_cache(maxsize=None)
 def _end_steps(n: int, q: int) -> tuple[Subspace, Subspace]:
     # the zero space and the whole space of F_q^n, one pair per (n, q):
-    # relative_position asks every flag for them, and a shared pair keeps
-    # the pivots that contains_vector caches on it
-    full = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
-    return Subspace._make(n, q, ()), Subspace._make(n, q, full)
+    # relative_position asks every flag for them
+    full = {i: (1,) + (0,) * (n - 1 - i) for i in range(n)}
+    return Subspace._make(n, q, {}), Subspace._make(n, q, full)
 
 
 @lru_cache(maxsize=None, typed=True)
 def _coordinate_flag(image: tuple[int, ...], q: int) -> Flag:
-    # one flag per (image, q): f1 and f_t ask for every coordinate flag,
-    # and a shared flag keeps the pivots that contains_vector caches on
-    # its steps
+    # one flag per (image, q), built once: every f1 and f_t call asks
+    # for all n! coordinate flags
     n = len(image)
     return Flag.from_basis([[int(j == image[i] - 1) for j in range(n)] for i in range(n)], q)
 
@@ -545,8 +519,9 @@ def flag_count(n: int, q: int) -> int:
 def _check_budget(n: int, q: int, budget: int) -> int:
     """The flag count of F_q^n; BudgetExceeded when it is over `budget`.
 
-    The size is refused before q is tested for primality: trial division
-    of a large q takes far longer than the refusal.
+    An oversized request is refused as over the budget before q is
+    tested at all, so it gets that answer for every q, even one at or
+    above 3.3e24 that the primality test refuses as undecidable.
     """
     _require_field_size(q)
     total = _q_factorial(n, q)
@@ -603,15 +578,7 @@ def enumerate_flags(n: int, q: int, budget: int = FLAG_BUDGET) -> tuple[Flag, ..
     _check_budget(n, q, budget)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    flags = []
-    for basis in _chain_bases(n, q):
-        pivots: dict[int, tuple[int, ...]] = {}
-        steps = []
-        for v in basis[:-1]:
-            pivots = _rref_extend(pivots, v, q)
-            steps.append(Subspace._make(n, q, _rref_rows(pivots)))
-        flags.append(Flag._make(q, n, tuple(steps)))
-    return tuple(flags)
+    return tuple(Flag._make(q, n, _flag_steps(basis, q)) for basis in _chain_bases(n, q))
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +787,10 @@ class OrbitFn:
 
     __slots__ = ("n", "q", "values")
 
-    def __init__(self, n: int, q: int, values: Mapping[Perm, int] = ()) -> None:
+    def __init__(
+        self, n: int, q: int, values: Mapping[Perm, int] | Iterable[tuple[Perm, int]] = ()
+    ) -> None:
+        # repeated labels add up, as in HeckeElt; zero sums are dropped
         items = values.items() if isinstance(values, Mapping) else values
         vals: dict[Perm, int] = {}
         for w, c in items:
@@ -828,11 +798,10 @@ class OrbitFn:
                 raise ValueError(f"label {w!r} does not live in S_{n}")
             if not isinstance(c, int):
                 raise TypeError(f"integer values required, got {c!r}")
-            if c:
-                vals[w] = c
+            vals[w] = vals.get(w, 0) + c
         self.n = n
         self.q = q
-        self.values = vals
+        self.values = {w: c for w, c in vals.items() if c}
 
     @classmethod
     def indicator(cls, w: Perm, q: int) -> "OrbitFn":

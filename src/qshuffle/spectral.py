@@ -47,7 +47,7 @@ n = 8.  `tau_matrix`, the matrix M itself, is the oracle of the tests
 multiplicity path.  `rank` (fraction-free Bareiss elimination over Z)
 stays for the span ranks of the flag model and as the oracle of the
 tests.  The elimination mod p, `_reduce`, is the one kernel of the
-package: the literal flag layer (rref, subspaces, intersection
+package: the literal flag layer (subspaces, flags, intersection
 dimensions) runs on it too.
 """
 
@@ -199,18 +199,32 @@ def _reduce(v: list[int], pivots: dict[int, Sequence[int]], p: int) -> int:
         v[i:] = [(x - c * y) % p for x, y in zip(v[i:], tail)]
 
 
-def _echelon(rows: Iterable[Sequence[int]], p: int) -> dict[int, list[int]]:
+def _add_row(pivots: dict[int, tuple[int, ...]], row: Sequence[int], p: int) -> int:
+    """Add one row mod a prime p to the echelon rows `pivots`, in place.
+
+    The row is reduced by _reduce; a nonzero remainder is scaled to a
+    leading 1 and stored as its tail under its lead.  Returns that lead,
+    or len(row) when the row is already in the span.
+    """
+    v = [x % p for x in row]
+    i = _reduce(v, pivots, p)
+    if i < len(v):
+        tail = v[i:]
+        if tail[0] != 1:
+            inv = pow(tail[0], -1, p)
+            tail = [(x * inv) % p for x in tail]
+        pivots[i] = tuple(tail)
+    return i
+
+
+def _echelon(rows: Iterable[Sequence[int]], p: int) -> dict[int, tuple[int, ...]]:
     """Echelon rows of the span of `rows` mod a prime p, as _reduce keys them.
 
     One row per dimension of the span, so its length is the rank.
     """
-    pivots: dict[int, list[int]] = {}
+    pivots: dict[int, tuple[int, ...]] = {}
     for row in rows:
-        v = [x % p for x in row]
-        i = _reduce(v, pivots, p)
-        if i < len(v):
-            inv = pow(v[i], -1, p)
-            pivots[i] = [(x * inv) % p for x in v[i:]]
+        _add_row(pivots, row, p)
     return pivots
 
 

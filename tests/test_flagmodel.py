@@ -40,7 +40,7 @@ from qshuffle.flagmodel import (
     verify_lemma3,
     verify_span_commutativity,
 )
-from qshuffle.hecke import mul, tau
+from qshuffle.hecke import HeckeElt, mul, tau
 from qshuffle.spectral import rank_mod
 from qshuffle.symgroup import Perm, _tuple_getter, cycle_element, enumerate_perms
 
@@ -50,12 +50,22 @@ from qshuffle.symgroup import Perm, _tuple_getter, cycle_element, enumerate_perm
 
 
 def test_subspace_canonicalization():
-    # same row space, different spanning sets
+    # same row space, different spanning sets; the kernel keeps echelon
+    # rows, not reduced ones, so the stored tails differ under one lead set
     a = Subspace([(1, 1, 0), (0, 1, 1)], 3, 2)
     b = Subspace([(1, 0, 1), (0, 1, 1)], 3, 2)
+    assert a.pivots.keys() == b.pivots.keys() and a.pivots != b.pivots
     assert a == b
     assert hash(a) == hash(b)
     assert a.dim == 2
+    c = Subspace([(2, 1, 0), (1, 1, 1)], 3, 3)
+    d = Subspace([(1, 0, 2), (0, 1, 2)], 3, 3)
+    assert c.pivots != d.pivots
+    assert c == d and hash(c) == hash(d)
+    fa = Flag.from_basis([(0, 1, 1), (1, 0, 0), (0, 0, 1)], 2)
+    fb = Flag.from_basis([(0, 1, 1), (1, 1, 1), (0, 0, 1)], 2)
+    assert fa.step(2).pivots != fb.step(2).pivots
+    assert fa == fb and hash(fa) == hash(fb)
     # redundant generators collapse
     c = Subspace([(1, 0, 0), (1, 0, 0), (2, 0, 0)], 3, 3)
     assert c.dim == 1
@@ -85,6 +95,29 @@ def test_flag_from_basis_rejects_dependent_vectors():
         Flag.from_basis([(1, 0, 1), (0, 1, 0), (1, 1, 1)], 2)
 
 
+def test_flag_from_basis_rejects_wrong_lengths():
+    for basis in (
+        [(1, 0, 0), (0, 1, 0)],
+        [(1, 0), (0, 1), (1, 1)],
+        [(1, 0, 0), (0, 1), (0, 0, 1)],
+    ):
+        with pytest.raises(ValueError, match="length"):
+            Flag.from_basis(basis, 3)
+
+
+def test_equal_leads_do_not_make_equal_spans():
+    a = Subspace([(1, 1, 0)], 3, 2)
+    b = Subspace([(1, 0, 0)], 3, 2)
+    assert a.pivots.keys() == b.pivots.keys()
+    assert a != b
+    c = Subspace([(1, 0, 1), (0, 1, 0)], 3, 3)
+    d = Subspace([(1, 0, 2), (0, 1, 0)], 3, 3)
+    assert c != d
+    # the same rows over another field are another space
+    assert Subspace([(1, 1, 0)], 3, 3) != a
+    assert Subspace([(1, 0, 0)], 3, 3) != b
+
+
 def test_flag_steps():
     e = Flag.standard(3, 2)
     assert e.step(0).dim == 0
@@ -94,12 +127,10 @@ def test_flag_steps():
     assert e.step(2) == Subspace([(1, 0, 0), (0, 1, 0)], 3, 2)
     with pytest.raises(ValueError):
         e.step(4)
-    # the zero and whole steps are one pair per (n, q), so the pivots that
-    # contains_vector caches on them survive from one flag to the next
+    # the zero and whole steps are one pair per (n, q), built once
     other = Flag.permuted(Perm((3, 1, 2)), 2)
     assert other.step(0) is e.step(0) and other.step(3) is e.step(3)
     assert other.step(3).contains_vector((1, 1, 0))
-    assert e.step(3)._pivots is not None
     assert Flag.standard(3, 3).step(3) is not e.step(3)
 
     w = Perm((2, 3, 1))
@@ -284,13 +315,10 @@ def test_kernel_matches_local_rref():
         for mat in _random_matrices(rng, q):
             reduced = [[x % q for x in row] for row in mat]
             local = [tuple(row) for row in _local_rref(reduced, q)]
-            assert list(flagmodel._rref(mat, q)) == local, (q, mat)
-            pivots = {}
-            for row in mat:
-                pivots = flagmodel._rref_extend(pivots, row, q)
-            assert [(0,) * i + pivots[i] for i in sorted(pivots)] == local, (q, mat)
             ncols = len(mat[0])
             sub = Subspace(mat, ncols, q)
+            # the echelon rows span the space of the matrix
+            assert [tuple(row) for row in _local_rref(sub.rows, q)] == local, (q, mat)
             for _ in range(4):
                 v = [rng.randrange(q) for _ in range(ncols)]
                 if rng.randrange(2):
@@ -307,13 +335,17 @@ def test_kernel_matches_local_rref():
 
 
 def test_enumerate_flags_matches_per_step_rref():
-    # one _rref_extend per step against the local rref of every prefix
+    # the echelon rows of every step against the local rref of every prefix
     for n, q in FLAG_GRID:
         want = [
             tuple(tuple(map(tuple, _local_rref(basis[:i], q))) for i in range(1, n))
             for basis in flagmodel._chain_bases(n, q)
         ]
-        assert [tuple(s.rows for s in f.steps) for f in enumerate_flags(n, q)] == want, (n, q)
+        got = [
+            tuple(tuple(map(tuple, _local_rref(s.rows, q))) for s in f.steps)
+            for f in enumerate_flags(n, q)
+        ]
+        assert got == want, (n, q)
 
 
 def test_representative_pairs_label_correctly():
@@ -468,6 +500,17 @@ def test_orbitfn_validation():
     b = OrbitFn(3, 3)
     with pytest.raises(ValueError):
         a + b
+
+
+def test_orbitfn_sums_repeated_labels():
+    # pairs add up as in HeckeElt, and a zero sum is no value
+    w = Perm((2, 1))
+    assert OrbitFn(2, 2, [(w, 1), (w, 1)]).values == {w: 2}
+    assert OrbitFn(2, 2, [(w, 1), (w, 0)]).values == {w: 1}
+    assert OrbitFn(2, 2, [(w, 1), (w, -1)]).values == {}
+    assert OrbitFn(2, 2, [(w, 1), (w, -1)]).is_zero()
+    assert HeckeElt(2, [(w, 1), (w, 1)]).terms == {w: 2}
+    assert HeckeElt(2, [(w, 1), (w, -1)]).terms == {}
 
 
 def test_f_t_edges():
@@ -751,6 +794,10 @@ def test_fast_lattice_shares_no_code_with_the_kernel(monkeypatch):
     # lattice, its fast path, must not, or it would not be checked by it
     expected = {q: flagmodel._Geometry(3, q).tensor() for q in (2, 3)}
     wf, vf = representative_pair(Perm((2, 3, 1)), 3)
+    # two echelon bases of one span, with different tails
+    a = Subspace([(1, 1, 0), (0, 1, 1)], 3, 2)
+    b = Subspace([(1, 0, 1), (0, 1, 1)], 3, 2)
+    assert a.pivots != b.pivots
 
     def refuse(*args):
         raise AssertionError("the elimination kernel was called")
@@ -763,6 +810,8 @@ def test_fast_lattice_shares_no_code_with_the_kernel(monkeypatch):
         lambda: relative_position(wf, vf),
         lambda: enumerate_flags(2, 2),
         lambda: vf.step(1).contains_vector((1, 0, 0)),
+        lambda: Flag.from_basis([(1, 1, 0), (0, 1, 1), (0, 0, 1)], 2),
+        lambda: a == b,
     ):
         with pytest.raises(AssertionError, match="kernel"):
             call()
