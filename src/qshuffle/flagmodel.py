@@ -46,7 +46,7 @@ from .hecke import _basis_walk, tau
 from .polyring import q_int
 from .report import CheckResult
 from .spectral import _add_row, _echelon, _is_prime, _reduce, rank
-from .symgroup import Perm, enumerate_perms
+from .symgroup import Perm, cycle_element, enumerate_perms
 
 __all__ = [
     "BudgetExceeded",
@@ -500,8 +500,8 @@ def _end_steps(n: int, q: int) -> tuple[Subspace, Subspace]:
 
 @lru_cache(maxsize=None, typed=True)
 def _coordinate_flag(image: tuple[int, ...], q: int) -> Flag:
-    # one flag per (image, q), built once: every f1 and f_t call asks
-    # for all n! coordinate flags
+    # one flag per (image, q), built once: the literal predicates of
+    # the tests read the n! coordinate flags of one (n, q) many times
     n = len(image)
     return Flag.from_basis([[int(j == image[i] - 1) for j in range(n)] for i in range(n)], q)
 
@@ -662,9 +662,22 @@ class _Geometry:
     one weight, are packed as one int of fixed-width fields; the y
     names go to the upper half of each field.  For each z the keys
     (y, x) of all patterns are then one sum of n big ints with no carry
-    between fields, and one Counter over the fields counts them, so the
-    tensor is written once per distinct (x, y, z).  A field needs
-    2 * n * w bits, so n >= 9 is refused before anything is enumerated.
+    between fields, and one Counter per z, over the fields of every
+    weight times that weight, counts them, so the tensor is written
+    once per distinct (x, y, z).  A field needs 2 * n * w bits, so
+    n >= 9 is refused before anything is enumerated.
+
+    The count runs for one z of each pair {z, z^-1}, by the transpose
+    identity count_z(x, y) = count_{z^-1}(y^-1, x^-1).  Proof: the
+    middle flags M counted at the pair (A, C) for the labels (x, y) are
+    exactly those counted at (C, A) for (y^-1, x^-1), since swapping a
+    pair inverts its label, and (C, A) = (E, zE) lies in the orbit
+    z^-1.  So the Counter runs only for z with index(z) <= index(z^-1),
+    and each key goes to slot (x, y) under z and, when z != z^-1, to
+    slot (y^-1, x^-1) under z^-1, read off the same two per-label
+    tables with the two names swapped.  The debug rebuild thus still
+    counts every orbit at two distinct representatives: (zE, E) and
+    (g zE, g E) for the z counted, (E, zE) and (g E, g zE) for z^-1.
     """
 
     def __init__(self, n: int, q: int) -> None:
@@ -720,29 +733,48 @@ class _Geometry:
 
         chains = [chain(z) for z in self.perms]
         x_keys = {_chain_name(c, n): xi * nperms for xi, c in enumerate(chains)}
-        y_keys = {_chain_name(c, n): self.index[x.inverse().image]
-                  for x, c in zip(self.perms, chains)}
+        inverse = [self.index[x.inverse().image] for x in self.perms]
+        y_keys = {_chain_name(c, n): xt for xt, c in zip(inverse, chains)}
+        # one z of each pair {z, z^-1}, with the index of z^-1
+        halves = [(z, zt) for z, zt in enumerate(inverse) if z <= zt]
         # byte k of the field of every pivot mask, as a translation table
         fields = [_chain_name([m], n).to_bytes(size, order) for m in range(256)]
         planes = [bytes(f[k] for f in fields) for k in range(size)]
-        out: list[dict[int, int]] = [dict() for _ in range(nperms * nperms)]
+        # field p of subset b's packed column names Q(b) of pattern p;
+        # every column is read into one int once, per weight
+        packed = []
         for weight, masks in groups.items():
-            # field p of subset b's packed column names Q(b) of pattern p;
-            # every column is read into one int once
             span = len(masks) // full * size
-            packed = bytearray(len(masks) * size)
+            buf = bytearray(len(masks) * size)
             for k, plane in enumerate(planes):
-                packed[k::size] = masks.translate(plane)
-            column = [int.from_bytes(packed[b * span : (b + 1) * span], order)
-                      for b in range(full)]
-            del packed
-            y_column = sum(column[b] for b in chains[0]) << shift
-            for z, subsets in enumerate(chains):
-                acc = y_column + sum(column[b] for b in subsets)
-                keys = Counter(memoryview(acc.to_bytes(span, order)).cast(fmt))
-                for key, c in keys.items():
-                    counts = out[x_keys[key & low] + y_keys[key >> shift]]
-                    counts[z] = counts.get(z, 0) + c * weight
+                buf[k::size] = masks.translate(plane)
+            column = [int.from_bytes(buf[b * span : (b + 1) * span], order) for b in range(full)]
+            del buf
+            packed.append((weight, span, column, sum(column[b] for b in chains[0]) << shift))
+        out: list[dict[int, int]] = [dict() for _ in range(nperms * nperms)]
+        for z, zt in halves:
+            keys: Counter[int] = Counter()
+            for weight, span, column, y_column in packed:
+                acc = y_column + sum(column[b] for b in chains[z])
+                names = memoryview(acc.to_bytes(span, order)).cast(fmt)
+                if weight == 1:
+                    keys.update(names)
+                else:
+                    keys.update({key: c * weight for key, c in Counter(names).items()})
+            # every (x, y) is one key of this Counter, so it writes each
+            # slot once under z and, by the transpose, once under z^-1
+            xs = list(map(low.__and__, keys))
+            ys = list(map(shift.__rrshift__, keys))
+            slots = map(operator.add, map(x_keys.__getitem__, xs), map(y_keys.__getitem__, ys))
+            if zt == z:
+                for slot, c in zip(slots, keys.values()):
+                    out[slot][z] = c
+                continue
+            # (y^-1, x^-1) under z^-1
+            mirrors = map(operator.add, map(x_keys.__getitem__, ys), map(y_keys.__getitem__, xs))
+            for slot, mirror, c in zip(slots, mirrors, keys.values()):
+                out[slot][z] = c
+                out[mirror][zt] = c
         return out
 
 
@@ -880,13 +912,18 @@ def _is_f1_pair(w_flag: Flag, v_flag: Flag) -> bool:
 def f1(n: int, q: int) -> OrbitFn:
     """The base orbit function: value 1 on the interleaving pairs.
 
-    Its support turns out to be exactly the orbits of the cycles
-    (g, g+1, ..., n), matching the support of tau.
+    Its support is exactly the orbits of the cycles c_g = (g, g+1, ...,
+    n), matching the support of tau.  Proof, on the representative pair
+    (wE, E): W_r = V_r means w({1..r}) = {1..r}, and W_r <= V_{r+1}
+    means w({1..r}) lies in {1..r+1}.  So the pair passes _is_f1_pair
+    at g when w(r) = r for r < g and, for g <= r < n, w({1..r}) is
+    {1..r+1} less one j <= r; these sets grow with r and hold
+    {1..g-1}, so j = g each time, which is w = c_g.
     """
     _require_prime(q)
-    std = Flag.standard(n, q)
-    vals = {w: 1 for w in enumerate_perms(n) if _is_f1_pair(Flag.permuted(w, q), std)}
-    return OrbitFn(n, q, vals)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return OrbitFn(n, q, {cycle_element(g, n): 1 for g in range(1, n + 1)})
 
 
 def in_x_t(w_flag: Flag, v_flag: Flag, t: int) -> bool:
@@ -913,16 +950,20 @@ def in_x_t(w_flag: Flag, v_flag: Flag, t: int) -> bool:
 
 
 def f_t(n: int, q: int, t: int) -> OrbitFn:
-    """The indicator of X_t as an orbit function; zero for t > n."""
+    """The indicator of X_t as an orbit function; zero for t > n.
+
+    (wE, E) lies in X_t exactly when w(1) < ... < w(n - t).  Proof:
+    W_r <= V_i means w({1..r}) is inside {1..i}, so the minimal
+    inclusion index of in_x_t is m_r = max(w(1), ..., w(r)), and it
+    rises strictly at r exactly when w(r) exceeds every earlier value.
+    """
     _require_prime(q)
     if t < 0:
         raise ValueError(f"need t >= 0, got {t}")
     if t > n:
         return OrbitFn(n, q)
-    std = Flag.standard(n, q)
-    vals = {
-        w: 1 for w in enumerate_perms(n) if in_x_t(Flag.permuted(w, q), std, t)
-    }
+    cut = n - t
+    vals = {w: 1 for w in enumerate_perms(n) if list(w.image[:cut]) == sorted(w.image[:cut])}
     return OrbitFn(n, q, vals)
 
 
@@ -1133,16 +1174,16 @@ def compare_structure_constants(
     table = geo.tensor(debug)
     perms = geo.perms
     nperms = geo.nperms
-    index = geo.index
 
     # T_x T_y at q is the product-order table of the pair (x, y) and the
-    # reversed-order table of the pair (y, x)
+    # reversed-order table of the pair (y, x); the walk and the tensor
+    # both key by label index
     product_misses: list[tuple[int, int]] = []
     reversed_misses: list[tuple[int, int]] = []
-    for yi, y in enumerate(perms):
-        walk = _basis_walk(n, {y.image: 1}, q)
-        for xi, x in enumerate(perms):
-            h = {index[w]: c for w, c in walk(x.image).items()}
+    for yi in range(nperms):
+        walk = _basis_walk(n, {yi: 1}, q)
+        for xi in range(nperms):
+            h = walk(xi)
             if table[xi * nperms + yi] != h:
                 product_misses.append((xi, yi))
             if table[yi * nperms + xi] != h:

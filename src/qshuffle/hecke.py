@@ -17,10 +17,13 @@ vanishes identically.
 
 The relation above lives in one generator step, T_i times a sparse
 element, and the step takes q as a ring element: the Poly Q for Z[q],
-or a plain int for the value at an integer q.  Left multiplication by
-tau (n - 1 steps with a running sum) and T_x b for every x (one step
-per x) are walks over that step.  ``tau_times``, ``basis_times`` and
-``mul`` walk at Q.  The spectrum's tau matrix and the structure-constant
+or a plain int for the value at an integer q.  The walks key their
+terms by label index, the position of w in enumerate_perms(n), and
+read s_i w and the sign of l(s_i w) - l(w) off one table per generator
+(``_rank_steps``); the public functions translate to Perm only at their
+boundary.  Left multiplication by tau (n - 1 steps with a running sum)
+and T_x b for every x (one step per x) are walks over that step.
+``tau_times``, ``basis_times`` and ``mul`` walk at Q.  The spectrum's tau matrix and the structure-constant
 check walk at their integer q.  ``wallach_product`` walks at q = 2^B
 (Kronecker substitution) and decodes each coefficient as balanced
 base-2^B digits, with B from a proven bound on the coefficients.
@@ -41,7 +44,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Mapping, TypeVar, Union
+from functools import lru_cache
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .polyring import ONE, Poly, Q, ZERO, _coerce
 from .symgroup import Perm, _tuple_getter, cycle_element, enumerate_perms
@@ -61,8 +65,6 @@ __all__ = [
 ]
 
 Scalar = Union[Poly, int]
-# a permutation's image tuple, the key of the internal walks
-Img = tuple[int, ...]
 # the coefficient ring of a walk: Poly for Z[q], int at an integer q
 R = TypeVar("R", Poly, int)
 
@@ -215,38 +217,84 @@ class HeckeElt:
         return f"<HeckeElt n={self.n} with {len(self.terms)} terms>"
 
 
-def _simple_times(i: int, terms: Mapping[Img, R], q: R) -> dict[Img, R]:
-    # T_i * sum c_u T_u, keyed by images, over the ring of q (the Poly Q
-    # or an int); zero coefficients are kept, callers drop them
+def _rank(img: tuple[int, ...]) -> int:
+    # the index of the permutation img in enumerate_perms order: its
+    # Lehmer code read as factorial-base digits
+    n = len(img)
+    r = 0
+    for k, v in enumerate(img):
+        r = r * (n - k) + sum(x < v for x in img[k + 1 :])
+    return r
+
+
+def _unrank(n: int, u: int) -> Perm:
+    # the permutation of index u in enumerate_perms(n), the inverse of _rank
+    rest = list(range(1, n + 1))
+    img = []
+    for k in range(n - 1, -1, -1):
+        digit, u = divmod(u, math.factorial(k))
+        img.append(rest.pop(digit))
+    return Perm._make(tuple(img))
+
+
+@lru_cache(maxsize=None)
+def _rank_steps(n: int) -> tuple[list[int], ...]:
+    """The rank step of each generator s_i on the indices of enumerate_perms(n).
+
+    Table i - 1 holds d_i[u] with s_i w_u = w_{u + d_i[u]}, w_u the
+    permutation of index u, and d_i[u] > 0 exactly when the length goes
+    up.  With a and b the 0-based positions of i and i + 1 in w_u,
+    d_i[u] = (n - 1 - a)! when a < b and -(n - 1 - b)! otherwise.
+
+    Proof: u = sum over k of L_k (n - 1 - k)!, where the Lehmer code L_k
+    counts the entries after position k that are smaller than w(k).
+    s_i w swaps the values i and i + 1, and no value lies between them,
+    so every L_k stays the same except the one at the earlier of the
+    two positions: it gains one when i comes first (then
+    l(s_i w) = l(w) + 1) and loses one when i + 1 comes first (then
+    l(s_i w) = l(w) - 1).  Built on first use, once per n; n = 1 has no
+    generators and no tables.
+    """
+    imgs = list(itertools.permutations(range(1, n + 1)))
+    where = [[img.index(v) for img in imgs] for v in range(1, n + 1)]
+    up = [math.factorial(n - 1 - a) for a in range(n)]
+    down = [-d for d in up]
+    return tuple(
+        [up[a] if a < b else down[b] for a, b in zip(where[i - 1], where[i])]
+        for i in range(1, n)
+    )
+
+
+def _simple_times(step: Sequence[int], terms: Mapping[int, R], q: R) -> dict[int, R]:
+    # T_i * sum c_u T_u for the rank steps `step` of s_i, keyed by label
+    # index, over the ring of q (the Poly Q or an int); zero
+    # coefficients are kept, callers drop them
     qm1 = q - 1
-    out: dict[Img, R] = {}
+    out: dict[int, R] = {}
     get = out.get
-    j = i + 1
     for u, c in terms.items():
-        a, b = u.index(i), u.index(j)
-        s = list(u)
-        s[a], s[b] = j, i
-        su = tuple(s)
-        old = get(su)
-        if a < b:
+        d = step[u]
+        v = u + d
+        old = get(v)
+        if d > 0:
             # length goes up: plain basis element
-            out[su] = c if old is None else old + c
+            out[v] = c if old is None else old + c
         else:
-            out[su] = q * c if old is None else old + q * c
+            out[v] = q * c if old is None else old + q * c
             old = get(u)
             out[u] = qm1 * c if old is None else old + qm1 * c
     return out
 
 
-def _images(a: HeckeElt) -> dict[Img, Poly]:
-    return {w.image: c for w, c in a.terms.items()}
+def _indices(a: HeckeElt) -> dict[int, Poly]:
+    return {_rank(w.image): c for w, c in a.terms.items()}
 
 
-def _elt(n: int, terms: Mapping[Img, Poly]) -> HeckeElt:
-    # the element with these image-keyed terms; zero terms dropped
+def _elt(n: int, terms: Mapping[int, Poly]) -> HeckeElt:
+    # the element with these index-keyed terms; zero terms dropped
     e = object.__new__(HeckeElt)
     e.n = n
-    e.terms = {Perm._make(u): c for u, c in terms.items() if c}
+    e.terms = {_unrank(n, u): c for u, c in terms.items() if c}
     return e
 
 
@@ -260,42 +308,43 @@ def simple_times_basis(i: int, w: Perm) -> HeckeElt:
     """
     if not 1 <= i < w.n:
         raise ValueError(f"generator index {i} outside 1..{w.n - 1}")
-    return _elt(w.n, _simple_times(i, {w.image: ONE}, Q))
-
-
-def _peel(
-    img: tuple[int, ...], pick: Callable[[list[int]], int] = min
-) -> tuple[int, tuple[int, ...]]:
-    # a left descent i of the permutation w = img, chosen by `pick`, and
-    # the image of s_i w
-    n = len(img)
-    pos = [0] * (n + 1)
-    for idx, val in enumerate(img):
-        pos[val] = idx
-    i = pick([i for i in range(1, n) if pos[i] > pos[i + 1]])
-    return i, tuple(i + 1 if x == i else i if x == i + 1 else x for x in img)
+    step = _rank_steps(w.n)[i - 1]
+    return _elt(w.n, _simple_times(step, {_rank(w.image): ONE}, Q))
 
 
 def _basis_walk(
-    n: int, terms: Mapping[Img, R], q: R, pick: Callable[[list[int]], int] = min
-) -> Callable[[Img], dict[Img, R]]:
-    # x -> T_x * b for b = sum of `terms`, keyed by images, over the ring
-    # of q; zero terms dropped.  Each product is one generator step from
-    # a shorter one, T_x b = T_i (T_{s_i x} b) for the left descent
+    n: int, terms: Mapping[int, R], q: R, pick: Callable[[list[int]], int] = min
+) -> Callable[[int], dict[int, R]]:
+    # x -> T_x * b for b = sum of `terms`, keyed by label index, over the
+    # ring of q; zero terms dropped.  Each product is one generator step
+    # from a shorter one, T_x b = T_i (T_{s_i x} b) for the left descent
     # i of x chosen by `pick`, and is memoized, so products share their
-    # common prefixes: in enumerate_perms order every call is one step,
-    # as s_i x precedes x there.
-    memo: dict[Img, dict[Img, R]] = {Perm.identity(n).image: dict(terms)}
+    # common prefixes.  A descent is a negative rank step, so s_i x
+    # precedes x and in enumerate_perms order every call is one step.
+    steps = _rank_steps(n)
+    memo: dict[int, dict[int, R]] = {0: dict(terms)}
 
-    def walk(x: Img) -> dict[Img, R]:
+    def walk(x: int) -> dict[int, R]:
         hit = memo.get(x)
         if hit is None:
-            i, shorter = _peel(x, pick)
-            step = _simple_times(i, walk(shorter), q)
-            memo[x] = hit = {u: c for u, c in step.items() if c}
+            step = steps[pick([i for i, d in enumerate(steps, 1) if d[x] < 0]) - 1]
+            prod = _simple_times(step, walk(x + step[x]), q)
+            memo[x] = hit = {u: c for u, c in prod.items() if c}
         return hit
 
     return walk
+
+
+def _mul(
+    n: int, a: Mapping[int, Poly], b: Mapping[int, Poly], pick: Callable[[list[int]], int] = min
+) -> dict[int, Poly]:
+    # a * b on index-keyed terms; zero coefficients are kept
+    walk = _basis_walk(n, b, Q, pick)
+    acc: dict[int, Poly] = {}
+    for w, p in a.items():
+        for u, c in walk(w).items():
+            acc[u] = acc.get(u, ZERO) + p * c
+    return acc
 
 
 def mul(a: HeckeElt, b: HeckeElt, pick: Callable[[list[int]], int] = min) -> HeckeElt:
@@ -309,12 +358,7 @@ def mul(a: HeckeElt, b: HeckeElt, pick: Callable[[list[int]], int] = min) -> Hec
     """
     if a.n != b.n:
         raise ValueError(f"rank mismatch: {a.n} vs {b.n}")
-    walk = _basis_walk(a.n, _images(b), Q, pick)
-    acc: dict[Img, Poly] = {}
-    for w, p in a.terms.items():
-        for u, c in walk(w.image).items():
-            acc[u] = acc.get(u, ZERO) + p * c
-    return _elt(a.n, acc)
+    return _elt(a.n, _mul(a.n, _indices(a), _indices(b), pick))
 
 
 def basis_times(b: HeckeElt) -> dict[Perm, HeckeElt]:
@@ -327,8 +371,8 @@ def basis_times(b: HeckeElt) -> dict[Perm, HeckeElt]:
     >>> all(cols[x] == HeckeElt.basis(x) for x in enumerate_perms(3))
     True
     """
-    walk = _basis_walk(b.n, _images(b), Q)
-    return {x: _elt(b.n, walk(x.image)) for x in enumerate_perms(b.n)}
+    walk = _basis_walk(b.n, _indices(b), Q)
+    return {x: _elt(b.n, walk(u)) for u, x in enumerate(enumerate_perms(b.n))}
 
 
 def tau(n: int) -> HeckeElt:
@@ -338,14 +382,15 @@ def tau(n: int) -> HeckeElt:
     return HeckeElt(n, [(cycle_element(g, n), ONE) for g in range(1, n + 1)])
 
 
-def _tau_walk(n: int, terms: Mapping[Img, R], q: R) -> dict[Img, R]:
-    # tau * x over the ring of q in n - 1 generator steps.  The result
-    # holds every key of `terms` (the g = n term is x itself) and keeps
-    # zero coefficients.
+def _tau_walk(n: int, terms: Mapping[int, R], q: R) -> dict[int, R]:
+    # tau * x over the ring of q in n - 1 generator steps, keyed by
+    # label index.  The result holds every key of `terms` (the g = n
+    # term is x itself) and keeps zero coefficients.
+    steps = _rank_steps(n)
     acc = dict(terms)
     step = terms
     for g in range(n - 1, 0, -1):
-        step = _simple_times(g, step, q)
+        step = _simple_times(steps[g - 1], step, q)
         for u, c in step.items():
             old = acc.get(u)
             acc[u] = c if old is None else old + c
@@ -360,7 +405,7 @@ def tau_times(a: HeckeElt) -> HeckeElt:
     >>> tau_times(HeckeElt.unit(3)) == tau(3)
     True
     """
-    return _elt(a.n, _tau_walk(a.n, _images(a), Q))
+    return _elt(a.n, _tau_walk(a.n, _indices(a), Q))
 
 
 def _retained_ks(n: int) -> list[int]:
@@ -429,7 +474,8 @@ def wallach_product(n: int, omit: int | None = None) -> HeckeElt:
     factors = _factors(n, omit)
     bits = _kronecker_bits(n, omit)
     q = 1 << bits
-    prod = {Perm.identity(n).image: 1}
+    # the identity has index 0
+    prod = {0: 1}
     for k in factors:
         qk = (q**k - 1) // (q - 1)
         shifted = _tau_walk(n, prod, q)
@@ -455,7 +501,7 @@ def group_mul(a: Mapping[Perm, int], b: Mapping[Perm, int]) -> dict[Perm, int]:
     if len(ranks) > 1:
         raise ValueError(f"rank mismatch: {sorted(ranks)}")
     left = [(u.image, cu) for u, cu in a.items()]
-    out: dict[Img, int] = {}
+    out: dict[tuple[int, ...], int] = {}
     get = out.get
     for v, cv in b.items():
         compose = _tuple_getter([x - 1 for x in v.image])
@@ -519,10 +565,9 @@ def left_mult_matrix(a: HeckeElt) -> list[dict[int, Poly]]:
     {row index: coefficient}; rows and columns are both indexed by the
     lexicographic order of enumerate_perms(a.n).
     """
-    perms = enumerate_perms(a.n)
-    index = {w: i for i, w in enumerate(perms)}
+    left = _indices(a)
     cols = []
-    for w in perms:
-        prod = mul(a, HeckeElt.basis(w))
-        cols.append({index[u]: c for u, c in prod.terms.items()})
+    for j in range(math.factorial(a.n)):
+        prod = _mul(a.n, left, {j: ONE})
+        cols.append({u: c for u, c in prod.items() if c})
     return cols

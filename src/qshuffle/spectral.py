@@ -261,9 +261,9 @@ def tau_matrix(n: int, q0: int) -> tuple[tuple[int, ...], ...]:
     multiplicity tests, not on the multiplicity path.
     """
     _check_q0(q0)
-    images = [w.image for w in enumerate_perms(n)]
-    cols = [_tau_walk(n, {w: 1}, q0) for w in images]
-    return tuple(tuple(col.get(u, 0) for col in cols) for u in images)
+    size = len(enumerate_perms(n))
+    cols = [_tau_walk(n, {u: 1}, q0) for u in range(size)]
+    return tuple(tuple(col.get(u, 0) for col in cols) for u in range(size))
 
 
 @functools.lru_cache(maxsize=None)

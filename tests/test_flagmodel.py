@@ -528,6 +528,19 @@ def test_f1_is_f_t_of_one():
         assert f1(n, q) == f_t(n, q, 1)
 
 
+def test_orbit_fns_match_the_literal_predicates():
+    # the coordinate rules of f1 and f_t against _is_f1_pair and in_x_t
+    # on the representative pairs (wE, E)
+    for n, q in FLAG_GRID:
+        std = Flag.standard(n, q)
+        pairs = [(w, Flag.permuted(w, q)) for w in enumerate_perms(n)]
+        want = {w: 1 for w, wf in pairs if flagmodel._is_f1_pair(wf, std)}
+        assert f1(n, q) == OrbitFn(n, q, want), (n, q)
+        for t in range(n + 2):
+            want = {w: 1 for w, wf in pairs if t <= n and in_x_t(wf, std, t)}
+            assert f_t(n, q, t) == OrbitFn(n, q, want), (n, q, t)
+
+
 def test_f1_support_and_values():
     for n, q in ((2, 2), (3, 2), (3, 3), (4, 2)):
         f = f1(n, q)

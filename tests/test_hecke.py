@@ -1,8 +1,11 @@
 """Tests for the Hecke algebra: relations, products, vanishing identities."""
 
 import doctest
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -170,13 +173,23 @@ def test_kronecker_decode_round_trips():
             assert hecke._kronecker_decode(p(2**bits), bits) == p, (n, p)
 
 
+def _nonzero(terms):
+    return {u: c for u, c in terms.items() if c}
+
+
+def _index(n):
+    return {w: u for u, w in enumerate(enumerate_perms(n))}
+
+
 def test_tau_times_matches_mul():
     # slow oracle: the general product with tau(n) as left factor, peeling
-    # the largest descent where tau_times steps through the smallest
+    # the largest descent where tau_times steps through the smallest; on
+    # basis elements both walk on label indices
     for n in range(1, 6):
-        t = tau(n)
-        for w in enumerate_perms(n):
-            assert tau_times(HeckeElt.basis(w)) == mul(t, HeckeElt.basis(w), pick=max), w
+        t = hecke._indices(tau(n))
+        for u in range(len(enumerate_perms(n))):
+            got = hecke._tau_walk(n, {u: ONE}, Q)
+            assert _nonzero(got) == _nonzero(hecke._mul(n, t, {u: ONE}, pick=max)), (n, u)
     rng = random.Random(23)
     for n in range(1, 5):
         perms = enumerate_perms(n)
@@ -190,15 +203,17 @@ def test_tau_times_matches_mul():
 
 
 def test_basis_times_matches_mul():
-    # slow oracle: one general product per left basis element, peeling
-    # the largest descent where basis_times peels the smallest
+    # slow oracle: one walk per basis element on label indices, and one
+    # general product per random element, peeling the largest descent
+    # where basis_times peels the smallest
     for n in range(1, 5):
         perms = enumerate_perms(n)
-        for b in perms:
+        for bi, b in enumerate(perms):
             cols = basis_times(HeckeElt.basis(b))
             assert list(cols) == list(perms)
-            for x in perms:
-                assert cols[x] == mul(HeckeElt.basis(x), HeckeElt.basis(b), pick=max), (x, b)
+            high = hecke._basis_walk(n, {bi: ONE}, Q, pick=max)
+            for xi, x in enumerate(perms):
+                assert hecke._indices(cols[x]) == high(xi), (x, b)
     rng = random.Random(29)
     for n in range(1, 5):
         perms = enumerate_perms(n)
@@ -218,15 +233,40 @@ def test_basis_times_matches_mul():
 
 
 def test_basis_walk_at_int_q_matches_specialized_products():
-    # the int walk of the structure-constant check against basis_times
-    # in Z[q] specialized at q
+    # the int walk of the structure-constant check, keyed by label
+    # index, against basis_times in Z[q] specialized at q
     for n in range(1, 5):
+        index = _index(n)
         for q in (2, 3, 5):
-            for y in enumerate_perms(n):
-                walk = hecke._basis_walk(n, {y.image: 1}, q)
+            for yi, y in enumerate(enumerate_perms(n)):
+                walk = hecke._basis_walk(n, {yi: 1}, q)
                 for x, col in basis_times(HeckeElt.basis(y)).items():
-                    want = {w.image: c for w, c in col.specialize(q).items()}
-                    assert walk(x.image) == want, (n, q, x, y)
+                    want = {index[w]: c for w, c in col.specialize(q).items()}
+                    assert walk(index[x]) == want, (n, q, x, y)
+
+
+def test_rank_and_unrank_follow_enumerate_perms():
+    for n in range(1, 7):
+        for u, w in enumerate(enumerate_perms(n)):
+            assert hecke._rank(w.image) == u, w
+            assert hecke._unrank(n, u) == w, (n, u)
+
+
+def test_rank_steps_match_literal_products():
+    # d_i[u], index and sign, against the literal s_i w and its length;
+    # n = 1 has no generators, so no tables
+    for n in range(1, 7):
+        perms = enumerate_perms(n)
+        index = _index(n)
+        steps = hecke._rank_steps(n)
+        assert len(steps) == n - 1
+        for i, step in enumerate(steps, 1):
+            assert len(step) == len(perms)
+            s = Perm.simple(i, n)
+            for u, w in enumerate(perms):
+                moved = s * w
+                assert index[moved] == u + step[u], (n, i, w)
+                assert (step[u] > 0) == (moved.length() > w.length()), (n, i, w)
 
 
 def test_factors_commute():
@@ -328,10 +368,25 @@ def test_group_walk_needs_no_group_mul_or_hecke_step(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the q = 1 walk called a shared product")
 
-    for name in ("group_mul", "_simple_times", "_tau_walk"):
+    for name in ("group_mul", "_simple_times", "_tau_walk", "_rank_steps"):
         monkeypatch.setattr(hecke, name, refuse)
     assert wallach_group_product(6) == {}
     assert wallach_group_product(6, omit=0) != {}
+
+
+def test_import_builds_no_rank_table():
+    # the rank-step tables are built on first use, so the import that
+    # starts every command carries no table build
+    code = (
+        "import qshuffle, qshuffle.cli\n"
+        "from qshuffle import hecke\n"
+        "print(hecke._rank_steps.cache_info().currsize)"
+    )
+    src = os.path.dirname(os.path.dirname(hecke.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "0"
 
 
 def test_specialization_commutes_with_multiplication():
