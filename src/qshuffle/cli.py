@@ -73,6 +73,15 @@ def _parse_ints(text: str, what: str) -> list[int]:
     return vals
 
 
+def _parse_qs(text: str) -> list[int]:
+    # a repeated q would run the same check twice
+    vals = _parse_ints(text, "q")
+    repeated = sorted({v for v in vals if vals.count(v) > 1})
+    if repeated:
+        raise ValueError(f"repeated q value(s) {repeated} in {text!r}")
+    return vals
+
+
 def _parse_t_range(text: str) -> list[int]:
     if ":" in text:
         lo_s, _, hi_s = text.partition(":")
@@ -163,7 +172,7 @@ def _run_verify(args: argparse.Namespace) -> list[CheckResult]:
         return [_check_hecke_identity(n)]
     if check == "group-identity":
         return [_check_group_identity(n)]
-    qs = _parse_ints(args.q if args.q is not None else _VERIFY_Q, "q")
+    qs = _parse_qs(args.q if args.q is not None else _VERIFY_Q)
     # _refuse_ignored let --t through for lemma3 only
     ts = {"t_values": _parse_t_range(args.t)} if args.t is not None else {}
     budget = args.budget if args.budget is not None else FLAG_BUDGET
@@ -172,7 +181,7 @@ def _run_verify(args: argparse.Namespace) -> list[CheckResult]:
 
 
 def _run_all(args: argparse.Namespace) -> list[CheckResult]:
-    qs = _parse_ints(args.q, "q")
+    qs = _parse_qs(args.q)
     budget = args.budget
     debug = args.debug_orbit_checks
     results = []
@@ -215,7 +224,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             results = _run_verify(args)
         elif args.command == "multiplicities":
             results = [
-                verify_multiplicities(args.n, _parse_ints(args.q, "q"), args.allow_large)
+                verify_multiplicities(args.n, _parse_qs(args.q), args.allow_large)
             ]
         else:
             results = _run_all(args)

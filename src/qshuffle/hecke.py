@@ -29,10 +29,11 @@ check walk at their integer q.  ``wallach_product`` walks at q = 2^B
 base-2^B digits, with B from a proven bound on the coefficients.
 
 The q = 1 identity stays independent of the step.
-``wallach_group_product`` keeps its running product as a dense vector
-over the n! permutations and applies right multiplication by each cycle
-c_g as a permutation of the indices.  ``group_mul`` is the general
-product in Z[S_n] and the oracle of that walk.
+``wallach_group_product`` keeps its running product as one int of n!
+fixed-width residues in enumerate_perms(n) order and applies right
+multiplication by the shuffle as n - 1 position swaps, each a list of
+block moves over the indices.  ``group_mul`` is the general product in
+Z[S_n] and the oracle of that walk.
 
 >>> print(tau(3))
 T[1 2 3] + T[1 3 2] + T[2 3 1]
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
@@ -511,33 +513,99 @@ def group_mul(a: Mapping[Perm, int], b: Mapping[Perm, int]) -> dict[Perm, int]:
     return {Perm._make(w): c for w, c in out.items() if c}
 
 
-def _shuffle_pulls(n: int) -> list[list[int]]:
-    # pull_g for g in [1, n - 1]: pull_g[j] is the enumerate_perms(n)
-    # index of w_j c_g^-1, which rotates the last m = n - g + 1 entries
-    # of w_j right by one and keeps the prefix.  In lexicographic order
-    # the permutations sharing a prefix form a block of m! in the order
-    # of S_m, so pull_g is the rotation map of S_m tiled over the blocks.
-    size = math.factorial(n)
-    pulls = []
-    for m in range(n, 1, -1):
-        perms = list(itertools.permutations(range(m)))
-        index = {p: i for i, p in enumerate(perms)}
-        rot = [index[p[-1:] + p[:-1]] for p in perms]
-        pulls.append([b + r for b in range(0, size, len(rot)) for r in rot])
-    return pulls
+def _group_widths(n: int) -> tuple[int, int]:
+    # (W, F) for the q = 1 walk at n: every coefficient of
+    # wallach_group_product(n, omit), for every omit, is below 2^(W-1)
+    # in absolute value, and a field of F bits holds every sum the walk
+    # forms before its mask; both are proven in wallach_group_product
+    ks = _retained_ks(n)
+    bits = math.prod(n + k for k in (0, *ks)).bit_length() + 1
+    # the largest k is n
+    need = bits + (n + 1).bit_length()
+    for field in (8, 16, 32, 64):
+        if need <= field:
+            return bits, field
+    raise ValueError(f"the q = 1 walk needs {need}-bit fields at n = {n}; "
+                     f"64 bits hold n <= 13")
+
+
+def _swap_moves(n: int, j: int) -> list[tuple[slice, slice]]:
+    # (dst, src) slice pairs with dst[d] = src[s] for every pair taking
+    # a vector z over enumerate_perms(n) to R_j z, (R_j z)(w) = z(w s_j):
+    # the digit-pair map of wallach_group_product, one contiguous move
+    # per run and period or one strided move per run offset, whichever
+    # makes fewer moves
+    m = n - j + 1
+    run = math.factorial(m - 2)
+    period = math.factorial(m)
+    outer = math.factorial(n) // period
+    blocks = []
+    for a in range(m):
+        for b in range(m - 1):
+            a2, b2 = (b + 1, a) if a <= b else (b, a - 1)
+            blocks.append(((a * (m - 1) + b) * run, (a2 * (m - 1) + b2) * run))
+    if outer <= run:
+        return [
+            (slice(t + d, t + d + run), slice(t + s, t + s + run))
+            for t in range(0, outer * period, period)
+            for d, s in blocks
+        ]
+    return [
+        (slice(d + i, None, period), slice(s + i, None, period))
+        for d, s in blocks
+        for i in range(run)
+    ]
 
 
 def wallach_group_product(n: int, omit: int | None = None) -> dict[Perm, int]:
     """The q = 1 product in Z[S_n]; an empty dict means zero.
 
     Same factor layout as :func:`wallach_product` with tau replaced by
-    its q = 1 specialization, the sum of the cycles c_g, and [k]_q by
-    the integer k.  The running product x is a dense vector of n! ints
-    in enumerate_perms(n) order, and each factor is applied on the
-    right: (x (shuffle - k))(w) = sum over g of x(w c_g^-1) - k x(w).
-    w c_g^-1 rotates the last n - g + 1 entries of w right by one, so
-    every term is one gather of x through a fixed index map; no
-    permutation is built until the result.
+    its q = 1 specialization, the shuffle sigma = sum over g of c_g, and
+    [k]_q by the integer k.  The running product x is a vector over S_n
+    in enumerate_perms(n) order, each factor is applied on the right as
+    x -> x (sigma - k), and no permutation is built until the result.
+
+    Horner form.  (x c_g)(w) = x(w c_g^-1), and c_g^-1 = s_{n-1} ... s_g
+    since c_g = s_g ... s_{n-1}.  Let (R_j z)(w) = z(w s_j): w s_j swaps
+    the entries at positions j and j + 1 of w.  Then (R_a R_b z)(w) =
+    (R_b z)(w s_a) = z(w s_a s_b), so x c_g = R_{n-1} ... R_g x, and the
+    sum over g = n, ..., 1 (c_n is the identity) nests as
+
+        x sigma = x + R_{n-1}(x + R_{n-2}( ... (x + R_1 x))),
+
+    n - 1 swaps per factor.
+
+    A swap moves blocks.  The index of w is the sum over positions p of
+    L_p (n - p)!, where the Lehmer digit L_p counts the entries after
+    position p that are smaller than w(p).  w s_j swaps A = w(j) and
+    B = w(j + 1); every other digit stays, as the entries after its
+    position are the same set.  Let (a, b) = (L_j, L_{j+1}).  If A < B,
+    then a <= b, as every later entry below A is below B, and the digits
+    become (b + 1, a): B now also counts A, and A counts what it counted
+    before.  If A > B, then a > b, and they become (b, a - 1).  So with
+    m = n - j + 1, R_j permutes the m (m - 1) digit pairs; the pair
+    (a, b) owns the run of (m - 2)! consecutive indices from
+    (a (m - 1) + b) (m - 2)!, and the pattern repeats with period m!,
+    one period per value of the leading digits.  ``_swap_moves`` lists
+    these block moves, 1,264 of them over the n - 1 swaps at n = 8.
+
+    Residues.  Let N be the sum of the absolute values of the
+    coefficients.  sigma is a sum of n group elements, so
+    N(x (sigma - k)) <= (n + k) N(x), and every coefficient of the
+    result is at most the product over the factors of n + k in absolute
+    value; that product with the leading tau as k = 0 bounds every omit,
+    as each n + k >= 1.  The walk runs modulo 2^W, with W one bit more
+    than the bit length of that bound (``_group_widths``; W = 30 at
+    n = 8).  Reduction mod 2^W is a ring homomorphism, so the residue of
+    each coefficient is exact, and it is read back in
+    [-2^(W-1), 2^(W-1)).  The vector is one int of n! fields of F bits,
+    the coefficient of index u at bit u F.  Two vectors of residues add
+    as ints, and a mask keeps the low W bits of each field; -k x is
+    added as k (2^W - x), field by field.  A field then holds less than
+    2^W + k 2^W < 2^(W + bit_length(k + 1)), so with F at least that
+    nothing spills into the next field.  k <= n, and 64-bit fields hold
+    every n <= 13; a larger n is refused before anything is allocated.
 
     >>> wallach_group_product(3) == {}
     True
@@ -545,17 +613,42 @@ def wallach_group_product(n: int, omit: int | None = None) -> dict[Perm, int]:
     True
     """
     factors = _factors(n, omit)
-    pulls = _shuffle_pulls(n)
+    bits, field = _group_widths(n)
+    width = field // 8
+    fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
+    size = math.factorial(n)
+    nbytes = size * width
+    ones = int.from_bytes((1).to_bytes(width, "little") * size, "little")
+    mask = ones * ((1 << bits) - 1)
+    top = ones << bits
+    swaps = [_swap_moves(n, j) for j in range(1, n)]
+
+    def swap(z: int, moves: list[tuple[slice, slice]]) -> int:
+        src = memoryview(z.to_bytes(nbytes, "little")).cast(fmt)
+        out = bytearray(nbytes)
+        dst = memoryview(out).cast(fmt)
+        for d, s in moves:
+            dst[d] = src[s]
+        return int.from_bytes(out, "little")
+
     # the identity leads the lexicographic order
-    vec = [1] + [0] * (math.factorial(n) - 1)
+    x = 1
     for k in factors:
-        get = vec.__getitem__
-        terms = [map(get, pull) for pull in pulls]
-        # the g = n cycle is the identity, so its term joins -k x
-        vec = list(map(sum, zip(map((1 - k).__mul__, vec), *terms)))
+        y = x
+        for moves in swaps:
+            y = (x + swap(y, moves)) & mask
+        x = (y + k * (top - x)) & mask
+    if not x:
+        return {}
+    half, full = 1 << (bits - 1), 1 << bits
+    raw = x.to_bytes(nbytes, "little")
     # enumerate_perms(n) order, without caching n! Perm objects
     perms = itertools.permutations(range(1, n + 1))
-    return {Perm._make(w): c for w, c in zip(perms, vec) if c}
+    return {
+        Perm._make(w): v - full if v >= half else v
+        for w, (v,) in zip(perms, struct.iter_unpack("<" + fmt, raw))
+        if v
+    }
 
 
 def left_mult_matrix(a: HeckeElt) -> list[dict[int, Poly]]:

@@ -6,13 +6,11 @@ detail row passes, so no result can report PASS next to a failing row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = ["CheckResult"]
 
 
-@dataclass
 class CheckResult:
     """Outcome of one named verification over one parameter point.
 
@@ -20,11 +18,29 @@ class CheckResult:
     plain dict that is stable under json serialization and carries a
     boolean "pass".  Failing rows carry a "witness" entry locating the
     first discrepancy.
+
+    A plain class rather than a dataclass: importing `dataclasses` pulls
+    in `inspect`, `ast`, `dis` and `tokenize`, a cost every command would
+    pay at startup.
     """
 
-    name: str
-    params: dict[str, Any]
-    details: list[dict[str, Any]] = field(default_factory=list)
+    def __init__(
+        self, name: str, params: dict[str, Any], details: list[dict[str, Any]] | None = None
+    ) -> None:
+        self.name = name
+        self.params = params
+        self.details = [] if details is None else details
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.params, self.details) == (other.name, other.params, other.details)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(name={self.name!r}, params={self.params!r}, "
+            f"details={self.details!r})"
+        )
 
     @property
     def passed(self) -> bool:

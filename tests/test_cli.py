@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -155,6 +158,34 @@ def test_multiplicities_large_gate(capsys):
     assert "--allow-large" in err
     assert "9! = 362880 basis elements" in err
     assert "seminormal block" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "span", "--n", "3", "--q", "2,2"],
+        ["all", "--q", "2,3,2"],
+        ["multiplicities", "--n", "3", "--q", "1,1"],
+    ],
+    ids=["verify", "all", "multiplicities"],
+)
+def test_repeated_q_is_refused(capsys, argv):
+    # a repeated q would run the same check twice, not a second check
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "repeated q value(s) [" in captured.err
+    assert captured.out == ""
+
+
+def test_import_leaves_out_dataclasses():
+    # every command starts with this import; dataclasses would pull in
+    # inspect, ast, dis and tokenize
+    code = "import sys, qshuffle.cli\nprint('dataclasses' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(qshuffle.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_failing_check_exits_one(monkeypatch, capsys):

@@ -351,16 +351,46 @@ def test_group_walk_matches_group_mul_oracle():
             assert got == _group_product_oracle(n, omit), (n, omit)
 
 
-def test_shuffle_pulls_match_composition():
-    # pull_g[j] is the index of w_j c_g^-1, read here off composed images
+def test_swap_moves_match_composition():
+    # gathering the indices through the moves of R_j gives, at w, the
+    # index of w s_j, read here off composed images
     for n in range(1, 7):
         perms = enumerate_perms(n)
-        index = {w.image: j for j, w in enumerate(perms)}
-        pulls = hecke._shuffle_pulls(n)
-        assert len(pulls) == n - 1
-        for g, pull in zip(range(1, n), pulls):
-            inv = cycle_element(g, n).inverse()
-            assert pull == [index[(w * inv).image] for w in perms], (n, g)
+        index = {w.image: u for u, w in enumerate(perms)}
+        for j in range(1, n):
+            src = list(range(len(perms)))
+            dst = [None] * len(perms)
+            for d, s in hecke._swap_moves(n, j):
+                dst[d] = src[s]
+            assert dst == [index[(w * Perm.simple(j, n)).image] for w in perms], (n, j)
+    # 1,264 block moves make the n - 1 swaps at n = 8
+    assert sum(len(hecke._swap_moves(8, j)) for j in range(1, 8)) == 1264
+
+
+def test_group_widths_bound_the_oracle():
+    # every coefficient of the q = 1 product is below 2^(W-1) in
+    # absolute value, so its residue mod 2^W reads it back uniquely
+    for n in range(1, 7):
+        bits, field = hecke._group_widths(n)
+        retained = [k for k in range(1, n + 1) if k != n - 1]
+        for omit in [None, 0] + retained:
+            prod = _group_product_oracle(n, omit)
+            top = max(map(abs, prod.values()), default=0)
+            assert top < 2 ** (bits - 1), (n, omit, top, bits)
+        # k <= n, and k (2^W - x) + x never reaches the next field
+        assert field in (8, 16, 32, 64), (n, field)
+        assert bits + (n + 1).bit_length() <= field, (n, bits, field)
+    assert hecke._group_widths(8) == (30, 64)
+    assert hecke._group_widths(13)[1] == 64
+
+
+def test_group_product_refuses_fields_wider_than_64_bits():
+    # n = 14 would need 66-bit fields; refused before the n!-field vector
+    # is allocated, which would otherwise fail with a MemoryError
+    for n in (14, 20):
+        for omit in (None, 0):
+            with pytest.raises(ValueError, match="64 bits hold n <= 13"):
+                wallach_group_product(n, omit=omit)
 
 
 def test_group_walk_needs_no_group_mul_or_hecke_step(monkeypatch):
