@@ -16,17 +16,13 @@ The command line entry point lives in :mod:`qshuffle.cli`.
 """
 
 from .polyring import ONE, Poly, Q, ZERO, q_int
-from .symgroup import Perm, compose, cycle_element, enumerate_perms
+from .symgroup import Perm, cycle_element, enumerate_perms
 from .hecke import (
     HeckeElt,
-    basis_times,
     group_mul,
     left_mult_matrix,
     mul,
-    simple_times_basis,
-    specialize,
     tau,
-    tau_times,
     wallach_group_product,
     wallach_product,
 )
@@ -63,9 +59,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Poly", "Q", "ONE", "ZERO", "q_int",
-    "Perm", "compose", "cycle_element", "enumerate_perms",
-    "HeckeElt", "simple_times_basis", "mul", "basis_times", "tau", "tau_times",
-    "wallach_product", "specialize", "group_mul", "wallach_group_product", "left_mult_matrix",
+    "Perm", "cycle_element", "enumerate_perms",
+    "HeckeElt", "mul", "tau", "wallach_product", "group_mul", "wallach_group_product",
+    "left_mult_matrix",
     "FLAG_BUDGET", "BudgetExceeded", "Subspace", "Flag",
     "flag_count", "enumerate_flags", "relative_position", "representative_pair",
     "OrbitFn", "f1", "f_t", "in_x_t", "convolve",

@@ -401,27 +401,16 @@ class Subspace:
 
 
 class Flag:
-    """A complete flag in F_q^n: proper steps of dimensions 1..n-1."""
+    """A complete flag in F_q^n: proper steps of dimensions 1..n-1.
+
+    Built only by from_basis, standard, permuted and enumerate_flags,
+    whose steps are nested by construction.
+    """
 
     __slots__ = ("q", "steps", "n")
 
-    def __init__(self, steps: Iterable[Subspace], q: int) -> None:
-        sts = tuple(steps)
-        if not sts:
-            raise ValueError("a flag needs at least the dimension-1 step")
-        n = sts[0].ambient
-        for i, s in enumerate(sts, 1):
-            if (s.ambient, s.q) != (n, q):
-                raise ValueError("steps live in different spaces")
-            if s.dim != i:
-                raise ValueError(f"step {i} has dimension {s.dim}")
-            if i > 1 and not sts[i - 2] <= s:
-                raise ValueError(f"step {i} does not contain step {i - 1}")
-        if len(sts) != n - 1:
-            raise ValueError(f"complete flag in F^{n} needs {n - 1} steps, got {len(sts)}")
-        self.q = q
-        self.steps = sts
-        self.n = n
+    def __init__(self) -> None:
+        raise TypeError("build a Flag with from_basis, standard, permuted or enumerate_flags")
 
     @classmethod
     def _make(cls, q: int, n: int, steps: tuple[Subspace, ...]) -> "Flag":
@@ -448,7 +437,7 @@ class Flag:
     @classmethod
     def permuted(cls, w: Perm, q: int) -> "Flag":
         """The coordinate flag wE: step i spanned by e_{w(1)}, ..., e_{w(i)}."""
-        return _coordinate_flag(w.image, q)
+        return cls.from_basis([[int(j == x - 1) for j in range(w.n)] for x in w.image], q)
 
     def step(self, i: int) -> Subspace:
         """Step i for i in [0, n]: 0 is the zero space, n the whole space."""
@@ -498,14 +487,6 @@ def _end_steps(n: int, q: int) -> tuple[Subspace, Subspace]:
     return Subspace._make(n, q, {}), Subspace._make(n, q, full)
 
 
-@lru_cache(maxsize=None, typed=True)
-def _coordinate_flag(image: tuple[int, ...], q: int) -> Flag:
-    # one flag per (image, q), built once: the literal predicates of
-    # the tests read the n! coordinate flags of one (n, q) many times
-    n = len(image)
-    return Flag.from_basis([[int(j == image[i] - 1) for j in range(n)] for i in range(n)], q)
-
-
 def _q_factorial(n: int, q: int) -> int:
     return math.prod(q_int(k)(q) for k in range(1, n + 1))
 
@@ -517,12 +498,14 @@ def flag_count(n: int, q: int) -> int:
 
 
 def _check_budget(n: int, q: int, budget: int) -> int:
-    """The flag count of F_q^n; BudgetExceeded when it is over `budget`.
+    """The flag count of F_q^n, n >= 1; BudgetExceeded when it is over `budget`.
 
     An oversized request is refused as over the budget before q is
     tested at all, so it gets that answer for every q, even one at or
     above 3.3e24 that the primality test refuses as undecidable.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     _require_field_size(q)
     total = _q_factorial(n, q)
     if total > budget:
@@ -576,8 +559,6 @@ def enumerate_flags(n: int, q: int, budget: int = FLAG_BUDGET) -> tuple[Flag, ..
     enumeration starts; BudgetExceeded is raised when it would not fit.
     """
     _check_budget(n, q, budget)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     return tuple(Flag._make(q, n, _flag_steps(basis, q)) for basis in _chain_bases(n, q))
 
 
@@ -625,7 +606,6 @@ def relative_position(w_flag: Flag, v_flag: Flag) -> Perm:
 
 def representative_pair(w: Perm, q: int) -> tuple[Flag, Flag]:
     """The standard representative (wE, E) of the orbit labeled w."""
-    _require_prime(q)
     return Flag.permuted(w, q), Flag.standard(w.n, q)
 
 

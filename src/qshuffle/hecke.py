@@ -23,8 +23,9 @@ read s_i w and the sign of l(s_i w) - l(w) off one table per generator
 (``_rank_steps``); the public functions translate to Perm only at their
 boundary.  Left multiplication by tau (n - 1 steps with a running sum)
 and T_x b for every x (one step per x) are walks over that step.
-``tau_times``, ``basis_times`` and ``mul`` walk at Q.  The spectrum's tau matrix and the structure-constant
-check walk at their integer q.  ``wallach_product`` walks at q = 2^B
+``mul`` walks at Q and is the Z[q] oracle of the int walks.  The
+spectrum's tau matrix and the structure-constant check walk at their
+integer q.  ``wallach_product`` walks at q = 2^B
 (Kronecker substitution) and decodes each coefficient as balanced
 base-2^B digits, with B from a proven bound on the coefficients.
 
@@ -54,13 +55,9 @@ from .symgroup import Perm, _tuple_getter, cycle_element, enumerate_perms
 
 __all__ = [
     "HeckeElt",
-    "simple_times_basis",
     "mul",
-    "basis_times",
     "tau",
-    "tau_times",
     "wallach_product",
-    "specialize",
     "group_mul",
     "wallach_group_product",
     "left_mult_matrix",
@@ -96,6 +93,13 @@ class HeckeElt:
                 acc.pop(w, None)
         self.n = n
         self.terms: dict[Perm, Poly] = acc
+
+    @classmethod
+    def _make(cls, n: int, terms: dict[Perm, Poly]) -> "HeckeElt":
+        # trusted constructor: terms already in S_n, Poly and nonzero
+        e = object.__new__(cls)
+        e.n, e.terms = n, terms
+        return e
 
     @classmethod
     def zero(cls, n: int) -> "HeckeElt":
@@ -139,17 +143,12 @@ class HeckeElt:
                 out[w] = s
             else:
                 out.pop(w, None)
-        e = object.__new__(HeckeElt)
-        e.n, e.terms = self.n, out
-        return e
+        return HeckeElt._make(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "HeckeElt":
-        e = object.__new__(HeckeElt)
-        e.n = self.n
-        e.terms = {w: -c for w, c in self.terms.items()}
-        return e
+        return HeckeElt._make(self.n, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: object) -> "HeckeElt":
         o = self._lift(other)
@@ -178,10 +177,7 @@ class HeckeElt:
             return NotImplemented
         if not p:
             return HeckeElt.zero(self.n)
-        e = object.__new__(HeckeElt)
-        e.n = self.n
-        e.terms = {w: coeff * p for w, coeff in self.terms.items()}
-        return e
+        return HeckeElt._make(self.n, {w: coeff * p for w, coeff in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         o = self._lift(other)
@@ -294,34 +290,15 @@ def _indices(a: HeckeElt) -> dict[int, Poly]:
 
 def _elt(n: int, terms: Mapping[int, Poly]) -> HeckeElt:
     # the element with these index-keyed terms; zero terms dropped
-    e = object.__new__(HeckeElt)
-    e.n = n
-    e.terms = {_unrank(n, u): c for u, c in terms.items() if c}
-    return e
+    return HeckeElt._make(n, {_unrank(n, u): c for u, c in terms.items() if c})
 
 
-def simple_times_basis(i: int, w: Perm) -> HeckeElt:
-    """The product T_i * T_w expanded in the standard basis.
-
-    >>> print(simple_times_basis(1, Perm.identity(2)))
-    T[2 1]
-    >>> print(simple_times_basis(1, Perm((2, 1))))
-    q*T[1 2] + (-1 + q)*T[2 1]
-    """
-    if not 1 <= i < w.n:
-        raise ValueError(f"generator index {i} outside 1..{w.n - 1}")
-    step = _rank_steps(w.n)[i - 1]
-    return _elt(w.n, _simple_times(step, {_rank(w.image): ONE}, Q))
-
-
-def _basis_walk(
-    n: int, terms: Mapping[int, R], q: R, pick: Callable[[list[int]], int] = min
-) -> Callable[[int], dict[int, R]]:
+def _basis_walk(n: int, terms: Mapping[int, R], q: R) -> Callable[[int], dict[int, R]]:
     # x -> T_x * b for b = sum of `terms`, keyed by label index, over the
     # ring of q; zero terms dropped.  Each product is one generator step
-    # from a shorter one, T_x b = T_i (T_{s_i x} b) for the left descent
-    # i of x chosen by `pick`, and is memoized, so products share their
-    # common prefixes.  A descent is a negative rank step, so s_i x
+    # from a shorter one, T_x b = T_i (T_{s_i x} b) for the first left
+    # descent i of x, and is memoized, so products share their common
+    # prefixes.  A descent is a negative rank step, so s_i x
     # precedes x and in enumerate_perms order every call is one step.
     steps = _rank_steps(n)
     memo: dict[int, dict[int, R]] = {0: dict(terms)}
@@ -329,7 +306,7 @@ def _basis_walk(
     def walk(x: int) -> dict[int, R]:
         hit = memo.get(x)
         if hit is None:
-            step = steps[pick([i for i, d in enumerate(steps, 1) if d[x] < 0]) - 1]
+            step = next(d for d in steps if d[x] < 0)
             prod = _simple_times(step, walk(x + step[x]), q)
             memo[x] = hit = {u: c for u, c in prod.items() if c}
         return hit
@@ -337,11 +314,9 @@ def _basis_walk(
     return walk
 
 
-def _mul(
-    n: int, a: Mapping[int, Poly], b: Mapping[int, Poly], pick: Callable[[list[int]], int] = min
-) -> dict[int, Poly]:
+def _mul(n: int, a: Mapping[int, Poly], b: Mapping[int, Poly]) -> dict[int, Poly]:
     # a * b on index-keyed terms; zero coefficients are kept
-    walk = _basis_walk(n, b, Q, pick)
+    walk = _basis_walk(n, b, Q)
     acc: dict[int, Poly] = {}
     for w, p in a.items():
         for u, c in walk(w).items():
@@ -349,36 +324,33 @@ def _mul(
     return acc
 
 
-def mul(a: HeckeElt, b: HeckeElt, pick: Callable[[list[int]], int] = min) -> HeckeElt:
+def mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
     """Product in the algebra.
 
     The left factor is peeled one generator at a time: T_w * b is
-    computed as T_i * (T_{s_i w} * b) for a left descent i of w, with
-    the partial products memoized so common prefixes are shared across
-    the support of `a`.  `pick` chooses the descent and exists so tests
-    can confirm the result does not depend on that choice.
+    computed as T_i * (T_{s_i w} * b) for the first left descent i of
+    w, with the partial products memoized so common prefixes are shared
+    across the support of `a`.
+
+    >>> s1 = HeckeElt.basis(Perm((2, 1)))
+    >>> print(mul(s1, HeckeElt.unit(2)))
+    T[2 1]
+    >>> print(mul(s1, s1))
+    q*T[1 2] + (-1 + q)*T[2 1]
     """
     if a.n != b.n:
         raise ValueError(f"rank mismatch: {a.n} vs {b.n}")
-    return _elt(a.n, _mul(a.n, _indices(a), _indices(b), pick))
-
-
-def basis_times(b: HeckeElt) -> dict[Perm, HeckeElt]:
-    """T_x * b for every x in S_n, keyed by x in lexicographic order.
-
-    All n! products come from one walk, each a single generator step
-    from a shorter product.
-
-    >>> cols = basis_times(HeckeElt.unit(3))
-    >>> all(cols[x] == HeckeElt.basis(x) for x in enumerate_perms(3))
-    True
-    """
-    walk = _basis_walk(b.n, _indices(b), Q)
-    return {x: _elt(b.n, walk(u)) for u, x in enumerate(enumerate_perms(b.n))}
+    return _elt(a.n, _mul(a.n, _indices(a), _indices(b)))
 
 
 def tau(n: int) -> HeckeElt:
-    """Sum of T over the cycles (g, g+1, ..., n) for g in [1, n]."""
+    """Sum of T over the cycles (g, g+1, ..., n) for g in [1, n].
+
+    At n = 2, tau = 1 + T_1 and tau^2 = [2]_q tau:
+
+    >>> print(mul(tau(2), tau(2)))
+    (1 + q)*T[1 2] + (1 + q)*T[2 1]
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return HeckeElt(n, [(cycle_element(g, n), ONE) for g in range(1, n + 1)])
@@ -386,8 +358,10 @@ def tau(n: int) -> HeckeElt:
 
 def _tau_walk(n: int, terms: Mapping[int, R], q: R) -> dict[int, R]:
     # tau * x over the ring of q in n - 1 generator steps, keyed by
-    # label index.  The result holds every key of `terms` (the g = n
-    # term is x itself) and keeps zero coefficients.
+    # label index: T_{c_g} = T_g T_{c_{g+1}} as lengths add, so each
+    # T_{c_g} x is one step from T_{c_{g+1}} x, starting at
+    # T_{c_n} x = x, and tau * x is their running sum.  The result holds
+    # every key of `terms` and keeps zero coefficients.
     steps = _rank_steps(n)
     acc = dict(terms)
     step = terms
@@ -397,17 +371,6 @@ def _tau_walk(n: int, terms: Mapping[int, R], q: R) -> dict[int, R]:
             old = acc.get(u)
             acc[u] = c if old is None else old + c
     return acc
-
-
-def tau_times(a: HeckeElt) -> HeckeElt:
-    """tau * a in n - 1 generator steps: T_{c_g} = T_g T_{c_{g+1}} as
-    lengths add, so each T_{c_g} a is one step from T_{c_{g+1}} a,
-    starting at T_{c_n} a = a, and tau * a is their running sum.
-
-    >>> tau_times(HeckeElt.unit(3)) == tau(3)
-    True
-    """
-    return _elt(a.n, _tau_walk(a.n, _indices(a), Q))
 
 
 def _retained_ks(n: int) -> list[int]:
@@ -485,11 +448,6 @@ def wallach_product(n: int, omit: int | None = None) -> HeckeElt:
             shifted[u] -= qk * c
         prod = {u: c for u, c in shifted.items() if c}
     return _elt(n, {u: _kronecker_decode(c, bits) for u, c in prod.items()})
-
-
-def specialize(a: HeckeElt, q0: int) -> dict[Perm, int]:
-    """Module-level alias for :meth:`HeckeElt.specialize`."""
-    return a.specialize(q0)
 
 
 def group_mul(a: Mapping[Perm, int], b: Mapping[Perm, int]) -> dict[Perm, int]:

@@ -354,6 +354,8 @@ def _block_nullities(n: int, q0: int) -> tuple[int, ...]:
 
 
 def _check_size(n: int, allow_large: bool) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if n > _LARGE_N and not allow_large:
         raise ValueError(
             f"n={n} means the annihilator over {n}! = {math.factorial(n)} basis elements "

@@ -24,7 +24,6 @@ from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "Perm",
-    "compose",
     "cycle_element",
     "enumerate_perms",
 ]
@@ -140,11 +139,6 @@ class Perm:
 
     def __repr__(self) -> str:
         return f"Perm({self.image!r})"
-
-
-def compose(u: Perm, v: Perm) -> Perm:
-    """(u o v)(i) = u(v(i)): the right factor acts first."""
-    return u * v
 
 
 def cycle_element(g: int, n: int) -> Perm:

@@ -15,6 +15,7 @@ from qshuffle.flagmodel import (
     enumerate_flags,
     relative_position,
 )
+import qshuffle.hecke as hecke
 from qshuffle.hecke import HeckeElt, left_mult_matrix, mul
 from qshuffle.polyring import ONE, Poly, Q, ZERO
 from qshuffle.symgroup import Perm, enumerate_perms
@@ -103,6 +104,26 @@ def _random_hecke(rng, n):
     )
 
 
+def word_times(x, terms, pick):
+    """T_x times the index-keyed element `terms` over Z[q], as one
+    generator step per letter of x.reduced_word(pick), right to left;
+    zero terms dropped."""
+    steps = hecke._rank_steps(x.n)
+    for i in reversed(x.reduced_word(pick)):
+        terms = hecke._simple_times(steps[i - 1], terms, Q)
+    return {u: c for u, c in terms.items() if c}
+
+
+def mul_along(a, b, pick):
+    """a * b with each T_w of `a` spelled by w.reduced_word(pick)."""
+    right = hecke._indices(b)
+    acc = {}
+    for w, p in a.terms.items():
+        for u, c in word_times(w, right, pick).items():
+            acc[u] = acc.get(u, ZERO) + p * c
+    return hecke._elt(a.n, acc)
+
+
 def check_mul_associativity(n, trials=25, seed=20260816):
     rng = random.Random(seed)
     for _ in range(trials):
@@ -111,14 +132,16 @@ def check_mul_associativity(n, trials=25, seed=20260816):
 
 
 def check_reduced_word_invariance(n, trials=25, seed=20260816):
-    """mul must not depend on which descent the recursion peels."""
+    """mul must not depend on the reduced word that spells each T_w:
+    products built along the min, max and random descent choices of
+    reduced_word all equal it."""
     rng = random.Random(seed)
     chooser = random.Random(seed + 1)
     for _ in range(trials):
         a, b = _random_hecke(rng, n), _random_hecke(rng, n)
-        base = mul(a, b, pick=min)
-        assert mul(a, b, pick=max) == base
-        assert mul(a, b, pick=chooser.choice) == base
+        base = mul(a, b)
+        for pick in (min, max, chooser.choice):
+            assert mul_along(a, b, pick) == base, pick
 
 
 def check_convolution_associativity(n, q, trials=20, seed=20260816):
@@ -171,7 +194,18 @@ def transformed(flag, g):
     def moved(rows):
         return [[sum(x * y for x, y in zip(r, c)) % q for c in cols] for r in rows]
 
-    return Flag([Subspace(moved(s.rows), n, q) for s in flag.steps], q)
+    steps = [Subspace(moved(s.rows), n, q) for s in flag.steps]
+    assert [s.dim for s in steps] == list(range(1, n))
+    assert all(a <= b for a, b in zip(steps, steps[1:])), "moved steps do not nest"
+    # a chain basis: row i is the echelon row of step i whose lead step
+    # i - 1 lacks
+    basis = []
+    for i in range(1, n + 1):
+        (lead,) = flag.step(i).pivots.keys() - flag.step(i - 1).pivots.keys()
+        basis.append((0,) * lead + flag.step(i).pivots[lead])
+    out = Flag.from_basis(moved(basis), q)
+    assert out.steps == tuple(steps)
+    return out
 
 
 def random_invertible(rng, n, q):

@@ -37,12 +37,17 @@ def test_verify_group_identity_text(capsys):
 
 
 def test_identity_checks_refuse_n_below_one(capsys):
-    for check in ("hecke-identity", "group-identity"):
+    commands = [["verify", check] for check in cli._VERIFY_CHECKS] + [["multiplicities"]]
+    assert len(commands) == 7
+    for command in commands:
         for n in ("0", "-2"):
-            assert main(["verify", check, "--n", n]) == 2
+            assert main([*command, "--n", n]) == 2, command
             captured = capsys.readouterr()
-            assert "need n >= 1" in captured.err
-            assert "PASS" not in captured.out
+            assert f"need n >= 1, got {n}" in captured.err, command
+            assert captured.out == "", command
+    # factorization needs a pair of generators
+    assert main(["verify", "factorization", "--n", "1"]) == 2
+    assert "need n >= 2, got 1" in capsys.readouterr().err
 
 
 def test_options_a_check_ignores_are_refused(capsys):
@@ -261,6 +266,21 @@ def test_json_verdicts_are_the_conjunction_of_their_rows(capsys):
 
 def test_module_entry_point():
     import qshuffle.__main__  # noqa: F401  (import must not run main)
+
+
+def test_every_exported_name_resolves():
+    # a name left in an __all__ after its definition is removed would
+    # break only `from qshuffle import *`
+    modules = [qshuffle] + [
+        importlib.import_module(f"qshuffle.{info.name}")
+        for info in pkgutil.iter_modules(qshuffle.__path__)
+    ]
+    for m in modules:
+        names = getattr(m, "__all__", [])
+        assert len(set(names)) == len(names), m.__name__
+        for name in names:
+            assert hasattr(m, name), (m.__name__, name)
+        exec(f"from {m.__name__} import *", {})
 
 
 def test_benchmark_traced_names_have_one_home():

@@ -141,16 +141,16 @@ def test_flag_steps():
 
 
 def test_coordinate_flags_are_cached():
-    # one validated flag per (image, q), equal to the one from_basis builds
+    # the coordinate flag wE equals the one from_basis builds from the
+    # permuted unit vectors
     for n, q in ((1, 2), (2, 3), (3, 2), (4, 5)):
         for w in enumerate_perms(n):
             f = Flag.permuted(w, q)
             units = [[int(j == w(i) - 1) for j in range(n)] for i in range(1, n + 1)]
             assert f == Flag.from_basis(units, q), (w, q)
-            assert Flag.permuted(w, q) is f
-    assert Flag.standard(3, 2) is Flag.permuted(Perm.identity(3), 2)
+    assert Flag.standard(3, 2) == Flag.permuted(Perm.identity(3), 2)
     assert Flag.permuted(Perm((2, 1)), 2) != Flag.permuted(Perm((2, 1)), 3)
-    # a cached q = 2 must not answer for 2.0
+    # q = 2.0 is refused, not read as 2
     with pytest.raises(ValueError, match="prime"):
         Flag.permuted(Perm((2, 1)), 2.0)
 
@@ -162,9 +162,16 @@ def test_chain_bases_span_the_enumerated_flags():
         assert len(bases) == len(flags)
         for basis, flag in zip(bases, flags):
             assert _rank_fq(basis, q) == n
-            # the validating constructor, not Flag._make
-            spans = Flag([Subspace(basis[:i], n, q) for i in range(1, n)], q)
-            assert spans == flag
+            # each step spanned on its own, not through _flag_steps
+            spans = [Subspace(basis[:i], n, q) for i in range(1, n)]
+            assert [s.dim for s in spans] == list(range(1, n))
+            assert all(a <= b for a, b in zip(spans, spans[1:]))
+            assert flag.steps == tuple(spans)
+            assert Flag.from_basis(basis, q) == flag
+    # flags come only from the builders, never from a list of steps
+    for args in ((flags[0].steps, q), ()):
+        with pytest.raises(TypeError):
+            Flag(*args)
 
 
 def test_flag_counts_frozen():

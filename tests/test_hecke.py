@@ -15,17 +15,15 @@ from prop_checks import (
     check_quadratic_braid_matrices,
     check_reduced_word_invariance,
     col_mul,
+    mul_along,
+    word_times,
 )
 from qshuffle.hecke import (
     HeckeElt,
-    basis_times,
     group_mul,
     left_mult_matrix,
     mul,
-    simple_times_basis,
-    specialize,
     tau,
-    tau_times,
     wallach_group_product,
     wallach_product,
 )
@@ -37,14 +35,20 @@ def test_doctests():
     assert doctest.testmod(hecke).failed == 0
 
 
+def _simple_times_basis(i, w):
+    # T_i * T_w through the one generator step, in Z[q]
+    step = hecke._rank_steps(w.n)[i - 1]
+    return hecke._elt(w.n, hecke._simple_times(step, {hecke._rank(w.image): ONE}, Q))
+
+
 def test_simple_times_basis_cases():
     e2 = Perm.identity(2)
     s1 = Perm.simple(1, 2)
-    assert simple_times_basis(1, e2) == HeckeElt.basis(s1)
-    assert simple_times_basis(1, s1) == HeckeElt(2, {e2: Q, s1: Q - 1})
+    assert _simple_times_basis(1, e2) == HeckeElt.basis(s1)
+    assert _simple_times_basis(1, s1) == HeckeElt(2, {e2: Q, s1: Q - 1})
     # length-additive case in rank 3
     s2 = Perm.simple(2, 3)
-    assert simple_times_basis(1, s2) == HeckeElt.basis(Perm((2, 3, 1)))
+    assert _simple_times_basis(1, s2) == HeckeElt.basis(Perm((2, 3, 1)))
 
 
 def test_quadratic_relation_elementwise():
@@ -173,23 +177,18 @@ def test_kronecker_decode_round_trips():
             assert hecke._kronecker_decode(p(2**bits), bits) == p, (n, p)
 
 
-def _nonzero(terms):
-    return {u: c for u, c in terms.items() if c}
-
-
 def _index(n):
     return {w: u for u, w in enumerate(enumerate_perms(n))}
 
 
 def test_tau_times_matches_mul():
-    # slow oracle: the general product with tau(n) as left factor, peeling
-    # the largest descent where tau_times steps through the smallest; on
-    # basis elements both walk on label indices
+    # slow oracle: tau * a as a sum over the n cycles, each applied one
+    # letter of its reduced word at a time, where the tau walk shares
+    # the steps through a running sum
     for n in range(1, 6):
-        t = hecke._indices(tau(n))
-        for u in range(len(enumerate_perms(n))):
-            got = hecke._tau_walk(n, {u: ONE}, Q)
-            assert _nonzero(got) == _nonzero(hecke._mul(n, t, {u: ONE}, pick=max)), (n, u)
+        for u, w in enumerate(enumerate_perms(n)):
+            got = hecke._elt(n, hecke._tau_walk(n, {u: ONE}, Q))
+            assert got == mul_along(tau(n), HeckeElt.basis(w), max), (n, w)
     rng = random.Random(23)
     for n in range(1, 5):
         perms = enumerate_perms(n)
@@ -198,22 +197,20 @@ def test_tau_times_matches_mul():
                 (rng.choice(perms), Poly([rng.randint(-2, 2) for _ in range(3)]))
                 for _ in range(rng.randint(1, 5))
             ])
-            assert tau_times(a) == mul(tau(n), a, pick=max), a
-        assert tau_times(HeckeElt.zero(n)).is_zero()
+            got = hecke._elt(n, hecke._tau_walk(n, hecke._indices(a), Q))
+            assert got == mul_along(tau(n), a, max) == mul(tau(n), a), a
+        assert hecke._tau_walk(n, {}, Q) == {}
 
 
 def test_basis_times_matches_mul():
-    # slow oracle: one walk per basis element on label indices, and one
-    # general product per random element, peeling the largest descent
-    # where basis_times peels the smallest
+    # slow oracle: T_x * b built along the largest-descent reduced word
+    # of x, where the memo walk peels the first left descent
     for n in range(1, 5):
         perms = enumerate_perms(n)
-        for bi, b in enumerate(perms):
-            cols = basis_times(HeckeElt.basis(b))
-            assert list(cols) == list(perms)
-            high = hecke._basis_walk(n, {bi: ONE}, Q, pick=max)
+        for bi in range(len(perms)):
+            walk = hecke._basis_walk(n, {bi: ONE}, Q)
             for xi, x in enumerate(perms):
-                assert hecke._indices(cols[x]) == high(xi), (x, b)
+                assert walk(xi) == word_times(x, {bi: ONE}, max), (x, bi)
     rng = random.Random(29)
     for n in range(1, 5):
         perms = enumerate_perms(n)
@@ -222,27 +219,29 @@ def test_basis_times_matches_mul():
                 (rng.choice(perms), Poly([rng.randint(-2, 2) for _ in range(3)]))
                 for _ in range(rng.randint(1, 5))
             ])
-            cols = basis_times(b)
-            for x in perms:
-                assert cols[x] == mul(HeckeElt.basis(x), b, pick=max), (x, b)
-        assert all(c.is_zero() for c in basis_times(HeckeElt.zero(n)).values())
+            walk = hecke._basis_walk(n, hecke._indices(b), Q)
+            for xi, x in enumerate(perms):
+                assert hecke._elt(n, walk(xi)) == mul_along(HeckeElt.basis(x), b, max), (x, b)
+        walk = hecke._basis_walk(n, {}, Q)
+        assert all(walk(xi) == {} for xi in range(len(perms)))
     # a step that cancels: T_1 (T_1 + (1 - q)) = q, with no zero term kept
     s1, e2 = Perm.simple(1, 2), Perm.identity(2)
-    cols = basis_times(HeckeElt(2, {s1: ONE, e2: 1 - Q}))
-    assert cols[s1].terms == {e2: Q}
+    walk = hecke._basis_walk(2, hecke._indices(HeckeElt(2, {s1: ONE, e2: 1 - Q})), Q)
+    assert walk(hecke._rank(s1.image)) == {0: Q}
 
 
 def test_basis_walk_at_int_q_matches_specialized_products():
     # the int walk of the structure-constant check, keyed by label
-    # index, against basis_times in Z[q] specialized at q
+    # index, against the Z[q] walk specialized at q
     for n in range(1, 5):
-        index = _index(n)
+        size = len(enumerate_perms(n))
         for q in (2, 3, 5):
-            for yi, y in enumerate(enumerate_perms(n)):
+            for yi in range(size):
                 walk = hecke._basis_walk(n, {yi: 1}, q)
-                for x, col in basis_times(HeckeElt.basis(y)).items():
-                    want = {index[w]: c for w, c in col.specialize(q).items()}
-                    assert walk(index[x]) == want, (n, q, x, y)
+                poly_walk = hecke._basis_walk(n, {yi: ONE}, Q)
+                for xi in range(size):
+                    want = {u: c(q) for u, c in poly_walk(xi).items() if c(q)}
+                    assert walk(xi) == want, (n, q, xi, yi)
 
 
 def test_rank_and_unrank_follow_enumerate_perms():
@@ -283,7 +282,6 @@ def test_specialize():
     assert at_one == {cycle_element(g, 3): 1 for g in (1, 2, 3)}
     shifted = t - q_int(2)
     assert shifted.specialize(1)[Perm.identity(3)] == -1
-    assert specialize(shifted, 1) == shifted.specialize(1)
     # zero coefficients are dropped
     assert (t - t).specialize(4) == {}
 
