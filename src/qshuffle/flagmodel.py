@@ -39,8 +39,8 @@ import math
 import operator
 import sys
 from collections import Counter
-from functools import lru_cache, partial, reduce
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from functools import lru_cache, reduce
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .hecke import _basis_walk, tau
 from .polyring import q_int
@@ -80,6 +80,11 @@ def _require_field_size(q: int) -> None:
         raise ValueError(f"q must be a prime, got {q!r}")
 
 
+def _require_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+
+
 def _require_prime(q: int) -> None:
     _require_field_size(q)
     if not _is_prime(q):
@@ -92,7 +97,7 @@ def _require_prime(q: int) -> None:
 # pivot profiles: the fast route to a relative position
 #
 # Let C be the chain matrix of a middle flag M: row i is the i-th chain
-# vector, so M_i is spanned by rows 1..i.  _Geometry keeps only the
+# vector, so M_i is spanned by rows 1..i.  The lattice reads only the
 # columns of each C, never the flag's subspaces.  For a set A of
 # coordinates write E_A for their span, and let P(A) be the set of i at
 # which dim(M_i cap E_A) goes up.  For the coordinate flag zE, the
@@ -112,16 +117,16 @@ def _require_prime(q: int) -> None:
 # 2^n - 2 steps, and reads pos(zE, M) for all n! orders z off chains of
 # Q values, without inverting C or reducing any row order.
 #
-# _row_backend selects the three ops of this lattice once: the chain
-# matrices of all flags, the same moved by a fixed matrix, and the
-# pivot sets Q(b) of every flag, as the subset-major buffers that
-# _Geometry._count reads.  Over F_2 all flags run at once: _chain_lanes
-# holds entry (i, j) of every chain matrix as one int, a lane, whose
-# byte f is the entry of flag f, so one XOR or AND of two lanes steps
-# every flag; the tests check the lanes against _chain_bases, which
-# grows the same bases one flag at a time.  Other q run the lattice
-# flag by flag on lists mod q, with _step_generic.  Neither shares code
-# with the elimination kernel of the literal layer (Subspace, Flag,
+# _pivot_masks runs this lattice over every chain matrix and keeps only
+# the pivot sets Q(b), as the subset-major buffers that _Geometry._count
+# reads; no chain matrix outlives it.  Over F_2 all flags run at once:
+# _chain_lanes holds entry (i, j) of every chain matrix as one int, a
+# lane, whose byte f is the entry of flag f, so one XOR or AND of two
+# lanes steps every flag; the tests check the lanes against
+# _chain_bases, which grows the same bases one flag at a time.  Other q
+# stream the bases of _chain_bases through the lattice flag by flag, on
+# lists mod q with _step_generic.  Neither shares code with the
+# elimination kernel of the literal layer (Subspace, Flag,
 # relative_position), which is their oracle in the tests.
 
 
@@ -156,18 +161,6 @@ def _subset_splits(n: int) -> list[tuple[int, int, int]]:
     # rest); rest < b, so its stored columns and pivots are ready
     return [(b, b.bit_length() - 1, b & ~(1 << (b.bit_length() - 1)))
             for b in range(1, (1 << n) - 1)]
-
-
-def _flag_columns(n: int, q: int) -> list[list[list[int]]]:
-    # the columns of every chain matrix, flag by flag
-    return [[list(c) for c in zip(*basis)] for basis in _chain_bases(n, q)]
-
-
-def _moved_columns(
-    columns: Iterable[list[list[int]]], h: Sequence[Sequence[int]], q: int
-) -> Iterator[list[list[int]]]:
-    for cols in columns:
-        yield _matmul_mod(h, cols, q)
 
 
 def _flag_masks(columns: Iterable[Sequence[Sequence[int]]], n: int, q: int) -> dict[int, bytes]:
@@ -310,22 +303,29 @@ def _lane_masks(lanes: Sequence[Sequence[int]], n: int) -> dict[int, bytes]:
     return {1: b"".join(m.to_bytes(count, "little") for m in pivots)}
 
 
-def _flag_backend(q: int) -> tuple[Callable, Callable, Callable]:
-    # the lattice ops flag by flag, on lists mod q
-    return partial(_flag_columns, q=q), partial(_moved_columns, q=q), partial(_flag_masks, q=q)
+def _debug_matrix(n: int) -> list[list[int]]:
+    # a fixed invertible matrix h, all-ones superdiagonal unipotent with
+    # its rows rotated; h times the columns of C is the column list of
+    # C g^-1 with g = h^-T, which moves the representative pairs off the
+    # coordinate flags to (g zE, g E)
+    uni = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+    return [uni[(i + 1) % n] for i in range(n)]
 
 
-def _row_backend(q: int) -> tuple[Callable, Callable, Callable]:
-    """The (chains, moved, masks) ops of the subset lattice over F_q.
+def _pivot_masks(n: int, q: int, h: Sequence[Sequence[int]] | None = None) -> dict[int, bytes]:
+    """The pivot sets of every chain matrix over F_q, keyed by weight.
 
-    chains(n) holds the chain matrices of all flags, moved(chains, h)
-    the same with h times every column list, and masks(chains, n) the
-    pivot sets of every flag, keyed by weight, as _Geometry._count
-    reads them.  F_2 runs on byte lanes, other q flag by flag.
+    With h, every column list is first multiplied by h.  F_2 runs on
+    byte lanes, other q on the bases of _chain_bases as they are
+    grown, so no list of flags is built.
     """
     if q == 2:
-        return _chain_lanes, _moved_lanes, _lane_masks
-    return _flag_backend(q)
+        lanes = _chain_lanes(n)
+        return _lane_masks(lanes if h is None else _moved_lanes(lanes, h), n)
+    columns: Iterable[Sequence[Sequence[int]]] = (list(zip(*b)) for b in _chain_bases(n, q))
+    if h is not None:
+        columns = (_matmul_mod(h, cols, q) for cols in columns)
+    return _flag_masks(columns, n, q)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +494,7 @@ def _q_factorial(n: int, q: int) -> int:
 def flag_count(n: int, q: int) -> int:
     """Number of complete flags in F_q^n: the q-factorial [1][2]...[n] at q."""
     _require_prime(q)
+    _require_n(n)
     return _q_factorial(n, q)
 
 
@@ -504,8 +505,7 @@ def _check_budget(n: int, q: int, budget: int) -> int:
     tested at all, so it gets that answer for every q, even one at or
     above 3.3e24 that the primality test refuses as undecidable.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _require_n(n)
     _require_field_size(q)
     total = _q_factorial(n, q)
     if total > budget:
@@ -610,11 +610,11 @@ def representative_pair(w: Perm, q: int) -> tuple[Flag, Flag]:
 
 
 # ---------------------------------------------------------------------------
-# per-(n, q) geometry: flag list, labels, convolution tensor
+# per-(n, q) geometry: labels and the convolution tensor
 
 
 class _Geometry:
-    """Chain matrices, orbit labels, and the convolution structure tensor for one (n, q).
+    """Orbit labels and the convolution structure tensor for one (n, q).
 
     Labels are indices into perms.  tensor()[x * n! + y] maps z to the
     number of middle flags M with relative_position(A, M) labeled x and
@@ -624,12 +624,12 @@ class _Geometry:
     only the (x, y) pairs in the supports of its factors.  The caller
     checks the flag budget first.
 
-    The build has two passes.  The masks op of _row_backend runs the
-    subset lattice of every chain matrix and keeps its pivot sets, one
-    byte per column subset: over F_2 for all flags at once in byte
-    lanes, each flag with weight 1; for other q flag by flag, flags
-    with equal patterns merged with a weight.  _count then reads every
-    label off chains of pivot sets.
+    The build has two passes.  _pivot_masks runs the subset lattice of
+    every chain matrix and keeps only its pivot sets, one byte per
+    column subset: over F_2 for all flags at once in byte lanes, each
+    flag with weight 1; for other q flag by flag as the chain bases are
+    grown, flags with equal patterns merged with a weight.  _count then
+    reads every label off chains of pivot sets.
     For the flag zE the label x = pos(zE, M) comes from the chain
     Q(B_1), ..., Q(B_{n-1}), B_k the coordinates outside z(1), ...,
     z(k), and the identity order gives pos(E, M), whose inverse is
@@ -667,37 +667,20 @@ class _Geometry:
         self.perms = enumerate_perms(n)
         self.nperms = len(self.perms)
         self.index = {w.image: i for i, w in enumerate(self.perms)}
-        self._backend = chains, _, _ = _row_backend(q)
-        # the chain matrices of every flag, in the backend's layout
-        self._chains = chains(n)
         self._tensor: list[dict[int, int]] | None = None
         self._debug_checked = False
 
     def tensor(self, debug: bool = False) -> list[dict[int, int]]:
         if self._tensor is None:
-            self._tensor = self._count(self._masks(self._chains))
+            self._tensor = self._count(_pivot_masks(self.n, self.q))
         if debug and not self._debug_checked:
-            other = self._count(self._masks(self._debug_chains()))
+            other = self._count(_pivot_masks(self.n, self.q, _debug_matrix(self.n)))
             if other != self._tensor:
                 raise ArithmeticError(
                     "structure tensor differs between two orbit representatives"
                 )
             self._debug_checked = True
         return self._tensor
-
-    def _debug_chains(self) -> object:
-        # a fixed invertible matrix h, all-ones superdiagonal unipotent
-        # with its rows rotated; h times the columns of C is the column
-        # list of C g^-1 with g = h^-T, which moves the representative
-        # pairs off the coordinate flags to (g zE, g E)
-        n = self.n
-        uni = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
-        h = [uni[(i + 1) % n] for i in range(n)]
-        return self._backend[1](self._chains, h)
-
-    def _masks(self, chains: object) -> dict[int, bytes]:
-        # the pivot sets of every flag, as subset-major buffers by weight
-        return self._backend[2](chains, self.n)
 
     def _count(self, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
         # the counting kernel of the class docstring
@@ -901,8 +884,7 @@ def f1(n: int, q: int) -> OrbitFn:
     {1..g-1}, so j = g each time, which is w = c_g.
     """
     _require_prime(q)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _require_n(n)
     return OrbitFn(n, q, {cycle_element(g, n): 1 for g in range(1, n + 1)})
 
 
@@ -938,6 +920,7 @@ def f_t(n: int, q: int, t: int) -> OrbitFn:
     rises strictly at r exactly when w(r) exceeds every earlier value.
     """
     _require_prime(q)
+    _require_n(n)
     if t < 0:
         raise ValueError(f"need t >= 0, got {t}")
     if t > n:

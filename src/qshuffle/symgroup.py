@@ -93,11 +93,6 @@ class Perm:
         n = len(img)
         return sum(1 for i in range(n) for j in range(i + 1, n) if img[i] > img[j])
 
-    def descents(self) -> list[int]:
-        """Right descent positions: i with w(i) > w(i+1)."""
-        img = self.image
-        return [i for i in range(1, len(img)) if img[i - 1] > img[i]]
-
     def reduced_word(self, pick: Callable[[list[int]], int] = min) -> list[int]:
         """A reduced word [i_1, ..., i_l] with self == s_{i_1} * ... * s_{i_l}.
 

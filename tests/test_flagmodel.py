@@ -191,6 +191,18 @@ def test_flag_counts_frozen():
         assert flag_count(n, q) == count, (n, q)
 
 
+def test_flag_entry_points_refuse_n_below_one():
+    # no flag variety has n < 1, so none of them counts or labels one
+    for n in (0, -2):
+        calls = [lambda: f1(n, 2), lambda: flag_count(n, 2), lambda: enumerate_flags(n, 2),
+                 lambda: tau(n)]
+        # t <= n and t > n, which f_t would otherwise answer with zero
+        calls += [lambda t=t: f_t(n, 2, t) for t in (n, n + 1, 0)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
+                call()
+
+
 def test_enumerate_flags_complete_and_distinct():
     for n, q in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 5)):
         flags = enumerate_flags(n, q)
@@ -660,11 +672,9 @@ def _relane(columns):
             for j in range(n)]
 
 
-def _flag_chains(geo, chains):
-    # the column lists of every flag, from either backend's layout
-    if geo.q == 2:
-        return _unlane(chains, flag_count(geo.n, 2))
-    return list(chains)
+def _flag_columns(n, q):
+    # the columns of every chain matrix, flag by flag
+    return [[list(c) for c in zip(*basis)] for basis in flagmodel._chain_bases(n, q)]
 
 
 def _patterns(geo, groups):
@@ -682,7 +692,7 @@ def _patterns(geo, groups):
 def test_chain_lanes_match_chain_bases(monkeypatch):
     # entry by entry, in the flag order of _chain_bases
     for n in range(1, 6):
-        expected = [[list(c) for c in zip(*basis)] for basis in flagmodel._chain_bases(n, 2)]
+        expected = _flag_columns(n, 2)
         lanes = flagmodel._chain_lanes(n)
         assert _unlane(lanes, flag_count(n, 2)) == expected, n
         assert _relane(expected) == lanes, n
@@ -691,22 +701,24 @@ def test_chain_lanes_match_chain_bases(monkeypatch):
         flagmodel._chain_lanes(3)
 
 
-def test_packed_f2_backend_matches_generic(monkeypatch):
+def test_packed_f2_backend_matches_generic():
     # the lane lattice against the flag-by-flag one at q = 2, on the
     # chain matrices and on their moved copies of the debug rebuild
     for n in range(1, 6):
-        lanes = flagmodel._Geometry(n, 2)
-        with monkeypatch.context() as m:
-            m.setattr(flagmodel, "_row_backend", flagmodel._flag_backend)
-            generic = flagmodel._Geometry(n, 2)
-        assert _flag_chains(lanes, lanes._chains) == generic._chains, n
-        moved = lanes._debug_chains()
-        generic_moved = list(generic._debug_chains())
-        assert _flag_chains(lanes, moved) == generic_moved, n
-        for chains, generic_chains in ((lanes._chains, generic._chains), (moved, generic_moved)):
-            got, want = lanes._masks(chains), generic._masks(generic_chains)
-            assert _patterns(lanes, got) == _patterns(generic, want), n
-            assert lanes._count(got) == generic._count(want) == lanes.tensor(), n
+        geo = flagmodel._Geometry(n, 2)
+        h = flagmodel._debug_matrix(n)
+        lanes = flagmodel._chain_lanes(n)
+        moved = flagmodel._moved_lanes(lanes, h)
+        columns = _flag_columns(n, 2)
+        moved_columns = [flagmodel._matmul_mod(h, cols, 2) for cols in columns]
+        count = flag_count(n, 2)
+        assert _unlane(lanes, count) == columns, n
+        assert _unlane(moved, count) == moved_columns, n
+        for chains, cols, by in ((lanes, columns, None), (moved, moved_columns, h)):
+            got, want = flagmodel._lane_masks(chains, n), flagmodel._flag_masks(cols, n, 2)
+            assert got == flagmodel._pivot_masks(n, 2, by), n
+            assert _patterns(geo, got) == _patterns(geo, want), n
+            assert geo._count(got) == geo._count(want) == geo.tensor(), n
 
 
 def test_lattices_refuse_dependent_columns():
@@ -754,7 +766,7 @@ def test_counting_kernel_matches_the_scatter():
     weight_groups = set()
     for n, q in FLAG_GRID:
         geo = flagmodel._geometry(n, q, flagmodel.FLAG_BUDGET)
-        groups = geo._masks(geo._chains)
+        groups = flagmodel._pivot_masks(n, q)
         patterns = _patterns(geo, groups)
         assert sum(patterns.values()) == flag_count(n, q)
         weight_groups.add(len(groups))
@@ -792,21 +804,75 @@ def test_counting_field_width_guard(monkeypatch):
 
 def test_debug_rebuild_moves_every_chain_matrix():
     # the second representative must really differ, flag by flag, and
-    # still give the same tensor, on both row backends, by the counting
+    # still give the same tensor, on both lattices, by the counting
     # kernel and by its oracle
     for n, q in FLAG_GRID:
         if n < 2:
             continue
         geo = flagmodel._geometry(n, q, flagmodel.FLAG_BUDGET)
-        moved = geo._debug_chains()
-        if q != 2:
-            moved = list(moved)
-        before, after = _flag_chains(geo, geo._chains), _flag_chains(geo, moved)
-        assert len(after) == len(before), (n, q)
+        h = flagmodel._debug_matrix(n)
+        before = _flag_columns(n, q)
+        after = [flagmodel._matmul_mod(h, cols, q) for cols in before]
+        assert len(after) == len(before) == flag_count(n, q), (n, q)
         assert all(a != b for a, b in zip(after, before)), (n, q)
-        groups = geo._masks(moved)
+        groups = flagmodel._pivot_masks(n, q, h)
+        if q == 2:
+            assert groups == flagmodel._lane_masks(_relane(after), n), (n, q)
+        else:
+            assert groups == flagmodel._flag_masks(after, n, q), (n, q)
         assert geo._count(groups) == geo.tensor(), (n, q)
         assert _scatter(geo, _patterns(geo, groups)) == geo.tensor(), (n, q)
+
+
+def _holds_chains(value, n):
+    # a chain matrix is n rows of n ints; a lane is an int of one byte
+    # per flag, far past any count or label the geometry keeps
+    if isinstance(value, int):
+        return value.bit_length() > 64
+    if isinstance(value, dict):
+        return _holds_chains(list(value.items()), n)
+    if isinstance(value, (list, tuple)):
+        if len(value) == n and all(
+            isinstance(row, (list, tuple)) and len(row) == n
+            and all(isinstance(x, int) for x in row) for row in value
+        ):
+            return True
+        return any(_holds_chains(v, n) for v in value)
+    return False
+
+
+def test_tensor_streams_the_chain_matrices(monkeypatch):
+    # at odd q each flag's chain matrix is reduced as soon as it is
+    # grown, and the geometry keeps none of them, nor a lane at q = 2
+    events = []
+    bases, step = flagmodel._chain_bases, flagmodel._step_generic
+
+    def logged_bases(n, q):
+        for k, basis in enumerate(bases(n, q), 1):
+            events.append(("yield", k))
+            yield basis
+
+    def logged_step(*args):
+        events.append(("step",))
+        return step(*args)
+
+    monkeypatch.setattr(flagmodel, "_chain_bases", logged_bases)
+    monkeypatch.setattr(flagmodel, "_step_generic", logged_step)
+    n = 3
+    geo = flagmodel._Geometry(n, 3)
+    tensor = geo.tensor()
+    first, second = events.index(("yield", 1)), events.index(("yield", 2))
+    assert ("step",) in events[first:second]
+    monkeypatch.undo()
+    assert tensor == geo._count(flagmodel._flag_masks(_flag_columns(n, 3), n, 3))
+    # the check finds chain matrices and lanes where they are kept
+    assert _holds_chains(_flag_columns(n, 3), n)
+    assert _holds_chains(flagmodel._chain_lanes(n), n)
+    for q in (2, 3):
+        geo = flagmodel._Geometry(n, q)
+        geo.tensor(debug=True)
+        for name, value in vars(geo).items():
+            assert not _holds_chains(value, n), (q, name)
 
 
 def test_fast_lattice_shares_no_code_with_the_kernel(monkeypatch):

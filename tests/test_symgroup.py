@@ -108,12 +108,6 @@ def test_no_permutation_fixes_exactly_n_minus_1_points():
         assert counts.count(n) == 1  # only the identity fixes everything
 
 
-def test_descents():
-    assert Perm((3, 1, 2)).descents() == [1]
-    assert Perm((1, 2, 3)).descents() == []
-    assert Perm((3, 2, 1)).descents() == [1, 2]
-
-
 def test_str_and_repr():
     w = Perm((2, 3, 1))
     assert str(w) == "(2 3 1)"
