@@ -32,6 +32,7 @@ from .flagmodel import (
     Flag,
     OrbitFn,
     Subspace,
+    check_orbit_representatives,
     compare_structure_constants,
     convolve,
     enumerate_flags,
@@ -66,7 +67,7 @@ __all__ = [
     "flag_count", "enumerate_flags", "relative_position", "representative_pair",
     "OrbitFn", "f1", "f_t", "in_x_t", "convolve",
     "verify_lemma3", "verify_factorization", "verify_span_commutativity",
-    "compare_structure_constants",
+    "compare_structure_constants", "check_orbit_representatives",
     "CertificateError", "rank", "rank_mod", "tau_matrix", "multiplicity",
     "verify_multiplicities",
     "CheckResult",

@@ -24,6 +24,7 @@ from . import __version__
 from .flagmodel import (
     FLAG_BUDGET,
     BudgetExceeded,
+    check_orbit_representatives,
     compare_structure_constants,
     verify_factorization,
     verify_lemma3,
@@ -37,8 +38,8 @@ __all__ = ["main"]
 
 
 def _flag_checks() -> dict[str, Callable[..., CheckResult]]:
-    """The flag checks, each called as check(n, q, budget=, debug=), and
-    lemma3 also with t_values=; `all` runs them in this order.
+    """The flag checks, each called as check(n, q, budget=), and lemma3
+    also with t_values=; `all` runs them in this order.
 
     Built on each call, so a function rebound in this module (a test's
     stub, a tracer's wrapper) is the one that runs.
@@ -177,20 +178,26 @@ def _run_verify(args: argparse.Namespace) -> list[CheckResult]:
     ts = {"t_values": _parse_t_range(args.t)} if args.t is not None else {}
     budget = args.budget if args.budget is not None else FLAG_BUDGET
     run = _flag_checks()[check]
-    return [run(n, q, budget=budget, debug=bool(args.debug_orbit_checks), **ts) for q in qs]
+    results = [run(n, q, budget=budget, **ts) for q in qs]
+    # after the checks, so that their refusals come before any rebuild
+    if args.debug_orbit_checks:
+        for q in qs:
+            check_orbit_representatives(n, q, budget)
+    return results
 
 
 def _run_all(args: argparse.Namespace) -> list[CheckResult]:
     qs = _parse_qs(args.q)
     budget = args.budget
-    debug = args.debug_orbit_checks
     results = []
     for n in (2, 3, 4):
         results.append(_check_hecke_identity(n))
         results.append(_check_group_identity(n))
     for n in (2, 3, 4):
         for q in qs:
-            results.extend(run(n, q, budget=budget, debug=debug) for run in _flag_checks().values())
+            results.extend(run(n, q, budget=budget) for run in _flag_checks().values())
+            if args.debug_orbit_checks:
+                check_orbit_representatives(n, q, budget)
     for n in (2, 3, 4):
         results.append(verify_multiplicities(n, qs))
     return results

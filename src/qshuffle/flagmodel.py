@@ -66,6 +66,7 @@ __all__ = [
     "verify_factorization",
     "verify_span_commutativity",
     "compare_structure_constants",
+    "check_orbit_representatives",
 ]
 
 FLAG_BUDGET = 20000
@@ -113,13 +114,14 @@ def _require_prime(q: int) -> None:
 # depend on the order of those columns, and Q(B) follows from Q(B
 # minus its top column) by one step: reduce that column against the
 # stored columns, keyed by their leading pivots, and read off the new
-# pivot.  _Geometry thus computes Q over the lattice of column subsets,
-# 2^n - 2 steps, and reads pos(zE, M) for all n! orders z off chains of
-# Q values, without inverting C or reducing any row order.
+# pivot.  _pivot_masks thus computes Q over the lattice of column
+# subsets, 2^n - 2 steps, and _count reads pos(zE, M) for all n! orders
+# z off chains of Q values, without inverting C or reducing any row
+# order.
 #
 # _pivot_masks runs this lattice over every chain matrix and keeps only
-# the pivot sets Q(b), as the subset-major buffers that _Geometry._count
-# reads; no chain matrix outlives it.  Over F_2 all flags run at once:
+# the pivot sets Q(b), as the subset-major buffers that _count reads;
+# no chain matrix outlives it.  Over F_2 all flags run at once:
 # _chain_lanes holds entry (i, j) of every chain matrix as one int, a
 # lane, whose byte f is the entry of flag f, so one XOR or AND of two
 # lanes steps every flag; the tests check the lanes against
@@ -610,19 +612,24 @@ def representative_pair(w: Perm, q: int) -> tuple[Flag, Flag]:
 
 
 # ---------------------------------------------------------------------------
-# per-(n, q) geometry: labels and the convolution tensor
+# per-(n, q) structure tensor
 
 
-class _Geometry:
-    """Orbit labels and the convolution structure tensor for one (n, q).
+@lru_cache(maxsize=None)
+def _label_index(n: int) -> dict[tuple[int, ...], int]:
+    # orbit labels are indices into enumerate_perms(n)
+    return {w.image: i for i, w in enumerate(enumerate_perms(n))}
 
-    Labels are indices into perms.  tensor()[x * n! + y] maps z to the
-    number of middle flags M with relative_position(A, M) labeled x and
-    relative_position(M, C) labeled y, where (A, C) is the
+
+def _count(n: int, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
+    """The convolution structure tensor at n, counted from pivot sets.
+
+    Labels are indices into enumerate_perms(n).  Entry x * n! + y maps z
+    to the number of middle flags M with relative_position(A, M) labeled
+    x and relative_position(M, C) labeled y, where (A, C) is the
     representative pair of orbit z.  That count is exactly the
     structure constant of the convolution algebra, so a product reads
-    only the (x, y) pairs in the supports of its factors.  The caller
-    checks the flag budget first.
+    only the (x, y) pairs in the supports of its factors.
 
     The build has two passes.  _pivot_masks runs the subset lattice of
     every chain matrix and keeps only its pivot sets, one byte per
@@ -655,90 +662,69 @@ class _Geometry:
     z^-1.  So the Counter runs only for z with index(z) <= index(z^-1),
     and each key goes to slot (x, y) under z and, when z != z^-1, to
     slot (y^-1, x^-1) under z^-1, read off the same two per-label
-    tables with the two names swapped.  The debug rebuild thus still
-    counts every orbit at two distinct representatives: (zE, E) and
-    (g zE, g E) for the z counted, (E, zE) and (g E, g zE) for z^-1.
+    tables with the two names swapped.  check_orbit_representatives
+    thus still counts every orbit at two distinct representatives:
+    (zE, E) and (g zE, g E) for the z counted, (E, zE) and (g E, g zE)
+    for z^-1.
     """
+    fmt, size = _key_field(n)
+    perms = enumerate_perms(n)
+    nperms = len(perms)
+    index = _label_index(n)
+    full = (1 << n) - 1
+    shift = n * (n - 1).bit_length()
+    low = (1 << shift) - 1
+    order = sys.byteorder
 
-    def __init__(self, n: int, q: int) -> None:
-        self.n = n
-        self.q = q
-        self._field = _key_field(n)
-        self.perms = enumerate_perms(n)
-        self.nperms = len(self.perms)
-        self.index = {w.image: i for i, w in enumerate(self.perms)}
-        self._tensor: list[dict[int, int]] | None = None
-        self._debug_checked = False
+    # B_k is the set of coordinates outside z(1), ..., z(k)
+    def chain(z: Perm) -> list[int]:
+        return [full ^ m for m in itertools.accumulate(1 << (k - 1) for k in z.image)][:-1]
 
-    def tensor(self, debug: bool = False) -> list[dict[int, int]]:
-        if self._tensor is None:
-            self._tensor = self._count(_pivot_masks(self.n, self.q))
-        if debug and not self._debug_checked:
-            other = self._count(_pivot_masks(self.n, self.q, _debug_matrix(self.n)))
-            if other != self._tensor:
-                raise ArithmeticError(
-                    "structure tensor differs between two orbit representatives"
-                )
-            self._debug_checked = True
-        return self._tensor
-
-    def _count(self, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
-        # the counting kernel of the class docstring
-        n, nperms, (fmt, size) = self.n, self.nperms, self._field
-        full = (1 << n) - 1
-        shift = n * (n - 1).bit_length()
-        low = (1 << shift) - 1
-        order = sys.byteorder
-
-        # B_k is the set of coordinates outside z(1), ..., z(k)
-        def chain(z: Perm) -> list[int]:
-            return [full ^ m for m in itertools.accumulate(1 << (k - 1) for k in z.image)][:-1]
-
-        chains = [chain(z) for z in self.perms]
-        x_keys = {_chain_name(c, n): xi * nperms for xi, c in enumerate(chains)}
-        inverse = [self.index[x.inverse().image] for x in self.perms]
-        y_keys = {_chain_name(c, n): xt for xt, c in zip(inverse, chains)}
-        # one z of each pair {z, z^-1}, with the index of z^-1
-        halves = [(z, zt) for z, zt in enumerate(inverse) if z <= zt]
-        # byte k of the field of every pivot mask, as a translation table
-        fields = [_chain_name([m], n).to_bytes(size, order) for m in range(256)]
-        planes = [bytes(f[k] for f in fields) for k in range(size)]
-        # field p of subset b's packed column names Q(b) of pattern p;
-        # every column is read into one int once, per weight
-        packed = []
-        for weight, masks in groups.items():
-            span = len(masks) // full * size
-            buf = bytearray(len(masks) * size)
-            for k, plane in enumerate(planes):
-                buf[k::size] = masks.translate(plane)
-            column = [int.from_bytes(buf[b * span : (b + 1) * span], order) for b in range(full)]
-            del buf
-            packed.append((weight, span, column, sum(column[b] for b in chains[0]) << shift))
-        out: list[dict[int, int]] = [dict() for _ in range(nperms * nperms)]
-        for z, zt in halves:
-            keys: Counter[int] = Counter()
-            for weight, span, column, y_column in packed:
-                acc = y_column + sum(column[b] for b in chains[z])
-                names = memoryview(acc.to_bytes(span, order)).cast(fmt)
-                if weight == 1:
-                    keys.update(names)
-                else:
-                    keys.update({key: c * weight for key, c in Counter(names).items()})
-            # every (x, y) is one key of this Counter, so it writes each
-            # slot once under z and, by the transpose, once under z^-1
-            xs = list(map(low.__and__, keys))
-            ys = list(map(shift.__rrshift__, keys))
-            slots = map(operator.add, map(x_keys.__getitem__, xs), map(y_keys.__getitem__, ys))
-            if zt == z:
-                for slot, c in zip(slots, keys.values()):
-                    out[slot][z] = c
-                continue
-            # (y^-1, x^-1) under z^-1
-            mirrors = map(operator.add, map(x_keys.__getitem__, ys), map(y_keys.__getitem__, xs))
-            for slot, mirror, c in zip(slots, mirrors, keys.values()):
+    chains = [chain(z) for z in perms]
+    x_keys = {_chain_name(c, n): xi * nperms for xi, c in enumerate(chains)}
+    inverse = [index[x.inverse().image] for x in perms]
+    y_keys = {_chain_name(c, n): xt for xt, c in zip(inverse, chains)}
+    # one z of each pair {z, z^-1}, with the index of z^-1
+    halves = [(z, zt) for z, zt in enumerate(inverse) if z <= zt]
+    # byte k of the field of every pivot mask, as a translation table
+    fields = [_chain_name([m], n).to_bytes(size, order) for m in range(256)]
+    planes = [bytes(f[k] for f in fields) for k in range(size)]
+    # field p of subset b's packed column names Q(b) of pattern p;
+    # every column is read into one int once, per weight
+    packed = []
+    for weight, masks in groups.items():
+        span = len(masks) // full * size
+        buf = bytearray(len(masks) * size)
+        for k, plane in enumerate(planes):
+            buf[k::size] = masks.translate(plane)
+        column = [int.from_bytes(buf[b * span : (b + 1) * span], order) for b in range(full)]
+        del buf
+        packed.append((weight, span, column, sum(column[b] for b in chains[0]) << shift))
+    out: list[dict[int, int]] = [dict() for _ in range(nperms * nperms)]
+    for z, zt in halves:
+        keys: Counter[int] = Counter()
+        for weight, span, column, y_column in packed:
+            acc = y_column + sum(column[b] for b in chains[z])
+            names = memoryview(acc.to_bytes(span, order)).cast(fmt)
+            if weight == 1:
+                keys.update(names)
+            else:
+                keys.update({key: c * weight for key, c in Counter(names).items()})
+        # every (x, y) is one key of this Counter, so it writes each
+        # slot once under z and, by the transpose, once under z^-1
+        xs = list(map(low.__and__, keys))
+        ys = list(map(shift.__rrshift__, keys))
+        slots = map(operator.add, map(x_keys.__getitem__, xs), map(y_keys.__getitem__, ys))
+        if zt == z:
+            for slot, c in zip(slots, keys.values()):
                 out[slot][z] = c
-                out[mirror][zt] = c
-        return out
+            continue
+        # (y^-1, x^-1) under z^-1
+        mirrors = map(operator.add, map(x_keys.__getitem__, ys), map(y_keys.__getitem__, xs))
+        for slot, mirror, c in zip(slots, mirrors, keys.values()):
+            out[slot][z] = c
+            out[mirror][zt] = c
+    return out
 
 
 def _chain_name(sets: Iterable[int], n: int) -> int:
@@ -760,17 +746,31 @@ def _key_field(n: int) -> tuple[str, int]:
     return ("I", 4) if bits <= 32 else ("Q", 8)
 
 
-_GEOMETRY: dict[tuple[int, int], _Geometry] = {}
+@lru_cache(maxsize=None)
+def _tensor(n: int, q: int) -> list[dict[int, int]]:
+    # _count over every flag of F_q^n; the caller checks the flag
+    # budget.  The field width is checked first, so n >= 9 is refused
+    # before any lane or chain basis is grown
+    _key_field(n)
+    return _count(n, _pivot_masks(n, q))
 
 
-def _geometry(n: int, q: int, budget: int) -> _Geometry:
+def check_orbit_representatives(n: int, q: int, budget: int = FLAG_BUDGET) -> None:
+    """Recount the structure tensor of F_q^n on second orbit representatives.
+
+    Every chain matrix is moved by the fixed invertible matrix of
+    _debug_matrix, which takes each representative pair (zE, E) to
+    (g zE, g E), and the tensor counted from the moved pivot sets must
+    equal the cached one, or ArithmeticError names n and q.  The flag
+    budget and the field width are checked before anything is
+    enumerated.
+    """
     _check_budget(n, q, budget)
-    key = (n, q)
-    geo = _GEOMETRY.get(key)
-    if geo is None:
-        geo = _Geometry(n, q)
-        _GEOMETRY[key] = geo
-    return geo
+    _key_field(n)
+    if _count(n, _pivot_masks(n, q, _debug_matrix(n))) != _tensor(n, q):
+        raise ArithmeticError(
+            f"structure tensor at n = {n}, q = {q} differs between two orbit representatives"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -930,21 +930,18 @@ def f_t(n: int, q: int, t: int) -> OrbitFn:
     return OrbitFn(n, q, vals)
 
 
-def convolve(
-    f: OrbitFn, g: OrbitFn, budget: int = FLAG_BUDGET, debug: bool = False
-) -> OrbitFn:
+def convolve(f: OrbitFn, g: OrbitFn, budget: int = FLAG_BUDGET) -> OrbitFn:
     """(f * g)(W, V) = sum over middle flags M of f(W, M) g(M, V).
 
     Orbit-invariant, so it is evaluated on one representative pair per
-    orbit via the cached structure tensor.  With debug=True the tensor
-    is recomputed once from a second, non-coordinate representative of
-    every orbit and the two are required to agree.
+    orbit via the cached structure tensor.
     """
     f._check(g)
-    geo = _geometry(f.n, f.q, budget)
-    table = geo.tensor(debug)
-    nperms = geo.nperms
-    index = geo.index
+    _check_budget(f.n, f.q, budget)
+    table = _tensor(f.n, f.q)
+    perms = enumerate_perms(f.n)
+    nperms = len(perms)
+    index = _label_index(f.n)
     gv = [(index[w.image], b) for w, b in g.values.items()]
     acc = [0] * nperms
     for w, a in f.values.items():
@@ -953,7 +950,7 @@ def convolve(
             ab = a * b
             for z, cnt in table[row + y].items():
                 acc[z] += cnt * ab
-    return OrbitFn(f.n, f.q, {w: c for w, c in zip(geo.perms, acc) if c})
+    return OrbitFn(f.n, f.q, {w: c for w, c in zip(perms, acc) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -981,7 +978,6 @@ def verify_lemma3(
     q: int,
     t_values: Iterable[int] | None = None,
     budget: int = FLAG_BUDGET,
-    debug: bool = False,
 ) -> CheckResult:
     """Check the convolution product rule f1 * f_t = [t]_q f_t + q^t f_{t+1}.
 
@@ -1000,18 +996,13 @@ def verify_lemma3(
     fs = {t: f_t(n, q, t) for t in needed}
     rows = []
     for t in ts:
-        lhs = convolve(base, fs[t], budget, debug)
+        lhs = convolve(base, fs[t], budget)
         rhs = q_int(t)(q) * fs[t] + (q ** t) * fs[t + 1]
         rows.append(_row({"t": t}, lhs, rhs))
     return CheckResult("lemma3", {"n": n, "q": q}, rows)
 
 
-def verify_factorization(
-    n: int,
-    q: int,
-    budget: int = FLAG_BUDGET,
-    debug: bool = False,
-) -> CheckResult:
+def verify_factorization(n: int, q: int, budget: int = FLAG_BUDGET) -> CheckResult:
     """Check the telescoping factorization and the full annihilation.
 
     For t in [1, n-1]:
@@ -1028,24 +1019,19 @@ def verify_factorization(
     prod = base
     for t in range(1, n):
         if t > 1:
-            prod = convolve(prod, base - q_int(t - 1)(q) * f0, budget, debug)
+            prod = convolve(prod, base - q_int(t - 1)(q) * f0, budget)
         ft = f_t(n, q, t)
         rows.append(_row({"t": t}, (q ** (t * (t - 1) // 2)) * ft, prod))
     # ft is f_(n-1) after the loop
     rows.append(_row({"check": "f_(n-1) == f_n"}, ft, f_t(n, q, n)))
     # continue the chain with the k = n factor (k = n-1 is skipped, the
     # same factor layout as the Hecke-side product)
-    full = convolve(prod, base - q_int(n)(q) * f0, budget, debug)
+    full = convolve(prod, base - q_int(n)(q) * f0, budget)
     rows.append(_row({"check": "full product == 0"}, full, OrbitFn(n, q)))
     return CheckResult("factorization", {"n": n, "q": q}, rows)
 
 
-def verify_span_commutativity(
-    n: int,
-    q: int,
-    budget: int = FLAG_BUDGET,
-    debug: bool = False,
-) -> CheckResult:
+def verify_span_commutativity(n: int, q: int, budget: int = FLAG_BUDGET) -> CheckResult:
     """Check that {f_t} and the convolution powers of f1 span the same
     lattice of functions, with the triangular change of basis, and that
     all the f_t commute.
@@ -1063,7 +1049,7 @@ def verify_span_commutativity(
 
     powers = [OrbitFn.indicator(Perm.identity(n), q)]
     for _ in range(n):
-        powers.append(convolve(base, powers[-1], budget, debug))
+        powers.append(convolve(base, powers[-1], budget))
 
     # C[t][s] over Z by the recursion C[t+1][s] = [s] C[t][s] + q^(s-1) C[t][s-1]
     coeffs: list[dict[int, int]] = [{0: 1}]
@@ -1098,8 +1084,8 @@ def verify_span_commutativity(
 
     comm: dict[str, object] = {"check": "commutativity of all f_s, f_t", "pass": True}
     for s, t in itertools.combinations(range(n + 1), 2):
-        left = convolve(fs[s], fs[t], budget, debug)
-        right = convolve(fs[t], fs[s], budget, debug)
+        left = convolve(fs[s], fs[t], budget)
+        right = convolve(fs[t], fs[s], budget)
         if left != right:
             comm["pass"] = False
             comm["witness"] = f"s={s}, t={t}: " + _first_mismatch(left, right)
@@ -1116,12 +1102,7 @@ def _pair_name(perms: Sequence[Perm], misses: list[tuple[int, int]]) -> str:
     return f"pair ({perms[xi]}, {perms[yi]})"
 
 
-def compare_structure_constants(
-    n: int,
-    q: int,
-    budget: int = FLAG_BUDGET,
-    debug: bool = False,
-) -> CheckResult:
+def compare_structure_constants(n: int, q: int, budget: int = FLAG_BUDGET) -> CheckResult:
     """Match convolution structure constants against the Hecke algebra at q.
 
     For every ordered pair (x, y) of orbit labels the table of
@@ -1133,10 +1114,10 @@ def compare_structure_constants(
     commutative both hold and "product" is reported).  Additionally f1
     must coincide with tau specialized at q.
     """
-    geo = _geometry(n, q, budget)
-    table = geo.tensor(debug)
-    perms = geo.perms
-    nperms = geo.nperms
+    _check_budget(n, q, budget)
+    table = _tensor(n, q)
+    perms = enumerate_perms(n)
+    nperms = len(perms)
 
     # T_x T_y at q is the product-order table of the pair (x, y) and the
     # reversed-order table of the pair (y, x); the walk and the tensor

@@ -471,20 +471,19 @@ def group_mul(a: Mapping[Perm, int], b: Mapping[Perm, int]) -> dict[Perm, int]:
     return {Perm._make(w): c for w, c in out.items() if c}
 
 
-def _group_widths(n: int) -> tuple[int, int]:
-    # (W, F) for the q = 1 walk at n: every coefficient of
+def _group_widths(n: int) -> int:
+    # W for the q = 1 walk at n: every coefficient of
     # wallach_group_product(n, omit), for every omit, is below 2^(W-1)
-    # in absolute value, and a field of F bits holds every sum the walk
+    # in absolute value, and a 64-bit field holds every sum the walk
     # forms before its mask; both are proven in wallach_group_product
     ks = _retained_ks(n)
     bits = math.prod(n + k for k in (0, *ks)).bit_length() + 1
     # the largest k is n
     need = bits + (n + 1).bit_length()
-    for field in (8, 16, 32, 64):
-        if need <= field:
-            return bits, field
-    raise ValueError(f"the q = 1 walk needs {need}-bit fields at n = {n}; "
-                     f"64 bits hold n <= 13")
+    if need > 64:
+        raise ValueError(f"the q = 1 walk needs {need}-bit fields at n = {n}; "
+                         f"64 bits hold n <= 13")
+    return bits
 
 
 def _swap_moves(n: int, j: int) -> list[tuple[slice, slice]]:
@@ -557,13 +556,14 @@ def wallach_group_product(n: int, omit: int | None = None) -> dict[Perm, int]:
     than the bit length of that bound (``_group_widths``; W = 30 at
     n = 8).  Reduction mod 2^W is a ring homomorphism, so the residue of
     each coefficient is exact, and it is read back in
-    [-2^(W-1), 2^(W-1)).  The vector is one int of n! fields of F bits,
-    the coefficient of index u at bit u F.  Two vectors of residues add
-    as ints, and a mask keeps the low W bits of each field; -k x is
-    added as k (2^W - x), field by field.  A field then holds less than
-    2^W + k 2^W < 2^(W + bit_length(k + 1)), so with F at least that
-    nothing spills into the next field.  k <= n, and 64-bit fields hold
-    every n <= 13; a larger n is refused before anything is allocated.
+    [-2^(W-1), 2^(W-1)).  The vector is one int of n! fields of 64
+    bits, the coefficient of index u at bit 64 u.  Two vectors of
+    residues add as ints, and a mask keeps the low W bits of each field;
+    -k x is added as k (2^W - x), field by field.  A field then holds less than
+    2^W + k 2^W < 2^(W + bit_length(k + 1)), so nothing spills into the
+    next field while that is at most 64 bits.  k <= n, so this holds
+    for every n <= 13; a larger n is refused before anything is
+    allocated.
 
     >>> wallach_group_product(3) == {}
     True
@@ -571,20 +571,18 @@ def wallach_group_product(n: int, omit: int | None = None) -> dict[Perm, int]:
     True
     """
     factors = _factors(n, omit)
-    bits, field = _group_widths(n)
-    width = field // 8
-    fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
+    bits = _group_widths(n)
     size = math.factorial(n)
-    nbytes = size * width
-    ones = int.from_bytes((1).to_bytes(width, "little") * size, "little")
+    nbytes = size * 8
+    ones = int.from_bytes((1).to_bytes(8, "little") * size, "little")
     mask = ones * ((1 << bits) - 1)
     top = ones << bits
     swaps = [_swap_moves(n, j) for j in range(1, n)]
 
     def swap(z: int, moves: list[tuple[slice, slice]]) -> int:
-        src = memoryview(z.to_bytes(nbytes, "little")).cast(fmt)
+        src = memoryview(z.to_bytes(nbytes, "little")).cast("Q")
         out = bytearray(nbytes)
-        dst = memoryview(out).cast(fmt)
+        dst = memoryview(out).cast("Q")
         for d, s in moves:
             dst[d] = src[s]
         return int.from_bytes(out, "little")
@@ -604,7 +602,7 @@ def wallach_group_product(n: int, omit: int | None = None) -> dict[Perm, int]:
     perms = itertools.permutations(range(1, n + 1))
     return {
         Perm._make(w): v - full if v >= half else v
-        for w, (v,) in zip(perms, struct.iter_unpack("<" + fmt, raw))
+        for w, (v,) in zip(perms, struct.iter_unpack("<Q", raw))
         if v
     }
 

@@ -242,9 +242,46 @@ def test_failing_orbit_row_names_its_witness(monkeypatch, capsys, check, verify,
     assert rows == [{"check": row_name, "pass": False, "witness": witness}]
 
 
-def test_debug_orbit_checks_flag(capsys):
-    argv = ["verify", "lemma3", "--n", "2", "--q", "2", "--debug-orbit-checks"]
-    assert main(argv) == 0
+def test_debug_orbit_checks_flag(capsys, monkeypatch):
+    # every moved rebuild is recorded, and while `perturb` is set its
+    # count is one off in the first nonzero slot
+    masks, count = flagmodel._pivot_masks, flagmodel._count
+    rebuilt, perturb, pending = [], [], []
+
+    def moved_masks(n, q, h=None):
+        if h is not None:
+            rebuilt.append((n, q))
+            pending.append(True)
+        return masks(n, q, h)
+
+    def moved_count(n, groups):
+        out = count(n, groups)
+        moved = bool(pending)
+        pending.clear()
+        if moved and perturb:
+            counts = next(c for c in out if c)
+            counts[next(iter(counts))] += 1
+        return out
+
+    monkeypatch.setattr(flagmodel, "_pivot_masks", moved_masks)
+    monkeypatch.setattr(flagmodel, "_count", moved_count)
+    lemma3 = ["verify", "lemma3", "--n", "2", "--q", "2,3"]
+    assert main([*lemma3, "--debug-orbit-checks"]) == 0
+    assert rebuilt == [(2, 2), (2, 3)]
+    rebuilt.clear()
+    assert main(["all", "--q", "2", "--debug-orbit-checks"]) == 0
+    assert rebuilt == [(2, 2), (3, 2), (4, 2)]
+    capsys.readouterr()
+
+    perturb.append(True)
+    rebuilt.clear()
+    with pytest.raises(ArithmeticError, match="at n = 2, q = 2 differs"):
+        main([*lemma3, "--debug-orbit-checks"])
+    assert rebuilt == [(2, 2)]
+    rebuilt.clear()
+    for argv in (lemma3, ["all", "--q", "2"]):
+        assert main(argv) == 0, argv
+    assert rebuilt == []
     capsys.readouterr()
 
 

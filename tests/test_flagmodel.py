@@ -27,6 +27,7 @@ from qshuffle.flagmodel import (
     Flag,
     OrbitFn,
     Subspace,
+    check_orbit_representatives,
     compare_structure_constants,
     convolve,
     enumerate_flags,
@@ -619,11 +620,10 @@ def test_convolution_matches_middle_flag_oracle():
             expected = {z: c for z, c in expected.items() if c}
             assert convolve(f, g).values == expected, (n, q, f, g)
     # one larger size, compared as a whole tensor
-    geo = flagmodel._Geometry(4, 2)
-    perms = geo.perms
+    perms = enumerate_perms(4)
     got = {}
-    for key, counts in enumerate(geo.tensor()):
-        x, y = divmod(key, geo.nperms)
+    for key, counts in enumerate(flagmodel._tensor(4, 2)):
+        x, y = divmod(key, len(perms))
         got[perms[x], perms[y]] = {perms[z]: cnt for z, cnt in counts.items()}
     assert got == _conv_tables_oracle(4, 2)
 
@@ -652,10 +652,14 @@ def test_convolution_bilinear_associative():
 
 
 def test_convolution_debug_representative_agrees():
-    # both row backends: byte lanes over F_2 and lists mod q
+    # both row backends: byte lanes over F_2 and lists mod q; the
+    # cross-check passes and leaves the products as they were
     for n, q in ((3, 3), (3, 2), (4, 2)):
-        got = convolve(f1(n, q), f1(n, q), debug=True)
-        assert got == convolve(f1(n, q), f1(n, q))
+        before = convolve(f1(n, q), f1(n, q))
+        assert check_orbit_representatives(n, q) is None
+        assert convolve(f1(n, q), f1(n, q)) == before
+    with pytest.raises(BudgetExceeded):
+        check_orbit_representatives(5, 3)
 
 
 def _unlane(lanes, count):
@@ -677,9 +681,9 @@ def _flag_columns(n, q):
     return [[list(c) for c in zip(*basis)] for basis in flagmodel._chain_bases(n, q)]
 
 
-def _patterns(geo, groups):
+def _patterns(n, groups):
     """Every flag's pattern, byte b = Q(b), with its weight, from the buffers."""
-    full = (1 << geo.n) - 1
+    full = (1 << n) - 1
     patterns = {}
     for weight, masks in groups.items():
         count = len(masks) // full
@@ -705,7 +709,6 @@ def test_packed_f2_backend_matches_generic():
     # the lane lattice against the flag-by-flag one at q = 2, on the
     # chain matrices and on their moved copies of the debug rebuild
     for n in range(1, 6):
-        geo = flagmodel._Geometry(n, 2)
         h = flagmodel._debug_matrix(n)
         lanes = flagmodel._chain_lanes(n)
         moved = flagmodel._moved_lanes(lanes, h)
@@ -717,8 +720,9 @@ def test_packed_f2_backend_matches_generic():
         for chains, cols, by in ((lanes, columns, None), (moved, moved_columns, h)):
             got, want = flagmodel._lane_masks(chains, n), flagmodel._flag_masks(cols, n, 2)
             assert got == flagmodel._pivot_masks(n, 2, by), n
-            assert _patterns(geo, got) == _patterns(geo, want), n
-            assert geo._count(got) == geo._count(want) == geo.tensor(), n
+            assert _patterns(n, got) == _patterns(n, want), n
+            assert flagmodel._count(n, got) == flagmodel._tensor(n, 2), n
+            assert flagmodel._count(n, want) == flagmodel._tensor(n, 2), n
 
 
 def test_lattices_refuse_dependent_columns():
@@ -739,20 +743,22 @@ def _label_chain(image, n):
     return [full ^ sum(1 << (i - 1) for i in image[:k]) for k in range(1, n)]
 
 
-def _scatter(geo, patterns):
+def _scatter(n, patterns):
     """The tensor by one dict update per (pattern, z): the counting kernel's oracle.
 
     Each pattern is read at the chain subsets of every z with a tuple
     getter, and the tuple of pivot sets is looked up as a label's chain.
     """
-    nperms = geo.nperms
+    perms = enumerate_perms(n)
+    nperms = len(perms)
+    index = {w: i for i, w in enumerate(perms)}
 
     def chain(w):
-        return _label_chain(w.image, geo.n)
+        return _label_chain(w.image, n)
 
-    getters = [_tuple_getter(chain(z)) for z in geo.perms]
-    x_keys = {tuple(chain(x)): xi * nperms for xi, x in enumerate(geo.perms)}
-    y_keys = {tuple(chain(x)): geo.index[x.inverse().image] for x in geo.perms}
+    getters = [_tuple_getter(chain(z)) for z in perms]
+    x_keys = {tuple(chain(x)): xi * nperms for xi, x in enumerate(perms)}
+    y_keys = {tuple(chain(x)): index[x.inverse()] for x in perms}
     out = [dict() for _ in range(nperms * nperms)]
     for pattern, count in patterns.items():
         y = y_keys[getters[0](pattern)]
@@ -765,12 +771,11 @@ def _scatter(geo, patterns):
 def test_counting_kernel_matches_the_scatter():
     weight_groups = set()
     for n, q in FLAG_GRID:
-        geo = flagmodel._geometry(n, q, flagmodel.FLAG_BUDGET)
         groups = flagmodel._pivot_masks(n, q)
-        patterns = _patterns(geo, groups)
+        patterns = _patterns(n, groups)
         assert sum(patterns.values()) == flag_count(n, q)
         weight_groups.add(len(groups))
-        assert geo.tensor() == _scatter(geo, patterns), (n, q)
+        assert flagmodel._tensor(n, q) == _scatter(n, patterns), (n, q)
     # patterns of several weights are counted in separate groups
     assert max(weight_groups) > 1
 
@@ -798,8 +803,12 @@ def test_counting_field_width_guard(monkeypatch):
     monkeypatch.setattr(flagmodel, "_chain_bases", refuse)
     monkeypatch.setattr(flagmodel, "_chain_lanes", refuse)
     monkeypatch.setattr(flagmodel, "enumerate_perms", refuse)
-    with pytest.raises(ValueError, match="72 bits, over 64"):
-        flagmodel._Geometry(9, 2)
+    # 10**14 is over flag_count(9, 2), so only the field width refuses
+    for call in (lambda: flagmodel._tensor(9, 2),
+                 lambda: check_orbit_representatives(9, 2, 10**14),
+                 lambda: flagmodel._count(9, {})):
+        with pytest.raises(ValueError, match="72 bits, over 64"):
+            call()
 
 
 def test_debug_rebuild_moves_every_chain_matrix():
@@ -809,7 +818,6 @@ def test_debug_rebuild_moves_every_chain_matrix():
     for n, q in FLAG_GRID:
         if n < 2:
             continue
-        geo = flagmodel._geometry(n, q, flagmodel.FLAG_BUDGET)
         h = flagmodel._debug_matrix(n)
         before = _flag_columns(n, q)
         after = [flagmodel._matmul_mod(h, cols, q) for cols in before]
@@ -820,13 +828,14 @@ def test_debug_rebuild_moves_every_chain_matrix():
             assert groups == flagmodel._lane_masks(_relane(after), n), (n, q)
         else:
             assert groups == flagmodel._flag_masks(after, n, q), (n, q)
-        assert geo._count(groups) == geo.tensor(), (n, q)
-        assert _scatter(geo, _patterns(geo, groups)) == geo.tensor(), (n, q)
+        tensor = flagmodel._tensor(n, q)
+        assert flagmodel._count(n, groups) == tensor, (n, q)
+        assert _scatter(n, _patterns(n, groups)) == tensor, (n, q)
 
 
 def _holds_chains(value, n):
     # a chain matrix is n rows of n ints; a lane is an int of one byte
-    # per flag, far past any count or label the geometry keeps
+    # per flag, far past any count or label the tensor keeps
     if isinstance(value, int):
         return value.bit_length() > 64
     if isinstance(value, dict):
@@ -843,7 +852,7 @@ def _holds_chains(value, n):
 
 def test_tensor_streams_the_chain_matrices(monkeypatch):
     # at odd q each flag's chain matrix is reduced as soon as it is
-    # grown, and the geometry keeps none of them, nor a lane at q = 2
+    # grown, and the cached tensor keeps none of them, nor a lane at q = 2
     events = []
     bases, step = flagmodel._chain_bases, flagmodel._step_generic
 
@@ -859,26 +868,30 @@ def test_tensor_streams_the_chain_matrices(monkeypatch):
     monkeypatch.setattr(flagmodel, "_chain_bases", logged_bases)
     monkeypatch.setattr(flagmodel, "_step_generic", logged_step)
     n = 3
-    geo = flagmodel._Geometry(n, 3)
-    tensor = geo.tensor()
+    # _tensor is cached, so the streaming is watched on an uncached build
+    tensor = flagmodel._count(n, flagmodel._pivot_masks(n, 3))
     first, second = events.index(("yield", 1)), events.index(("yield", 2))
     assert ("step",) in events[first:second]
     monkeypatch.undo()
-    assert tensor == geo._count(flagmodel._flag_masks(_flag_columns(n, 3), n, 3))
+    assert tensor == flagmodel._count(n, flagmodel._flag_masks(_flag_columns(n, 3), n, 3))
+    assert tensor == flagmodel._tensor(n, 3)
     # the check finds chain matrices and lanes where they are kept
     assert _holds_chains(_flag_columns(n, 3), n)
     assert _holds_chains(flagmodel._chain_lanes(n), n)
     for q in (2, 3):
-        geo = flagmodel._Geometry(n, q)
-        geo.tensor(debug=True)
-        for name, value in vars(geo).items():
-            assert not _holds_chains(value, n), (q, name)
+        check_orbit_representatives(n, q)
+        cached = flagmodel._tensor(n, q)
+        assert isinstance(cached, list) and len(cached) == math.factorial(n) ** 2, q
+        for counts in cached:
+            assert isinstance(counts, dict), q
+            assert all(type(z) is int and type(c) is int for z, c in counts.items()), q
+        assert not _holds_chains(cached, n), q
 
 
 def test_fast_lattice_shares_no_code_with_the_kernel(monkeypatch):
     # the literal layer runs on the elimination kernel; the pivot-profile
     # lattice, its fast path, must not, or it would not be checked by it
-    expected = {q: flagmodel._Geometry(3, q).tensor() for q in (2, 3)}
+    expected = {q: flagmodel._tensor(3, q) for q in (2, 3)}
     wf, vf = representative_pair(Perm((2, 3, 1)), 3)
     # two echelon bases of one span, with different tails
     a = Subspace([(1, 1, 0), (0, 1, 1)], 3, 2)
@@ -901,8 +914,10 @@ def test_fast_lattice_shares_no_code_with_the_kernel(monkeypatch):
     ):
         with pytest.raises(AssertionError, match="kernel"):
             call()
+    # a fresh count, not the cached _tensor, so the patched kernel is
+    # really in reach of the lattice
     for q in (2, 3):
-        assert flagmodel._Geometry(3, q).tensor() == expected[q]
+        assert flagmodel._count(3, flagmodel._pivot_masks(3, q)) == expected[q]
 
 
 # ---------------------------------------------------------------------------
@@ -924,7 +939,8 @@ def test_lemma3_refuses_empty_t_list():
 
 
 def test_lemma3_debug_mode():
-    assert verify_lemma3(2, 2, debug=True).passed
+    assert verify_lemma3(2, 2).passed
+    assert check_orbit_representatives(2, 2) is None
 
 
 def test_factorization():
