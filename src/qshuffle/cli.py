@@ -153,6 +153,18 @@ def _check_group_identity(n: int) -> CheckResult:
     return CheckResult("group-identity", {"n": n}, details)
 
 
+def _check_orbit_representatives(n: int, q: int, budget: int) -> list[CheckResult]:
+    # the --debug-orbit-checks cross-check at (n, q): no result on a
+    # pass, so passing output is unchanged, and one failing row naming
+    # n and q when the two representatives disagree
+    try:
+        check_orbit_representatives(n, q, budget)
+    except ArithmeticError as exc:
+        row = {"pass": False, "witness": str(exc)}
+        return [CheckResult("orbit-representatives", {"n": n, "q": q}, [row])]
+    return []
+
+
 def _refuse_ignored(args: argparse.Namespace) -> None:
     # an option the check would not read is an error, not a silent PASS
     reads = _CHECK_OPTIONS.get(args.check, _FLAG_OPTIONS)
@@ -182,7 +194,7 @@ def _run_verify(args: argparse.Namespace) -> list[CheckResult]:
     # after the checks, so that their refusals come before any rebuild
     if args.debug_orbit_checks:
         for q in qs:
-            check_orbit_representatives(n, q, budget)
+            results.extend(_check_orbit_representatives(n, q, budget))
     return results
 
 
@@ -197,7 +209,7 @@ def _run_all(args: argparse.Namespace) -> list[CheckResult]:
         for q in qs:
             results.extend(run(n, q, budget=budget) for run in _flag_checks().values())
             if args.debug_orbit_checks:
-                check_orbit_representatives(n, q, budget)
+                results.extend(_check_orbit_representatives(n, q, budget))
     for n in (2, 3, 4):
         results.append(verify_multiplicities(n, qs))
     return results

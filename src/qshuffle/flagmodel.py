@@ -46,7 +46,7 @@ from .hecke import _basis_walk, tau
 from .polyring import q_int
 from .report import CheckResult
 from .spectral import _add_row, _echelon, _is_prime, _reduce, rank
-from .symgroup import Perm, cycle_element, enumerate_perms
+from .symgroup import Perm, _perm_index, _require_n, cycle_element, enumerate_perms
 
 __all__ = [
     "BudgetExceeded",
@@ -79,11 +79,6 @@ class BudgetExceeded(ValueError):
 def _require_field_size(q: int) -> None:
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q must be a prime, got {q!r}")
-
-
-def _require_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
 
 
 def _require_prime(q: int) -> None:
@@ -518,6 +513,14 @@ def _check_budget(n: int, q: int, budget: int) -> int:
     return total
 
 
+def _check_tensor(n: int, q: int, budget: int) -> None:
+    # the refusals of everything that reads the structure tensor, before
+    # any orbit function or flag is built: the flag budget, then the
+    # counting-field width of _key_field (n >= 9)
+    _check_budget(n, q, budget)
+    _key_field(n)
+
+
 def _chain_bases(n: int, q: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The chain basis b_1, ..., b_n of every complete flag in F_q^n.
 
@@ -615,12 +618,6 @@ def representative_pair(w: Perm, q: int) -> tuple[Flag, Flag]:
 # per-(n, q) structure tensor
 
 
-@lru_cache(maxsize=None)
-def _label_index(n: int) -> dict[tuple[int, ...], int]:
-    # orbit labels are indices into enumerate_perms(n)
-    return {w.image: i for i, w in enumerate(enumerate_perms(n))}
-
-
 def _count(n: int, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
     """The convolution structure tensor at n, counted from pivot sets.
 
@@ -670,7 +667,7 @@ def _count(n: int, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
     fmt, size = _key_field(n)
     perms = enumerate_perms(n)
     nperms = len(perms)
-    index = _label_index(n)
+    index = _perm_index(n)
     full = (1 << n) - 1
     shift = n * (n - 1).bit_length()
     low = (1 << shift) - 1
@@ -765,8 +762,7 @@ def check_orbit_representatives(n: int, q: int, budget: int = FLAG_BUDGET) -> No
     budget and the field width are checked before anything is
     enumerated.
     """
-    _check_budget(n, q, budget)
-    _key_field(n)
+    _check_tensor(n, q, budget)
     if _count(n, _pivot_masks(n, q, _debug_matrix(n))) != _tensor(n, q):
         raise ArithmeticError(
             f"structure tensor at n = {n}, q = {q} differs between two orbit representatives"
@@ -819,14 +815,8 @@ class OrbitFn:
         if not isinstance(other, OrbitFn):
             return NotImplemented
         self._check(other)
-        out = dict(self.values)
-        for w, c in other.values.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return OrbitFn(self.n, self.q, out)
+        terms = itertools.chain(self.values.items(), other.values.items())
+        return OrbitFn(self.n, self.q, terms)
 
     def __sub__(self, other: "OrbitFn") -> "OrbitFn":
         if not isinstance(other, OrbitFn):
@@ -937,11 +927,11 @@ def convolve(f: OrbitFn, g: OrbitFn, budget: int = FLAG_BUDGET) -> OrbitFn:
     orbit via the cached structure tensor.
     """
     f._check(g)
-    _check_budget(f.n, f.q, budget)
+    _check_tensor(f.n, f.q, budget)
     table = _tensor(f.n, f.q)
     perms = enumerate_perms(f.n)
     nperms = len(perms)
-    index = _label_index(f.n)
+    index = _perm_index(f.n)
     gv = [(index[w.image], b) for w, b in g.values.items()]
     acc = [0] * nperms
     for w, a in f.values.items():
@@ -985,7 +975,7 @@ def verify_lemma3(
     f_{n-1} and into the range where both sides vanish.  An empty
     list of t values is refused.
     """
-    _check_budget(n, q, budget)
+    _check_tensor(n, q, budget)
     ts = sorted(set(t_values)) if t_values is not None else list(range(1, n + 3))
     if not ts:
         raise ValueError("empty t list: a check of no t values proves nothing")
@@ -1010,7 +1000,7 @@ def verify_factorization(n: int, q: int, budget: int = FLAG_BUDGET) -> CheckResu
     then the collapse f_{n-1} == f_n, and finally the full product with
     the factors (f1 - [k]_q f0) over k in [1, n] \\ {n-1} vanishes.
     """
-    _check_budget(n, q, budget)
+    _check_tensor(n, q, budget)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     f0 = OrbitFn.indicator(Perm.identity(n), q)
@@ -1042,7 +1032,7 @@ def verify_span_commutativity(n: int, q: int, budget: int = FLAG_BUDGET) -> Chec
     matrices (f_t rows, power rows, both stacked) must share rank n,
     and f_s * f_t must equal f_t * f_s for all s, t in [0, n].
     """
-    _check_budget(n, q, budget)
+    _check_tensor(n, q, budget)
     fs = [f_t(n, q, t) for t in range(n + 1)]
     base = f1(n, q)
     rows = []
@@ -1056,13 +1046,12 @@ def verify_span_commutativity(n: int, q: int, budget: int = FLAG_BUDGET) -> Chec
     for t in range(n):
         prev = coeffs[-1]
         nxt: dict[int, int] = {}
+        # every s here is at most t <= n - 1, so s + 1 <= n
         for s, c in prev.items():
-            if s <= n:
-                v = q_int(s)(q) * c
-                if v:
-                    nxt[s] = nxt.get(s, 0) + v
-            if s + 1 <= n:
-                nxt[s + 1] = nxt.get(s + 1, 0) + (q ** s) * c
+            v = q_int(s)(q) * c
+            if v:
+                nxt[s] = nxt.get(s, 0) + v
+            nxt[s + 1] = nxt.get(s + 1, 0) + (q ** s) * c
         coeffs.append(nxt)
 
     for t in range(n + 1):
@@ -1114,7 +1103,7 @@ def compare_structure_constants(n: int, q: int, budget: int = FLAG_BUDGET) -> Ch
     commutative both hold and "product" is reported).  Additionally f1
     must coincide with tau specialized at q.
     """
-    _check_budget(n, q, budget)
+    _check_tensor(n, q, budget)
     table = _tensor(n, q)
     perms = enumerate_perms(n)
     nperms = len(perms)

@@ -51,7 +51,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .polyring import ONE, Poly, Q, ZERO, _coerce
-from .symgroup import Perm, _tuple_getter, cycle_element, enumerate_perms
+from .symgroup import Perm, _perm_index, _require_n, _tuple_getter, cycle_element, enumerate_perms
 
 __all__ = [
     "HeckeElt",
@@ -136,14 +136,7 @@ class HeckeElt:
             return NotImplemented
         if o.n != self.n:
             raise ValueError(f"rank mismatch: {self.n} vs {o.n}")
-        out = dict(self.terms)
-        for w, c in o.terms.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return HeckeElt._make(self.n, out)
+        return HeckeElt(self.n, itertools.chain(self.terms.items(), o.terms.items()))
 
     __radd__ = __add__
 
@@ -215,26 +208,6 @@ class HeckeElt:
         return f"<HeckeElt n={self.n} with {len(self.terms)} terms>"
 
 
-def _rank(img: tuple[int, ...]) -> int:
-    # the index of the permutation img in enumerate_perms order: its
-    # Lehmer code read as factorial-base digits
-    n = len(img)
-    r = 0
-    for k, v in enumerate(img):
-        r = r * (n - k) + sum(x < v for x in img[k + 1 :])
-    return r
-
-
-def _unrank(n: int, u: int) -> Perm:
-    # the permutation of index u in enumerate_perms(n), the inverse of _rank
-    rest = list(range(1, n + 1))
-    img = []
-    for k in range(n - 1, -1, -1):
-        digit, u = divmod(u, math.factorial(k))
-        img.append(rest.pop(digit))
-    return Perm._make(tuple(img))
-
-
 @lru_cache(maxsize=None)
 def _rank_steps(n: int) -> tuple[list[int], ...]:
     """The rank step of each generator s_i on the indices of enumerate_perms(n).
@@ -285,12 +258,14 @@ def _simple_times(step: Sequence[int], terms: Mapping[int, R], q: R) -> dict[int
 
 
 def _indices(a: HeckeElt) -> dict[int, Poly]:
-    return {_rank(w.image): c for w, c in a.terms.items()}
+    index = _perm_index(a.n)
+    return {index[w.image]: c for w, c in a.terms.items()}
 
 
 def _elt(n: int, terms: Mapping[int, Poly]) -> HeckeElt:
-    # the element with these index-keyed terms; zero terms dropped
-    return HeckeElt._make(n, {_unrank(n, u): c for u, c in terms.items() if c})
+    # the element with these index-keyed terms; zero terms dropped, and
+    # the n! table of enumerate_perms(n) is read only for a nonzero term
+    return HeckeElt._make(n, {enumerate_perms(n)[u]: c for u, c in terms.items() if c})
 
 
 def _basis_walk(n: int, terms: Mapping[int, R], q: R) -> Callable[[int], dict[int, R]]:
@@ -351,8 +326,7 @@ def tau(n: int) -> HeckeElt:
     >>> print(mul(tau(2), tau(2)))
     (1 + q)*T[1 2] + (1 + q)*T[2 1]
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _require_n(n)
     return HeckeElt(n, [(cycle_element(g, n), ONE) for g in range(1, n + 1)])
 
 
@@ -374,8 +348,7 @@ def _tau_walk(n: int, terms: Mapping[int, R], q: R) -> dict[int, R]:
 
 
 def _retained_ks(n: int) -> list[int]:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _require_n(n)
     return [k for k in range(1, n + 1) if k != n - 1]
 
 

@@ -20,7 +20,8 @@ times one common denominator D, so that the relations of H_n(q0) and the
 Jucys-Murphy eigenvalues can be checked exactly on ints.  It assumes
 none of the facts the multiplicity proof needs: it computes them, and
 `spectral` decides from them.  A block also gives rho_lam(tau) modulo a
-prime, in the order of `hecke._tau_walk`.
+prime, built by `Block.apply`, the action whose relations are checked,
+in the order of `hecke._tau_walk`.
 """
 
 from __future__ import annotations
@@ -229,29 +230,26 @@ class Block:
         return len(seen) == len(self.tableaux)
 
     def tau_mod(self, p: int) -> list[list[int]]:
-        """rho(tau) reduced mod a prime p that does not divide D.
+        """The rows of rho(tau) reduced mod a prime p that does not divide D.
 
         rho(tau) = sum over g of rho(T_g) ... rho(T_{n-1}), the g = n term
-        the identity, in the order of hecke._tau_walk.  Each step is a
-        left product with a generator, two nonzeros per row, so O(d^2).
+        the identity.  Column t is built by `apply` alone, in the order of
+        hecke._tau_walk: starting at v_t, each step applies one generator,
+        n - 1 down to 1, times D^-1 mod p, and the column is the running
+        sum of the steps.  The relations and Jucys-Murphy checks run on
+        the same `apply`.
         """
         d = len(self.tableaux)
         inv = pow(self.denominator, -1, p)
-        step = [[int(i == j) for j in range(d)] for i in range(d)]
-        acc = [row[:] for row in step]
-        for diag, partner, off in reversed(self.gens):
-            new = []
-            for t, s in enumerate(partner):
-                a = diag[t] * inv % p
-                if s < 0:
-                    new.append([a * x % p for x in step[t]])
-                else:
-                    # row t of rho(T_g): the v_t coefficients of T_g v_t and T_g v_s
-                    b = off[s] * inv % p
-                    new.append([(a * x + b * y) % p for x, y in zip(step[t], step[s])])
-            step = new
-            acc = [[(x + y) % p for x, y in zip(ra, rs)] for ra, rs in zip(acc, step)]
-        return acc
+        cols = []
+        for t in range(d):
+            step, acc = {t: 1}, {t: 1}
+            for g in range(len(self.gens), 0, -1):
+                step = {s: x * inv % p for s, x in self.apply(g, step).items()}
+                for s, x in step.items():
+                    acc[s] = (acc.get(s, 0) + x) % p
+            cols.append([acc.get(s, 0) for s in range(d)])
+        return [list(row) for row in zip(*cols)]
 
 
 def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]:

@@ -61,7 +61,7 @@ from .hecke import _tau_walk, wallach_product
 from .polyring import q_int
 from .report import CheckResult
 from .seminormal import Block, partitions
-from .symgroup import enumerate_perms
+from .symgroup import _require_n, enumerate_perms
 
 __all__ = [
     "CertificateError",
@@ -354,8 +354,7 @@ def _block_nullities(n: int, q0: int) -> tuple[int, ...]:
 
 
 def _check_size(n: int, allow_large: bool) -> None:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _require_n(n)
     if n > _LARGE_N and not allow_large:
         raise ValueError(
             f"n={n} means the annihilator over {n}! = {math.factorial(n)} basis elements "

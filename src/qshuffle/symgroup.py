@@ -162,6 +162,18 @@ def enumerate_perms(n: int) -> tuple[Perm, ...]:
     return tuple(Perm._make(img) for img in itertools.permutations(range(1, n + 1)))
 
 
+@functools.lru_cache(maxsize=None)
+def _perm_index(n: int) -> dict[tuple[int, ...], int]:
+    # the label index: the position of each image tuple in enumerate_perms(n)
+    return {w.image: i for i, w in enumerate(enumerate_perms(n))}
+
+
+def _require_n(n: int) -> None:
+    # the one n >= 1 refusal of every check and constructor that takes n
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+
+
 def _tuple_getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     # picks `indices` out of a sequence as a tuple; itemgetter returns a
     # bare item for one index and refuses none

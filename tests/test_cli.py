@@ -273,11 +273,24 @@ def test_debug_orbit_checks_flag(capsys, monkeypatch):
     assert rebuilt == [(2, 2), (3, 2), (4, 2)]
     capsys.readouterr()
 
+    # a failed cross-check is one failing row after the checks of its
+    # (n, q): the document is printed and the exit status is 1
     perturb.append(True)
     rebuilt.clear()
-    with pytest.raises(ArithmeticError, match="at n = 2, q = 2 differs"):
-        main([*lemma3, "--debug-orbit-checks"])
-    assert rebuilt == [(2, 2)]
+    assert main([*lemma3, "--debug-orbit-checks", "--format", "json"]) == 1
+    assert rebuilt == [(2, 2), (2, 3)]
+    doc = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in doc["checks"]] == ["lemma3"] * 2 + ["orbit-representatives"] * 2
+    failed = doc["checks"][2]
+    assert failed["params"] == {"n": 2, "q": 2} and not failed["pass"]
+    [row] = failed["details"]
+    assert row["pass"] is False
+    assert "structure tensor at n = 2, q = 2 differs" in row["witness"]
+    rebuilt.clear()
+    assert main(["all", "--q", "2", "--debug-orbit-checks", "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    failed = [c["params"] for c in doc["checks"] if c["name"] == "orbit-representatives"]
+    assert failed == [{"n": n, "q": 2} for n in (2, 3, 4)]
     rebuilt.clear()
     for argv in (lemma3, ["all", "--q", "2"]):
         assert main(argv) == 0, argv

@@ -236,6 +236,21 @@ def test_budget_refusals(monkeypatch):
     ):
         with pytest.raises(BudgetExceeded):
             verify(n, q)
+    # within the budget, n = 9 is refused on the counting-field width,
+    # still before any orbit function or structure tensor
+    monkeypatch.setattr(flagmodel, "_tensor", no_orbit_fns)
+    budget = 10**14
+    assert flag_count(9, 2) <= budget
+    for verify in (
+        verify_lemma3,
+        verify_factorization,
+        verify_span_commutativity,
+        compare_structure_constants,
+    ):
+        with pytest.raises(ValueError, match="n = 9 needs 72 bits, over 64"):
+            verify(9, 2, budget=budget)
+    with pytest.raises(ValueError, match="n = 9 needs 72 bits, over 64"):
+        convolve(OrbitFn(9, 2), OrbitFn(9, 2), budget=budget)
 
 
 def test_budget_refusal_comes_before_the_primality_test(monkeypatch, capsys):

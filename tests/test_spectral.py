@@ -386,6 +386,30 @@ def test_seminormal_blocks_hold_every_fact_of_the_proof():
                 assert block.connected(), (shape, q0)
 
 
+def test_tau_mod_reads_the_generators_only_through_apply(monkeypatch):
+    # the matrix whose nullities the certificate counts is built by the
+    # same apply on which the relations and Jucys-Murphy checks run
+    real = Block.apply
+    blocks = [Block(shape, q0) for shape in partitions(4) for q0 in (1, 2)]
+    want = [b.tau_mod(_CERT_PRIME) for b in blocks]
+
+    def refuse(self, i, vec):
+        raise AssertionError("apply reached")
+
+    monkeypatch.setattr(Block, "apply", refuse)
+    for b in blocks:
+        with pytest.raises(AssertionError, match="apply reached"):
+            b.tau_mod(_CERT_PRIME)
+
+    def doubled_first(self, i, vec):
+        out = real(self, i, vec)
+        return {t: 2 * x for t, x in out.items()} if i == 1 else out
+
+    monkeypatch.setattr(Block, "apply", doubled_first)
+    for b, m in zip(blocks, want):
+        assert b.tau_mod(_CERT_PRIME) != m, (b.shape, b.q0)
+
+
 def test_block_checks_catch_broken_blocks():
     # a perturbed generator breaks a relation
     block = Block((3, 2), 2)

@@ -1,6 +1,7 @@
 """Tests for permutations, composition order, words, cycles."""
 
 import doctest
+import itertools
 import math
 import random
 
@@ -99,6 +100,17 @@ def test_enumerate_perms_order_and_count():
     images = [w.image for w in ps]
     assert images == sorted(images)
     assert len(set(images)) == len(images)
+
+
+def test_perm_index_follows_enumerate_perms():
+    # the label index of the walks and the structure tensor: the position
+    # of each image tuple in lexicographic order, which is the order of
+    # enumerate_perms
+    for n in range(1, 7):
+        index = symgroup._perm_index(n)
+        images = sorted(itertools.permutations(range(1, n + 1)))
+        assert index == {img: u for u, img in enumerate(images)}, n
+        assert [w.image for w in enumerate_perms(n)] == images, n
 
 
 def test_no_permutation_fixes_exactly_n_minus_1_points():
