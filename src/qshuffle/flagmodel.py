@@ -39,7 +39,7 @@ import math
 import operator
 import sys
 from collections import Counter
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .hecke import _basis_walk, tau
@@ -119,10 +119,10 @@ def _require_prime(q: int) -> None:
 # no chain matrix outlives it.  Over F_2 all flags run at once:
 # _chain_lanes holds entry (i, j) of every chain matrix as one int, a
 # lane, whose byte f is the entry of flag f, so one XOR or AND of two
-# lanes steps every flag; the tests check the lanes against
-# _chain_bases, which grows the same bases one flag at a time.  Other q
-# stream the bases of _chain_bases through the lattice flag by flag, on
-# lists mod q with _step_generic.  Neither shares code with the
+# lanes steps every flag.  Other q stream the columns of _chain_columns
+# through the lattice flag by flag, on lists mod q with _step_generic;
+# that per-flag path is the lanes' oracle, in the tests and in
+# check_orbit_representatives at every q.  Neither shares code with the
 # elimination kernel of the literal layer (Subspace, Flag,
 # relative_position), which is their oracle in the tests.
 
@@ -248,14 +248,6 @@ def _chain_lanes(n: int) -> list[list[int]]:
     return [[int.from_bytes(planes[i][j], "little") for i in range(n)] for j in range(n)]
 
 
-def _moved_lanes(lanes: Sequence[Sequence[int]], h: Sequence[Sequence[int]]) -> list[list[int]]:
-    # h times the column list of every chain matrix; over F_2 a sum of
-    # columns is the XOR of their lanes
-    n = len(lanes)
-    return [[reduce(operator.xor, (lanes[k][i] for k in range(n) if row[k]), 0)
-             for i in range(n)] for row in h]
-
-
 def _lane_masks(lanes: Sequence[Sequence[int]], n: int) -> dict[int, bytes]:
     """The pivot sets of every chain matrix over F_2, all flags at once.
 
@@ -309,20 +301,15 @@ def _debug_matrix(n: int) -> list[list[int]]:
     return [uni[(i + 1) % n] for i in range(n)]
 
 
-def _pivot_masks(n: int, q: int, h: Sequence[Sequence[int]] | None = None) -> dict[int, bytes]:
+def _pivot_masks(n: int, q: int) -> dict[int, bytes]:
     """The pivot sets of every chain matrix over F_q, keyed by weight.
 
-    With h, every column list is first multiplied by h.  F_2 runs on
-    byte lanes, other q on the bases of _chain_bases as they are
-    grown, so no list of flags is built.
+    F_2 runs on byte lanes, other q on the columns of _chain_columns as
+    they are grown, so no list of flags is built.
     """
     if q == 2:
-        lanes = _chain_lanes(n)
-        return _lane_masks(lanes if h is None else _moved_lanes(lanes, h), n)
-    columns: Iterable[Sequence[Sequence[int]]] = (list(zip(*b)) for b in _chain_bases(n, q))
-    if h is not None:
-        columns = (_matmul_mod(h, cols, q) for cols in columns)
-    return _flag_masks(columns, n, q)
+        return _lane_masks(_chain_lanes(n), n)
+    return _flag_masks(_chain_columns(n, q), n, q)
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +544,11 @@ def _chain_bases(n: int, q: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         raise ArithmeticError(f"enumerated {count} flags, expected {flag_count(n, q)}")
 
 
+def _chain_columns(n: int, q: int) -> Iterator[list[tuple[int, ...]]]:
+    # the column list of every chain matrix, in the order of _chain_bases
+    return (list(zip(*b)) for b in _chain_bases(n, q))
+
+
 def enumerate_flags(n: int, q: int, budget: int = FLAG_BUDGET) -> tuple[Flag, ...]:
     """All complete flags in F_q^n, in a deterministic order.
 
@@ -757,13 +749,16 @@ def check_orbit_representatives(n: int, q: int, budget: int = FLAG_BUDGET) -> No
 
     Every chain matrix is moved by the fixed invertible matrix of
     _debug_matrix, which takes each representative pair (zE, E) to
-    (g zE, g E), and the tensor counted from the moved pivot sets must
-    equal the cached one, or ArithmeticError names n and q.  The flag
-    budget and the field width are checked before anything is
-    enumerated.
+    (g zE, g E), and reduced by the per-flag lattice at every q, so at
+    q = 2 the lanes of the cached tensor meet their oracle.  The tensor
+    counted from the moved pivot sets must equal the cached one, or
+    ArithmeticError names n and q.  The flag budget and the field width
+    are checked before anything is enumerated.
     """
     _check_tensor(n, q, budget)
-    if _count(n, _pivot_masks(n, q, _debug_matrix(n))) != _tensor(n, q):
+    h = _debug_matrix(n)
+    moved = (_matmul_mod(h, cols, q) for cols in _chain_columns(n, q))
+    if _count(n, _flag_masks(moved, n, q)) != _tensor(n, q):
         raise ArithmeticError(
             f"structure tensor at n = {n}, q = {q} differs between two orbit representatives"
         )

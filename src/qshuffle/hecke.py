@@ -50,7 +50,7 @@ import struct
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
-from .polyring import ONE, Poly, Q, ZERO, _coerce
+from .polyring import ONE, Poly, Q, ZERO, _coerce, q_int
 from .symgroup import Perm, _perm_index, _require_n, _tuple_getter, cycle_element, enumerate_perms
 
 __all__ = [
@@ -112,9 +112,6 @@ class HeckeElt:
     @classmethod
     def basis(cls, w: Perm) -> "HeckeElt":
         return cls(w.n, {w: ONE})
-
-    def coeff(self, w: Perm) -> Poly:
-        return self.terms.get(w, ZERO)
 
     def support(self) -> list[Perm]:
         return sorted(self.terms, key=lambda w: w.image)
@@ -415,7 +412,7 @@ def wallach_product(n: int, omit: int | None = None) -> HeckeElt:
     # the identity has index 0
     prod = {0: 1}
     for k in factors:
-        qk = (q**k - 1) // (q - 1)
+        qk = q_int(k)(q)
         shifted = _tau_walk(n, prod, q)
         for u, c in prod.items():
             shifted[u] -= qk * c

@@ -243,16 +243,20 @@ def test_failing_orbit_row_names_its_witness(monkeypatch, capsys, check, verify,
 
 
 def test_debug_orbit_checks_flag(capsys, monkeypatch):
-    # every moved rebuild is recorded, and while `perturb` is set its
-    # count is one off in the first nonzero slot
-    masks, count = flagmodel._pivot_masks, flagmodel._count
+    # every moved rebuild, the pivot sets read after a _debug_matrix
+    # call, is recorded, and while `perturb` is set its count is one off
+    # in the first nonzero slot
+    matrix, masks, count = flagmodel._debug_matrix, flagmodel._flag_masks, flagmodel._count
     rebuilt, perturb, pending = [], [], []
 
-    def moved_masks(n, q, h=None):
-        if h is not None:
+    def moved_matrix(n):
+        pending.append(True)
+        return matrix(n)
+
+    def moved_masks(columns, n, q):
+        if pending:
             rebuilt.append((n, q))
-            pending.append(True)
-        return masks(n, q, h)
+        return masks(columns, n, q)
 
     def moved_count(n, groups):
         out = count(n, groups)
@@ -263,7 +267,8 @@ def test_debug_orbit_checks_flag(capsys, monkeypatch):
             counts[next(iter(counts))] += 1
         return out
 
-    monkeypatch.setattr(flagmodel, "_pivot_masks", moved_masks)
+    monkeypatch.setattr(flagmodel, "_debug_matrix", moved_matrix)
+    monkeypatch.setattr(flagmodel, "_flag_masks", moved_masks)
     monkeypatch.setattr(flagmodel, "_count", moved_count)
     lemma3 = ["verify", "lemma3", "--n", "2", "--q", "2,3"]
     assert main([*lemma3, "--debug-orbit-checks"]) == 0

@@ -693,7 +693,7 @@ def _relane(columns):
 
 def _flag_columns(n, q):
     # the columns of every chain matrix, flag by flag
-    return [[list(c) for c in zip(*basis)] for basis in flagmodel._chain_bases(n, q)]
+    return [[list(c) for c in cols] for cols in flagmodel._chain_columns(n, q)]
 
 
 def _patterns(n, groups):
@@ -722,22 +722,61 @@ def test_chain_lanes_match_chain_bases(monkeypatch):
 
 def test_packed_f2_backend_matches_generic():
     # the lane lattice against the flag-by-flag one at q = 2, on the
-    # chain matrices and on their moved copies of the debug rebuild
+    # chain matrices and, relaned, on their moved copies of the debug
+    # rebuild
     for n in range(1, 6):
         h = flagmodel._debug_matrix(n)
         lanes = flagmodel._chain_lanes(n)
-        moved = flagmodel._moved_lanes(lanes, h)
         columns = _flag_columns(n, 2)
         moved_columns = [flagmodel._matmul_mod(h, cols, 2) for cols in columns]
-        count = flag_count(n, 2)
-        assert _unlane(lanes, count) == columns, n
-        assert _unlane(moved, count) == moved_columns, n
-        for chains, cols, by in ((lanes, columns, None), (moved, moved_columns, h)):
+        assert _unlane(lanes, flag_count(n, 2)) == columns, n
+        for chains, cols in ((lanes, columns), (_relane(moved_columns), moved_columns)):
             got, want = flagmodel._lane_masks(chains, n), flagmodel._flag_masks(cols, n, 2)
-            assert got == flagmodel._pivot_masks(n, 2, by), n
             assert _patterns(n, got) == _patterns(n, want), n
             assert flagmodel._count(n, got) == flagmodel._tensor(n, 2), n
             assert flagmodel._count(n, want) == flagmodel._tensor(n, 2), n
+        assert flagmodel._pivot_masks(n, 2) == flagmodel._lane_masks(lanes, n), n
+
+
+def test_orbit_check_at_q2_reads_no_lanes(monkeypatch):
+    # the moved rebuild runs flag by flag at q = 2 too, so the
+    # cross-check compares the cached lane-built tensor with the
+    # per-flag lattice and reads no lane of its own
+    for n in range(2, 6):
+        flagmodel._tensor(n, 2)
+
+    def refuse(*args):
+        raise AssertionError("the cross-check read the lane lattice")
+
+    monkeypatch.setattr(flagmodel, "_chain_lanes", refuse)
+    monkeypatch.setattr(flagmodel, "_lane_masks", refuse)
+    for n in range(2, 6):
+        assert check_orbit_representatives(n, 2) is None
+
+
+def test_orbit_check_catches_a_faulty_lane_lattice(monkeypatch):
+    masks = flagmodel._lane_masks
+
+    def faulty(lanes, n):
+        # byte count + 1 is Q(b) of the second flag for b = {the first
+        # column}: its pivot moves from the first row to the second,
+        # which leaves every chain of pivot sets a chain, so the count
+        # runs and only the tensor is wrong
+        [buf] = masks(lanes, n).values()
+        buf = bytearray(buf)
+        count = flag_count(n, 2)
+        assert buf[count + 1] == 0b01
+        buf[count + 1] = 0b10
+        return {1: bytes(buf)}
+
+    monkeypatch.setattr(flagmodel, "_lane_masks", faulty)
+    # no tensor built from the faulty lattice outlives this test
+    flagmodel._tensor.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="structure tensor at n = 3, q = 2 differs"):
+            check_orbit_representatives(3, 2)
+    finally:
+        flagmodel._tensor.cache_clear()
 
 
 def test_lattices_refuse_dependent_columns():
@@ -838,11 +877,7 @@ def test_debug_rebuild_moves_every_chain_matrix():
         after = [flagmodel._matmul_mod(h, cols, q) for cols in before]
         assert len(after) == len(before) == flag_count(n, q), (n, q)
         assert all(a != b for a, b in zip(after, before)), (n, q)
-        groups = flagmodel._pivot_masks(n, q, h)
-        if q == 2:
-            assert groups == flagmodel._lane_masks(_relane(after), n), (n, q)
-        else:
-            assert groups == flagmodel._flag_masks(after, n, q), (n, q)
+        groups = flagmodel._flag_masks(after, n, q)
         tensor = flagmodel._tensor(n, q)
         assert flagmodel._count(n, groups) == tensor, (n, q)
         assert _scatter(n, _patterns(n, groups)) == tensor, (n, q)
