@@ -129,7 +129,10 @@ def _require_prime(q: int) -> None:
 
 def _step_generic(
     stored: Mapping[int, Sequence[int]], col: Sequence[int], q: int
-) -> tuple[int, list[int]]:
+) -> tuple[int, Sequence[int]]:
+    # the pivot bit of col reduced against the stored columns, and the
+    # reduced column scaled to a leading 1; a column that needs neither
+    # is returned as it came, so callers must not mutate it
     r = col
     i = 0
     while True:
@@ -144,8 +147,11 @@ def _step_generic(
             break
         c = r[i]
         r = [(x - c * y) % q for x, y in zip(r, s)]
-    inv = pow(r[i], -1, q)
-    return 1 << i, [(x * inv) % q for x in r]
+    if r[i] != 1:
+        # always 1 over F_2
+        inv = pow(r[i], -1, q)
+        r = [(x * inv) % q for x in r]
+    return 1 << i, r
 
 
 def _matmul_mod(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], q: int) -> list[list[int]]:
@@ -613,12 +619,16 @@ def representative_pair(w: Perm, q: int) -> tuple[Flag, Flag]:
 def _count(n: int, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
     """The convolution structure tensor at n, counted from pivot sets.
 
-    Labels are indices into enumerate_perms(n).  Entry x * n! + y maps z
-    to the number of middle flags M with relative_position(A, M) labeled
-    x and relative_position(M, C) labeled y, where (A, C) is the
-    representative pair of orbit z.  That count is exactly the
-    structure constant of the convolution algebra, so a product reads
-    only the (x, y) pairs in the supports of its factors.
+    Labels are indices into enumerate_perms(n).  The count of slot
+    x * n! + y under z is the number of middle flags M with
+    relative_position(A, M) labeled x and relative_position(M, C)
+    labeled y, where (A, C) is the representative pair of orbit z.
+    That count is exactly the structure constant of the convolution
+    algebra, so a product reads only the (x, y) pairs in the supports
+    of its factors.  The tensor is returned as one row per K-orbit of
+    slots (K below), in the order of the representatives of
+    _slot_orbits(n): row r maps z to the count of slot reps[r] under z,
+    and every other slot is read off its orbit's row by _slot_orbits.
 
     The build has two passes.  _pivot_masks runs the subset lattice of
     every chain matrix and keeps only its pivot sets, one byte per
@@ -639,27 +649,53 @@ def _count(n: int, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
     names go to the upper half of each field.  For each z the keys
     (y, x) of all patterns are then one sum of n big ints with no carry
     between fields, and one Counter per z, over the fields of every
-    weight times that weight, counts them, so the tensor is written
-    once per distinct (x, y, z).  A field needs 2 * n * w bits, so
-    n >= 9 is refused before anything is enumerated.
+    weight times that weight, counts them.  A field needs 2 * n * w
+    bits, so n >= 9 is refused before anything is enumerated.
 
-    The count runs for one z of each pair {z, z^-1}, by the transpose
-    identity count_z(x, y) = count_{z^-1}(y^-1, x^-1).  Proof: the
-    middle flags M counted at the pair (A, C) for the labels (x, y) are
-    exactly those counted at (C, A) for (y^-1, x^-1), since swapping a
-    pair inverts its label, and (C, A) = (E, zE) lies in the orbit
-    z^-1.  So the Counter runs only for z with index(z) <= index(z^-1),
-    and each key goes to slot (x, y) under z and, when z != z^-1, to
-    slot (y^-1, x^-1) under z^-1, read off the same two per-label
-    tables with the two names swapped.  check_orbit_representatives
-    thus still counts every orbit at two distinct representatives:
-    (zE, E) and (g zE, g E) for the z counted, (E, zE) and (g E, g zE)
-    for z^-1.
+    Two identities fix every count; write w* = w0 w w0, w0 the longest
+    permutation.
+
+    - Transpose: count_z(x, y) = count_{z^-1}(y^-1, x^-1).  The middle
+      flags M counted at the pair (A, C) for the labels (x, y) are
+      exactly those counted at (C, A) for (y^-1, x^-1), since swapping
+      a pair inverts its label, and (C, A) = (E, zE) lies in the orbit
+      z^-1.
+    - Duality: count_z(x, y) = count_{z*}(x*, y*).  For a flag M let
+      M^perp be the flag with steps (M^perp)_i = (M_{n-i})^perp under
+      the standard dot product; M -> M^perp is an involution of the
+      flags.  dim(A^perp cap B^perp) = n - dim A - dim B + dim(A cap B),
+      so dim(W^perp_i cap V^perp_j) = i + j - n + d_{n-i,n-j}(W, V).
+      The term i + j - n has no mixed second difference, so the jump
+      rule of relative_position finds a jump of (W^perp, V^perp) at
+      (i, j) exactly where (W, V) has one at (n+1-i, n+1-j):
+      pos(W^perp, V^perp) = w0 pos(W, V) w0.  Step i of (zE)^perp is
+      spanned by e_{z(n)}, ..., e_{z(n+1-i)}, so (zE)^perp = z w0 E and
+      E^perp = w0 E, and the permutation matrix P of w0, which takes
+      uE to w0 uE, moves that pair to (z* E, E).  So M -> P M^perp, a
+      bijection of flags, takes the middle flags counted at (zE, E)
+      for (x, y) to those counted at (z* E, E) for (x*, y*).
+
+    The group K = {1, transpose, star, both} of these two commuting
+    involutions acts on triples (x, y, z) and fixes every count.  So
+    the Counter runs for one z of each K-orbit of labels, the least
+    index among z, z^-1, z*, z*^-1, and each of its keys (x, y) is
+    written, for each distinct image k(z), to slot k(x, y) under k(z)
+    when that slot is a representative, and nowhere else.  Each stored
+    (slot, z) is written once: z = k(z0) for the one k chosen for z's
+    orbit representative z0, and k(slot) is then a key under z0 by the
+    identities.  The slot images are read off four per-label tables,
+    the x and y tables for 1 and the transpose and their starred
+    copies for star and both, with the two names swapped for the
+    transpose and both.  check_orbit_representatives thus counts every
+    stored entry at two distinct representatives of the orbit z0,
+    (z0 E, E) and (g z0 E, g E), and reaches the other labels of the
+    orbit through the same identities on both sides.
     """
     fmt, size = _key_field(n)
     perms = enumerate_perms(n)
     nperms = len(perms)
-    index = _perm_index(n)
+    _, inverse, star, both = _relabels(n)
+    reps, _, _ = _slot_orbits(n)
     full = (1 << n) - 1
     shift = n * (n - 1).bit_length()
     low = (1 << shift) - 1
@@ -670,11 +706,18 @@ def _count(n: int, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
         return [full ^ m for m in itertools.accumulate(1 << (k - 1) for k in z.image)][:-1]
 
     chains = [chain(z) for z in perms]
-    x_keys = {_chain_name(c, n): xi * nperms for xi, c in enumerate(chains)}
-    inverse = [index[x.inverse().image] for x in perms]
-    y_keys = {_chain_name(c, n): xt for xt, c in zip(inverse, chains)}
-    # one z of each pair {z, z^-1}, with the index of z^-1
-    halves = [(z, zt) for z, zt in enumerate(inverse) if z <= zt]
+    # the name of label p's chain, read as an x name or as the name of
+    # pos(E, M) = y^-1, gives the x part x * n! or the y part y of a
+    # slot; the starred tables give x* * n! and y*
+    names = [_chain_name(c, n) for c in chains]
+    x_part = dict(zip(names, range(0, nperms * nperms, nperms)))
+    y_part = dict(zip(names, inverse))
+    starred = ({name: s * nperms for name, s in zip(names, star)}, dict(zip(names, both)))
+    tables = ((x_part, y_part), (x_part, y_part), starred, starred)
+    # 1-based row of each representative slot, 0 elsewhere
+    row_at = [0] * (nperms * nperms)
+    for r, s in enumerate(reps, 1):
+        row_at[s] = r
     # byte k of the field of every pivot mask, as a translation table
     fields = [_chain_name([m], n).to_bytes(size, order) for m in range(256)]
     planes = [bytes(f[k] for f in fields) for k in range(size)]
@@ -689,31 +732,83 @@ def _count(n: int, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
         column = [int.from_bytes(buf[b * span : (b + 1) * span], order) for b in range(full)]
         del buf
         packed.append((weight, span, column, sum(column[b] for b in chains[0]) << shift))
-    out: list[dict[int, int]] = [dict() for _ in range(nperms * nperms)]
-    for z, zt in halves:
+    # the first item of each pair is its 1-based row, 0 for a slot not stored
+    stored = operator.itemgetter(0)
+    out: list[dict[int, int]] = [dict() for _ in range(len(reps) + 1)]
+    for z in range(nperms):
+        orbit = (z, inverse[z], star[z], both[z])
+        if min(orbit) < z:
+            continue
         keys: Counter[int] = Counter()
         for weight, span, column, y_column in packed:
             acc = y_column + sum(column[b] for b in chains[z])
-            names = memoryview(acc.to_bytes(span, order)).cast(fmt)
+            names_at = memoryview(acc.to_bytes(span, order)).cast(fmt)
             if weight == 1:
-                keys.update(names)
+                keys.update(names_at)
             else:
-                keys.update({key: c * weight for key, c in Counter(names).items()})
-        # every (x, y) is one key of this Counter, so it writes each
-        # slot once under z and, by the transpose, once under z^-1
+                keys.update({key: c * weight for key, c in Counter(names_at).items()})
         xs = list(map(low.__and__, keys))
         ys = list(map(shift.__rrshift__, keys))
-        slots = map(operator.add, map(x_keys.__getitem__, xs), map(y_keys.__getitem__, ys))
-        if zt == z:
-            for slot, c in zip(slots, keys.values()):
-                out[slot][z] = c
-            continue
-        # (y^-1, x^-1) under z^-1
-        mirrors = map(operator.add, map(x_keys.__getitem__, ys), map(y_keys.__getitem__, xs))
-        for slot, mirror, c in zip(slots, mirrors, keys.values()):
-            out[slot][z] = c
-            out[mirror][zt] = c
+        counts = list(keys.values())
+        # the first k of K = (1, transpose, star, both) reaching each label
+        firsts: dict[int, int] = {}
+        for k, zk in enumerate(orbit):
+            firsts.setdefault(zk, k)
+        for zk, k in firsts.items():
+            x_of, y_of = tables[k]
+            a, b = (ys, xs) if k % 2 else (xs, ys)
+            slots = map(operator.add, map(x_of.__getitem__, a), map(y_of.__getitem__, b))
+            for r, c in filter(stored, zip(map(row_at.__getitem__, slots), counts)):
+                out[r][zk] = c
+    del out[0]
     return out
+
+
+@lru_cache(maxsize=None)
+def _relabels(n: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    # z -> k(z) on label indices for k = 1, transpose, star and both of
+    # K: z, z^-1, z* = w0 z w0 and z*^-1, with (w0 z w0)(i) the value
+    # n + 1 - z(n + 1 - i)
+    perms = enumerate_perms(n)
+    index = _perm_index(n)
+    inverse = [index[w.inverse().image] for w in perms]
+    star = [index[tuple(n + 1 - v for v in reversed(w.image))] for w in perms]
+    return list(range(len(perms))), inverse, star, [inverse[s] for s in star]
+
+
+@lru_cache(maxsize=None)
+def _slot_orbits(n: int) -> tuple[list[int], list[int], list[list[int]]]:
+    """The K-orbits of the slots x * n! + y of the structure tensor.
+
+    K acts on slots by (x, y) -> (y^-1, x^-1), (x*, y*) and
+    (y*^-1, x*^-1), and _count proves row(k(s)) = row(s) relabeled by
+    z -> k(z).  Returns the least slot of each orbit, increasing, and
+    for every slot s the index of its orbit and the relabel list of the
+    k with k(rep) = s: the row of s maps relabel[z] to the count of
+    the orbit's row at z.  Each k is an involution, so k is found as the
+    one that takes s to its orbit's least slot.  Built on first use,
+    once per n.
+    """
+    relabels = _relabels(n)
+    _, inverse, star, both = relabels
+    nperms = len(inverse)
+    slots = range(nperms * nperms)
+    inverse_at = [i * nperms for i in inverse]
+    star_at = [s * nperms for s in star]
+    both_at = [b * nperms for b in both]
+    # the images of slot x * n! + y, x the outer loop
+    turned = [yt + xt for xt in inverse for yt in inverse_at]
+    starred = [xs + ys for xs in star_at for ys in star]
+    turned_starred = [yb + xb for xb in both for yb in both_at]
+    least = list(map(min, slots, turned, starred, turned_starred))
+    reps = [s for s, m in zip(slots, least) if s == m]
+    row_of = dict(zip(reps, itertools.count()))
+    rows = list(map(row_of.__getitem__, least))
+    kinds = [
+        relabels[0 if s == m else 1 if t == m else 2 if u == m else 3]
+        for s, t, u, m in zip(slots, turned, starred, least)
+    ]
+    return reps, rows, kinds
 
 
 def _chain_name(sets: Iterable[int], n: int) -> int:
@@ -737,9 +832,10 @@ def _key_field(n: int) -> tuple[str, int]:
 
 @lru_cache(maxsize=None)
 def _tensor(n: int, q: int) -> list[dict[int, int]]:
-    # _count over every flag of F_q^n; the caller checks the flag
-    # budget.  The field width is checked first, so n >= 9 is refused
-    # before any lane or chain basis is grown
+    # _count over every flag of F_q^n, one row per K-orbit of slots;
+    # _products reads it.  The caller checks the flag budget.  The field
+    # width is checked first, so n >= 9 is refused before any lane or
+    # chain basis is grown
     _key_field(n)
     return _count(n, _pivot_masks(n, q))
 
@@ -915,26 +1011,42 @@ def f_t(n: int, q: int, t: int) -> OrbitFn:
     return OrbitFn(n, q, vals)
 
 
+def _products(
+    acc: list[int], n: int, q: int, f: Sequence[tuple[int, int]], g: Sequence[tuple[int, int]]
+) -> None:
+    # add f * g to acc, for f and g as (label index, value) pairs: slot
+    # x * n! + y reads the row of its K-orbit through the relabel list
+    # of _slot_orbits
+    rows = _tensor(n, q)
+    _, row_of, relabel_of = _slot_orbits(n)
+    nperms = len(acc)
+    for x, a in f:
+        base = x * nperms
+        for y, b in g:
+            s = base + y
+            relabel = relabel_of[s]
+            ab = a * b
+            for z, c in rows[row_of[s]].items():
+                acc[relabel[z]] += c * ab
+
+
+def _indexed(f: OrbitFn) -> list[tuple[int, int]]:
+    index = _perm_index(f.n)
+    return [(index[w.image], c) for w, c in f.values.items()]
+
+
 def convolve(f: OrbitFn, g: OrbitFn, budget: int = FLAG_BUDGET) -> OrbitFn:
     """(f * g)(W, V) = sum over middle flags M of f(W, M) g(M, V).
 
     Orbit-invariant, so it is evaluated on one representative pair per
-    orbit via the cached structure tensor.
+    orbit via the cached structure tensor, which _products reads one
+    pair (x, y) of the supports at a time.
     """
     f._check(g)
     _check_tensor(f.n, f.q, budget)
-    table = _tensor(f.n, f.q)
     perms = enumerate_perms(f.n)
-    nperms = len(perms)
-    index = _perm_index(f.n)
-    gv = [(index[w.image], b) for w, b in g.values.items()]
-    acc = [0] * nperms
-    for w, a in f.values.items():
-        row = index[w.image] * nperms
-        for y, b in gv:
-            ab = a * b
-            for z, cnt in table[row + y].items():
-                acc[z] += cnt * ab
+    acc = [0] * len(perms)
+    _products(acc, f.n, f.q, _indexed(f), _indexed(g))
     return OrbitFn(f.n, f.q, {w: c for w, c in zip(perms, acc) if c})
 
 
@@ -1026,6 +1138,15 @@ def verify_span_commutativity(n: int, q: int, budget: int = FLAG_BUDGET) -> Chec
     must reproduce the actual convolution power, the three integer
     matrices (f_t rows, power rows, both stacked) must share rank n,
     and f_s * f_t must equal f_t * f_s for all s, t in [0, n].
+
+    The powers are n convolve calls with the sparse f1.  The dense
+    products f_s * f_t come from one pass over the tensor: the
+    differences D_0 = f_0 and D_a = f_a - f_(a-1) have disjoint
+    supports, so the (n+1)^2 products D_a * D_b read every slot once,
+    and f_s * f_t is the sum of D_a * D_b over a <= s and b <= t, taken
+    as 2-D prefix sums.  Convolution is bilinear and exact, so the
+    values, and the first failing (s, t) with its witness, are those of
+    convolve(f_s, f_t) and convolve(f_t, f_s).
     """
     _check_tensor(n, q, budget)
     fs = [f_t(n, q, t) for t in range(n + 1)]
@@ -1066,11 +1187,22 @@ def verify_span_commutativity(n: int, q: int, budget: int = FLAG_BUDGET) -> Chec
          "rank_union": r_all, "expected": n, "pass": r_f == r_p == r_all == n}
     )
 
+    # sums[s + 1][t + 1] is f_s * f_t, a 2-D prefix sum of the products
+    # of the differences, with a zero border
+    parts = [_indexed(fs[0])] + [_indexed(fs[a] - fs[a - 1]) for a in range(1, n + 1)]
+    zero = [0] * len(perms)
+    sums = [[zero] * (n + 2) for _ in range(n + 2)]
+    for s, left_part in enumerate(parts, 1):
+        for t, right_part in enumerate(parts, 1):
+            above, before, corner = sums[s - 1][t], sums[s][t - 1], sums[s - 1][t - 1]
+            acc = [a + b - c for a, b, c in zip(above, before, corner)]
+            _products(acc, n, q, left_part, right_part)
+            sums[s][t] = acc
     comm: dict[str, object] = {"check": "commutativity of all f_s, f_t", "pass": True}
     for s, t in itertools.combinations(range(n + 1), 2):
-        left = convolve(fs[s], fs[t], budget)
-        right = convolve(fs[t], fs[s], budget)
-        if left != right:
+        if sums[s + 1][t + 1] != sums[t + 1][s + 1]:
+            left = OrbitFn(n, q, zip(perms, sums[s + 1][t + 1]))
+            right = OrbitFn(n, q, zip(perms, sums[t + 1][s + 1]))
             comm["pass"] = False
             comm["witness"] = f"s={s}, t={t}: " + _first_mismatch(left, right)
             break
@@ -1078,11 +1210,11 @@ def verify_span_commutativity(n: int, q: int, budget: int = FLAG_BUDGET) -> Chec
     return CheckResult("span", {"n": n, "q": q}, rows)
 
 
-def _pair_name(perms: Sequence[Perm], misses: list[tuple[int, int]]) -> str:
-    # the first missed pair of label indices in (x, y) order
-    if not misses:
+def _pair_name(perms: Sequence[Perm], slots: list[int]) -> str:
+    # the first missed pair (x, y), by slot x * n! + y
+    if not slots:
         return "none"
-    xi, yi = min(misses)
+    xi, yi = divmod(min(slots), len(perms))
     return f"pair ({perms[xi]}, {perms[yi]})"
 
 
@@ -1097,29 +1229,64 @@ def compare_structure_constants(n: int, q: int, budget: int = FLAG_BUDGET) -> Ch
     T_x T_y order, "reversed" the opposite; when the algebra is
     commutative both hold and "product" is reported).  Additionally f1
     must coincide with tau specialized at q.
+
+    Both predicates on slots, "row(x, y) = T_x T_y at q" (product
+    order) and "row(x, y) = T_y T_x at q" (reversed order), hold on
+    a whole K-orbit of slots or on none of it, K as in _count.  On the
+    tensor side, row(k(x, y)) is row(x, y) relabeled by z -> k(z), by
+    the transpose and duality identities.  On the Hecke side, let i
+    and d be the Z[q]-linear maps T_w -> T_{w^-1} and T_w -> T_{w*}.
+    The relations of H, (T_i + 1)(T_i - q) = 0 and the braid relations,
+    read the same backwards, and the reverse of a reduced word of w is
+    one of w^-1, so i is an anti-automorphism: i(T_x T_y) =
+    T_{y^-1} T_{x^-1}.  Conjugation by w0 takes s_i to s_{n-i}, which
+    maps the relations to relations and a reduced word of w to one of
+    w*, so d is an automorphism: d(T_x T_y) = T_{x*} T_{y*}.  Both
+    permute the basis, so they commute with specializing at q, and the
+    coefficient of T_z in i(h) or d(h) is that of T_{z^-1} or T_{z*}
+    in h.  So for the transpose, row(y^-1, x^-1) = T_{y^-1} T_{x^-1}
+    is row(x, y) = T_x T_y with both sides relabeled by z -> z^-1, and
+    row(y^-1, x^-1) = T_{x^-1} T_{y^-1} is row(x, y) = T_y T_x
+    relabeled; the same holds for the star with z -> z*, and for both.
+
+    So the check compares the product order at the representative
+    (x, y) of each orbit and the reversed order at its swap (y, x),
+    which meets every orbit once, since swapping the pair commutes with
+    K; the T_x T_y walk from T_y thus evaluates only the
+    representatives' x.  Each match count is a sum of orbit sizes, and
+    the first miss of an order is the least slot of its missed orbits,
+    their representatives.
     """
     _check_tensor(n, q, budget)
     table = _tensor(n, q)
+    reps, row_of, relabel_of = _slot_orbits(n)
     perms = enumerate_perms(n)
     nperms = len(perms)
+    sizes = Counter(row_of)
 
-    # T_x T_y at q is the product-order table of the pair (x, y) and the
-    # reversed-order table of the pair (y, x); the walk and the tensor
-    # both key by label index
-    product_misses: list[tuple[int, int]] = []
-    reversed_misses: list[tuple[int, int]] = []
-    for yi in range(nperms):
-        walk = _basis_walk(n, {yi: 1}, q)
-        for xi in range(nperms):
-            h = walk(xi)
-            if table[xi * nperms + yi] != h:
-                product_misses.append((xi, yi))
-            if table[yi * nperms + xi] != h:
-                reversed_misses.append((yi, xi))
+    # T_x T_y at q decides the product order at the representative
+    # (x, y) and the reversed order at its swap (y, x); the walk and the
+    # tensor both key by label index
+    by_y: dict[int, list[tuple[int, int]]] = {}
+    for r, s in enumerate(reps):
+        x, y = divmod(s, nperms)
+        by_y.setdefault(y, []).append((r, x))
+    product_misses: list[int] = []
+    reversed_misses: list[int] = []
+    for y, row_xs in by_y.items():
+        walk = _basis_walk(n, {y: 1}, q)
+        for r, x in row_xs:
+            h = walk(x)
+            if table[r] != h:
+                product_misses.append(r)
+            swap = y * nperms + x
+            relabel = relabel_of[swap]
+            if {relabel[z]: c for z, c in table[row_of[swap]].items()} != h:
+                reversed_misses.append(row_of[swap])
 
     total = nperms * nperms
-    product_matches = total - len(product_misses)
-    reversed_matches = total - len(reversed_misses)
+    product_matches = total - sum(sizes[r] for r in product_misses)
+    reversed_matches = total - sum(sizes[r] for r in reversed_misses)
     if product_matches == total:
         orientation = "product"
     elif reversed_matches == total:
@@ -1135,9 +1302,11 @@ def compare_structure_constants(n: int, q: int, budget: int = FLAG_BUDGET) -> Ch
         "pass": orientation != "inconsistent",
     }
     if orientation == "inconsistent":
+        product_first = _pair_name(perms, [reps[r] for r in product_misses])
+        reversed_first = _pair_name(perms, [reps[r] for r in reversed_misses])
         tensor_row["witness"] = (
-            f"product order first miss {_pair_name(perms, product_misses)}; "
-            f"reversed order first miss {_pair_name(perms, reversed_misses)}"
+            f"product order first miss {product_first}; "
+            f"reversed order first miss {reversed_first}"
         )
     tau_at_q = OrbitFn(n, q, tau(n).specialize(q))
     f1_row = _row({"check": "f1 == specialize(tau, q)"}, f1(n, q), tau_at_q)

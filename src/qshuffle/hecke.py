@@ -233,6 +233,24 @@ def _rank_steps(n: int) -> tuple[list[int], ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _first_descents(n: int) -> list[tuple[list[int], int] | None]:
+    """The first left descent of each label index, and the index it steps to.
+
+    Entry u is (d_i, u + d_i[u]) for the least i with d_i[u] < 0, d_i
+    the rank steps of s_i: the table of the first left descent i of w_u
+    and the index of s_i w_u, which is smaller.  The identity, index 0,
+    has no descent and holds None.  Built on first use, once per n.
+    """
+    table: list[tuple[list[int], int] | None] = [None] * math.factorial(n)
+    # the later generators first, so the least descent is written last
+    for step in reversed(_rank_steps(n)):
+        for u, d in enumerate(step):
+            if d < 0:
+                table[u] = (step, u + d)
+    return table
+
+
 def _simple_times(step: Sequence[int], terms: Mapping[int, R], q: R) -> dict[int, R]:
     # T_i * sum c_u T_u for the rank steps `step` of s_i, keyed by label
     # index, over the ring of q (the Poly Q or an int); zero
@@ -269,17 +287,18 @@ def _basis_walk(n: int, terms: Mapping[int, R], q: R) -> Callable[[int], dict[in
     # x -> T_x * b for b = sum of `terms`, keyed by label index, over the
     # ring of q; zero terms dropped.  Each product is one generator step
     # from a shorter one, T_x b = T_i (T_{s_i x} b) for the first left
-    # descent i of x, and is memoized, so products share their common
-    # prefixes.  A descent is a negative rank step, so s_i x
-    # precedes x and in enumerate_perms order every call is one step.
-    steps = _rank_steps(n)
+    # descent i of x, read off _first_descents, and is memoized, so
+    # products share their common prefixes.  A descent is a negative
+    # rank step, so s_i x precedes x and in enumerate_perms order every
+    # call is one step.
+    descents = _first_descents(n)
     memo: dict[int, dict[int, R]] = {0: dict(terms)}
 
     def walk(x: int) -> dict[int, R]:
         hit = memo.get(x)
         if hit is None:
-            step = next(d for d in steps if d[x] < 0)
-            prod = _simple_times(step, walk(x + step[x]), q)
+            step, parent = descents[x]
+            prod = _simple_times(step, walk(parent), q)
             memo[x] = hit = {u: c for u, c in prod.items() if c}
         return hit
 

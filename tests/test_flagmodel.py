@@ -602,6 +602,16 @@ def _conv_tables_oracle(n, q):
     return tables
 
 
+def _expanded(n, rows):
+    """The tensor as n!^2 dicts, slot x * n! + y, from its rows per K-orbit.
+
+    Each slot reads its orbit's row with the labels moved by the
+    relabel list of _slot_orbits.
+    """
+    _, row_of, relabel_of = flagmodel._slot_orbits(n)
+    return [{relabel[z]: c for z, c in rows[r].items()} for r, relabel in zip(row_of, relabel_of)]
+
+
 def test_convolution_matches_middle_flag_oracle():
     rng = random.Random(5)
     values = (-3, -2, -1, 1, 2, 3)
@@ -637,7 +647,7 @@ def test_convolution_matches_middle_flag_oracle():
     # one larger size, compared as a whole tensor
     perms = enumerate_perms(4)
     got = {}
-    for key, counts in enumerate(flagmodel._tensor(4, 2)):
+    for key, counts in enumerate(_expanded(4, flagmodel._tensor(4, 2))):
         x, y = divmod(key, len(perms))
         got[perms[x], perms[y]] = {perms[z]: cnt for z, cnt in counts.items()}
     assert got == _conv_tables_oracle(4, 2)
@@ -829,9 +839,56 @@ def test_counting_kernel_matches_the_scatter():
         patterns = _patterns(n, groups)
         assert sum(patterns.values()) == flag_count(n, q)
         weight_groups.add(len(groups))
-        assert flagmodel._tensor(n, q) == _scatter(n, patterns), (n, q)
+        assert _expanded(n, flagmodel._tensor(n, q)) == _scatter(n, patterns), (n, q)
     # patterns of several weights are counted in separate groups
     assert max(weight_groups) > 1
+
+
+def _star(w):
+    # w0 w w0
+    n = w.n
+    return Perm(tuple(n + 1 - v for v in reversed(w.image)))
+
+
+def test_scatter_obeys_the_transpose_and_duality_identities():
+    # count_z(x, y) = count_{z^-1}(y^-1, x^-1) = count_{z*}(x*, y*) on
+    # the per-flag oracle, so on no output of the counting kernel
+    for n, q in (*FLAG_GRID, (4, 5)):
+        perms = enumerate_perms(n)
+        nperms = len(perms)
+        index = {w: i for i, w in enumerate(perms)}
+        inverse = [index[w.inverse()] for w in perms]
+        star = [index[_star(w)] for w in perms]
+        full = _scatter(n, _patterns(n, flagmodel._pivot_masks(n, q)))
+        for x, y in itertools.product(range(nperms), repeat=2):
+            counts = full[x * nperms + y]
+            turned = full[inverse[y] * nperms + inverse[x]]
+            starred = full[star[x] * nperms + star[y]]
+            assert turned == {inverse[z]: c for z, c in counts.items()}, (n, q, x, y)
+            assert starred == {star[z]: c for z, c in counts.items()}, (n, q, x, y)
+
+
+def test_tensor_counts_once_per_symmetry_orbit(monkeypatch):
+    # one Counter run per K-orbit of labels z and one stored row per
+    # K-orbit of slots (x, y); at q = 2 every pattern has weight 1, so
+    # each run is one Counter
+    runs = []
+
+    class Counted(flagmodel.Counter):
+        def __init__(self, *args, **kwargs):
+            runs.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(flagmodel, "Counter", Counted)
+    for n, labels, rows in ((4, 13, 172), (5, 45, 3676)):
+        runs.clear()
+        tensor = flagmodel._count(n, flagmodel._pivot_masks(n, 2))
+        assert (len(runs), len(tensor)) == (labels, rows), n
+        assert len(flagmodel._slot_orbits(n)[0]) == rows, n
+    # the label orbits {z, z^-1, z*, z*^-1} at n = 6
+    perms = enumerate_perms(6)
+    orbits = {frozenset({w, w.inverse(), _star(w), _star(w).inverse()}) for w in perms}
+    assert len(orbits) == 230
 
 
 def test_chain_names_are_distinct_and_fit_the_field():
@@ -880,7 +937,7 @@ def test_debug_rebuild_moves_every_chain_matrix():
         groups = flagmodel._flag_masks(after, n, q)
         tensor = flagmodel._tensor(n, q)
         assert flagmodel._count(n, groups) == tensor, (n, q)
-        assert _scatter(n, _patterns(n, groups)) == tensor, (n, q)
+        assert _scatter(n, _patterns(n, groups)) == _expanded(n, tensor), (n, q)
 
 
 def _holds_chains(value, n):
@@ -931,7 +988,8 @@ def test_tensor_streams_the_chain_matrices(monkeypatch):
     for q in (2, 3):
         check_orbit_representatives(n, q)
         cached = flagmodel._tensor(n, q)
-        assert isinstance(cached, list) and len(cached) == math.factorial(n) ** 2, q
+        assert isinstance(cached, list) and len(cached) == len(flagmodel._slot_orbits(n)[0]), q
+        assert len(_expanded(n, cached)) == math.factorial(n) ** 2, q
         for counts in cached:
             assert isinstance(counts, dict), q
             assert all(type(z) is int and type(c) is int for z, c in counts.items()), q
@@ -1008,6 +1066,89 @@ def test_span_commutativity():
     assert result.passed
     rank_row = next(row for row in result.details if row.get("check") == "span ranks")
     assert rank_row["rank_f"] == rank_row["rank_powers"] == rank_row["rank_union"] == 3
+
+
+def _structure_oracle(n, q):
+    """The tensor row of compare_structure_constants, pair by pair.
+
+    Every slot of the expanded tensor is compared with T_x T_y from
+    mul in Z[q], specialized at q, in both orders.
+    """
+    perms = enumerate_perms(n)
+    nperms = len(perms)
+    index = {w: i for i, w in enumerate(perms)}
+    table = _expanded(n, flagmodel._tensor(n, q))
+    product_misses, reversed_misses = [], []
+    for xi, x in enumerate(perms):
+        for yi, y in enumerate(perms):
+            h = mul(HeckeElt.basis(x), HeckeElt.basis(y)).specialize(q)
+            h = {index[w]: c for w, c in h.items()}
+            if table[xi * nperms + yi] != h:
+                product_misses.append((xi, yi))
+            if table[yi * nperms + xi] != h:
+                reversed_misses.append((yi, xi))
+    total = nperms * nperms
+    row = {
+        "pairs": total,
+        "product_order_matches": total - len(product_misses),
+        "reversed_order_matches": total - len(reversed_misses),
+    }
+    if not product_misses:
+        row["orientation"] = "product"
+    elif not reversed_misses:
+        row["orientation"] = "reversed"
+    else:
+        row["orientation"] = "inconsistent"
+    row["pass"] = row["orientation"] != "inconsistent"
+    if not row["pass"]:
+        first = [f"pair ({perms[a]}, {perms[b]})" for a, b in
+                 (min(product_misses), min(reversed_misses))]
+        row["witness"] = (
+            f"product order first miss {first[0]}; reversed order first miss {first[1]}"
+        )
+    return row
+
+
+def _commutativity_oracle(n, q):
+    # the commutativity row from direct convolve products
+    fs = [f_t(n, q, t) for t in range(n + 1)]
+    row = {"check": "commutativity of all f_s, f_t", "pass": True}
+    for s, t in itertools.combinations(range(n + 1), 2):
+        left, right = convolve(fs[s], fs[t]), convolve(fs[t], fs[s])
+        if left != right:
+            row["pass"] = False
+            row["witness"] = f"s={s}, t={t}: " + flagmodel._first_mismatch(left, right)
+            break
+    return row
+
+
+def test_orbit_reads_match_the_all_pair_oracles():
+    # the structure-constant row and span's commutativity row read the
+    # tensor once per orbit and through the differences D_a; on the
+    # true tensor and with one count of one stored row perturbed, they
+    # equal the all-pair comparison and the direct products
+    rng = random.Random(25)
+    commuted = set()
+    try:
+        for n in (3, 4):
+            flagmodel._tensor.cache_clear()
+            assert compare_structure_constants(n, 2).details[0] == _structure_oracle(n, 2)
+            assert verify_span_commutativity(n, 2).details[-1] == _commutativity_oracle(n, 2)
+            for _ in range(4):
+                flagmodel._tensor.cache_clear()
+                rows = flagmodel._tensor(n, 2)
+                counts = rows[rng.randrange(len(rows))]
+                counts[rng.choice(sorted(counts))] += 1
+                got = compare_structure_constants(n, 2).details[0]
+                assert got["orientation"] == "inconsistent", n
+                assert got == _structure_oracle(n, 2), n
+                comm = verify_span_commutativity(n, 2).details[-1]
+                assert comm == _commutativity_oracle(n, 2), n
+                commuted.add(comm["pass"])
+    finally:
+        flagmodel._tensor.cache_clear()
+    # some perturbation breaks commutativity, so a witness was compared
+    assert False in commuted
 
 
 def test_structure_constants_commutative_rank():

@@ -261,6 +261,19 @@ def test_rank_steps_match_literal_products():
                 assert (step[u] > 0) == (moved.length() > w.length()), (n, i, w)
 
 
+def test_first_descents_follow_the_descent_rule():
+    # each entry against the rule the walk used to run per product, the
+    # least i with a negative rank step; the identity has no descent
+    for n in range(1, 8):
+        steps = hecke._rank_steps(n)
+        table = hecke._first_descents(n)
+        assert len(table) == len(enumerate_perms(n)) and table[0] is None
+        for x in range(1, len(table)):
+            step = next(d for d in steps if d[x] < 0)
+            got, parent = table[x]
+            assert got is step and parent == x + step[x], (n, x)
+
+
 def test_factors_commute():
     t = tau(3)
     f1 = t - q_int(1)
@@ -396,12 +409,14 @@ def test_group_walk_needs_no_group_mul_or_hecke_step(monkeypatch):
 
 
 def test_import_builds_no_rank_table():
-    # the rank-step tables are built on first use, so the import that
-    # starts every command carries no table build
+    # the rank-step, descent and label-symmetry tables are built on
+    # first use, so the import that starts every command carries no
+    # table build
     code = (
         "import qshuffle, qshuffle.cli\n"
-        "from qshuffle import hecke\n"
-        "print(hecke._rank_steps.cache_info().currsize)"
+        "from qshuffle import flagmodel, hecke\n"
+        "print(sum(f.cache_info().currsize for f in (hecke._rank_steps,\n"
+        "    hecke._first_descents, flagmodel._relabels, flagmodel._slot_orbits)))"
     )
     src = os.path.dirname(os.path.dirname(hecke.__file__))
     env = {**os.environ, "PYTHONPATH": src}
