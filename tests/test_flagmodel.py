@@ -8,6 +8,7 @@ flags.
 """
 
 import itertools
+import json
 import math
 import random
 
@@ -618,7 +619,8 @@ def test_convolution_matches_middle_flag_oracle():
     # sum over M of h(M, V) is sum_y h(y) q^l(y) = 0 for these h, so the
     # all-ones function times h vanishes although no product is zero
     cancelling = {(3, 2): (2, 1, 2, 1, 1, -2), (3, 3): (3, 1, 1, 1, 1, -1)}
-    # both row backends: byte lanes over F_2 and lists mod q
+    # products read cell slices at q = 2 and at odd q; the whole tensor
+    # below, from the byte lanes of F_2, meets the same oracle
     for n, q in ((2, 2), (3, 2), (3, 3), (3, 5)):
         perms = enumerate_perms(n)
         tables = _conv_tables_oracle(n, q)
@@ -687,6 +689,121 @@ def test_convolution_debug_representative_agrees():
         check_orbit_representatives(5, 3)
 
 
+def _tensor_products(acc, n, q, f, g):
+    """Add f * g to acc, f and g as (label index, value) pairs, off the full tensor.
+
+    Slot x * n! + y reads the row of its K-orbit through the relabel
+    list of _slot_orbits: the product kernel before cell-local slices,
+    kept as convolve's oracle.
+    """
+    rows = flagmodel._tensor(n, q)
+    _, row_of, relabel_of = flagmodel._slot_orbits(n)
+    nperms = len(acc)
+    for x, a in f:
+        base = x * nperms
+        for y, b in g:
+            s = base + y
+            relabel = relabel_of[s]
+            ab = a * b
+            for z, c in rows[row_of[s]].items():
+                acc[relabel[z]] += c * ab
+
+
+def _tensor_product(f, g):
+    perms = enumerate_perms(f.n)
+    acc = [0] * len(perms)
+    _tensor_products(acc, f.n, f.q, flagmodel._indexed(f), flagmodel._indexed(g))
+    return OrbitFn(f.n, f.q, {w: c for w, c in zip(perms, acc) if c})
+
+
+def _cells(f):
+    # the flags in the cells of supp f
+    return sum(f.q ** w.length() for w in f.values)
+
+
+def test_cells_partition_the_flags():
+    # every flag of a cell is in its position, the cell of y holds
+    # q^l(y) distinct flags, and the cells partition the flags: against
+    # the literal layer on small sizes, by count on the grid
+    for n, q in ((1, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
+        std = Flag.standard(n, q)
+        seen = set()
+        for y in enumerate_perms(n):
+            cell = [Flag.from_basis(list(zip(*cols)), q)
+                    for cols in flagmodel._cell_columns(n, q, y)]
+            assert len(cell) == len(set(cell)) == q ** y.length(), (n, q, y)
+            assert all(relative_position(m, std) == y for m in cell), (n, q, y)
+            seen.update(cell)
+        assert seen == set(enumerate_flags(n, q)), (n, q)
+    for n, q in FLAG_GRID:
+        sizes = [sum(1 for _ in flagmodel._cell_columns(n, q, y)) for y in enumerate_perms(n)]
+        assert sizes == [q ** y.length() for y in enumerate_perms(n)], (n, q)
+        assert sum(sizes) == flag_count(n, q), (n, q)
+    # the Poincare polynomial sum_y q^l(y) = [n]_q! past the grid
+    for n, q in ((4, 5), (6, 2), (6, 3)):
+        assert sum(q ** y.length() for y in enumerate_perms(n)) == flag_count(n, q)
+
+
+def test_slices_match_the_tensor_columns():
+    # slice y, counted over its cell, is column y of the full tensor
+    for n, q in FLAG_GRID:
+        nperms = math.factorial(n)
+        table = _expanded(n, flagmodel._tensor(n, q))
+        for y in range(nperms):
+            column = [{} for _ in range(nperms)]
+            for x in range(nperms):
+                for z, c in table[x * nperms + y].items():
+                    column[z][x] = c
+            assert flagmodel._slice(n, q, y) == column, (n, q, y)
+
+
+def test_slice_refuses_a_faulty_cell(monkeypatch, capsys):
+    n, q = 3, 2
+    perms = enumerate_perms(n)
+    longest = perms.index(Perm((3, 2, 1)))
+    cells = flagmodel._cell_columns
+    stray = next(cells(n, q, Perm.identity(n)))
+    faults = (
+        (lambda c: c[1:], r"the cell of \(3 2 1\) holds 7 flags, expected 8"),
+        (lambda c: c + c[:1], r"the cell of \(3 2 1\) holds 9 flags, expected 8"),
+        (lambda c: c[:-1] + [stray], r"a flag of the cell of \(3 2 1\) is not in position"),
+    )
+    for fault, message in faults:
+        monkeypatch.setattr(flagmodel, "_cell_columns",
+                            lambda n, q, y, fault=fault: fault(list(cells(n, q, y))))
+        with pytest.raises(ArithmeticError, match=message):
+            flagmodel._slice.__wrapped__(n, q, longest)
+    # one flag dropped and another doubled keeps the count and every y
+    # part, so only the cross-check of --debug-orbit-checks catches it
+    monkeypatch.setattr(flagmodel, "_cell_columns",
+                        lambda n, q, y: (lambda c: c[:-1] + c[:1])(list(cells(n, q, y))))
+    flagmodel._slice.__wrapped__(n, q, longest)
+    with pytest.raises(ArithmeticError, match="slice .* at n = 3, q = 2 differs from the struct"):
+        check_orbit_representatives(n, q)
+    assert main(["verify", "lemma3", "--n", "3", "--q", "2", "--debug-orbit-checks",
+                 "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in doc["checks"]] == ["lemma3", "orbit-representatives"]
+    assert doc["checks"][0]["pass"] and not doc["checks"][1]["pass"]
+    assert "differs from the structure tensor" in doc["checks"][1]["details"][0]["witness"]
+
+
+def test_convolve_matches_the_tensor_products():
+    # seeded random supports, so that both the direct read of the slices
+    # of supp g and the transposed read of those of supp f run
+    rng = random.Random(26)
+    turned = set()
+    for n, q in FLAG_GRID:
+        perms = enumerate_perms(n)
+        for _ in range(6):
+            f, g = (OrbitFn(n, q, {w: rng.choice((-2, -1, 1, 3))
+                                   for w in rng.sample(perms, rng.randint(1, len(perms)))})
+                    for _ in range(2))
+            turned.add(_cells(g) > _cells(f))
+            assert convolve(f, g) == _tensor_product(f, g), (n, q, f, g)
+    assert turned == {False, True}
+
+
 def _unlane(lanes, count):
     # the column lists of every flag: byte f of lanes[j][i] is entry i
     # of column j of flag f
@@ -738,7 +855,7 @@ def test_packed_f2_backend_matches_generic():
         h = flagmodel._debug_matrix(n)
         lanes = flagmodel._chain_lanes(n)
         columns = _flag_columns(n, 2)
-        moved_columns = [flagmodel._matmul_mod(h, cols, 2) for cols in columns]
+        moved_columns = [flagmodel._matmul_mod(h, b, 2) for b in flagmodel._chain_bases(n, 2)]
         assert _unlane(lanes, flag_count(n, 2)) == columns, n
         for chains, cols in ((lanes, columns), (_relane(moved_columns), moved_columns)):
             got, want = flagmodel._lane_masks(chains, n), flagmodel._flag_masks(cols, n, 2)
@@ -931,7 +1048,7 @@ def test_debug_rebuild_moves_every_chain_matrix():
             continue
         h = flagmodel._debug_matrix(n)
         before = _flag_columns(n, q)
-        after = [flagmodel._matmul_mod(h, cols, q) for cols in before]
+        after = [flagmodel._matmul_mod(h, basis, q) for basis in flagmodel._chain_bases(n, q)]
         assert len(after) == len(before) == flag_count(n, q), (n, q)
         assert all(a != b for a, b in zip(after, before)), (n, q)
         groups = flagmodel._flag_masks(after, n, q)
@@ -1110,11 +1227,43 @@ def _structure_oracle(n, q):
 
 
 def _commutativity_oracle(n, q):
-    # the commutativity row from direct convolve products
+    """Span's commutativity row from the full tensor, in one pass.
+
+    The differences D_0 = f_0 and D_a = f_a - f_(a-1) have disjoint
+    supports, so the (n+1)^2 products D_a * D_b read every slot once,
+    and f_s * f_t is the sum of D_a * D_b over a <= s and b <= t, taken
+    as 2-D prefix sums.
+    """
+    fs = [f_t(n, q, t) for t in range(n + 1)]
+    perms = enumerate_perms(n)
+    indexed = flagmodel._indexed
+    parts = [indexed(fs[0])] + [indexed(fs[a] - fs[a - 1]) for a in range(1, n + 1)]
+    # sums[s + 1][t + 1] is f_s * f_t, with a zero border
+    zero = [0] * len(perms)
+    sums = [[zero] * (n + 2) for _ in range(n + 2)]
+    for s, left_part in enumerate(parts, 1):
+        for t, right_part in enumerate(parts, 1):
+            above, before, corner = sums[s - 1][t], sums[s][t - 1], sums[s - 1][t - 1]
+            acc = [a + b - c for a, b, c in zip(above, before, corner)]
+            _tensor_products(acc, n, q, left_part, right_part)
+            sums[s][t] = acc
+    row = {"check": "commutativity of all f_s, f_t", "pass": True}
+    for s, t in itertools.combinations(range(n + 1), 2):
+        if sums[s + 1][t + 1] != sums[t + 1][s + 1]:
+            left = OrbitFn(n, q, zip(perms, sums[s + 1][t + 1]))
+            right = OrbitFn(n, q, zip(perms, sums[t + 1][s + 1]))
+            row["pass"] = False
+            row["witness"] = f"s={s}, t={t}: " + flagmodel._first_mismatch(left, right)
+            break
+    return row
+
+
+def _pairwise_commutativity(n, q):
+    # the commutativity row from direct products off the full tensor
     fs = [f_t(n, q, t) for t in range(n + 1)]
     row = {"check": "commutativity of all f_s, f_t", "pass": True}
     for s, t in itertools.combinations(range(n + 1), 2):
-        left, right = convolve(fs[s], fs[t]), convolve(fs[t], fs[s])
+        left, right = _tensor_product(fs[s], fs[t]), _tensor_product(fs[t], fs[s])
         if left != right:
             row["pass"] = False
             row["witness"] = f"s={s}, t={t}: " + flagmodel._first_mismatch(left, right)
@@ -1123,17 +1272,18 @@ def _commutativity_oracle(n, q):
 
 
 def test_orbit_reads_match_the_all_pair_oracles():
-    # the structure-constant row and span's commutativity row read the
-    # tensor once per orbit and through the differences D_a; on the
-    # true tensor and with one count of one stored row perturbed, they
-    # equal the all-pair comparison and the direct products
+    # the structure-constant row reads the tensor once per orbit, and
+    # the one-pass commutativity oracle reads it through the
+    # differences D_a; on the true tensor and with one count of one
+    # stored row perturbed, they equal the all-pair comparison and the
+    # direct products
     rng = random.Random(25)
     commuted = set()
     try:
         for n in (3, 4):
             flagmodel._tensor.cache_clear()
             assert compare_structure_constants(n, 2).details[0] == _structure_oracle(n, 2)
-            assert verify_span_commutativity(n, 2).details[-1] == _commutativity_oracle(n, 2)
+            assert _commutativity_oracle(n, 2) == _pairwise_commutativity(n, 2)
             for _ in range(4):
                 flagmodel._tensor.cache_clear()
                 rows = flagmodel._tensor(n, 2)
@@ -1142,13 +1292,55 @@ def test_orbit_reads_match_the_all_pair_oracles():
                 got = compare_structure_constants(n, 2).details[0]
                 assert got["orientation"] == "inconsistent", n
                 assert got == _structure_oracle(n, 2), n
-                comm = verify_span_commutativity(n, 2).details[-1]
-                assert comm == _commutativity_oracle(n, 2), n
+                comm = _commutativity_oracle(n, 2)
+                assert comm == _pairwise_commutativity(n, 2), n
                 commuted.add(comm["pass"])
     finally:
         flagmodel._tensor.cache_clear()
     # some perturbation breaks commutativity, so a witness was compared
     assert False in commuted
+
+
+def test_span_derives_commutativity_from_its_rows():
+    # on true slices the derived row equals the one-pass oracle over the
+    # full tensor
+    for n, q in FLAG_GRID:
+        assert verify_span_commutativity(n, q).details[-1] == _commutativity_oracle(n, q), (n, q)
+    # one count of one slice that span reads, perturbed: the identity,
+    # read for f1^1, and the cycles c_g (g <= n - 2), read for f1^2,
+    # each times f1, so a count at a cycle x moves a power by one
+    rng = random.Random(26)
+    try:
+        for n in (3, 4):
+            perms = enumerate_perms(n)
+            cycles = {perms.index(cycle_element(g, n)) for g in range(1, n - 1)}
+            for _ in range(4):
+                flagmodel._slice.cache_clear()
+                y = rng.choice([0, *sorted(cycles)])
+                counts = flagmodel._slice(n, 2, y)
+                z = rng.choice([z for z, row in enumerate(counts) if cycles & row.keys()])
+                counts[z][rng.choice(sorted(cycles & counts[z].keys()))] += 1
+                result = verify_span_commutativity(n, 2)
+                failed = [row["check"] for row in result.details[:-2] if not row["pass"]]
+                assert any(check.endswith("expansion") for check in failed), (n, y, z)
+                assert result.details[-1] == {
+                    "check": "commutativity of all f_s, f_t", "pass": False,
+                    "witness": "not derived, failed rows: " + ", ".join(failed),
+                }, (n, y, z)
+    finally:
+        flagmodel._slice.cache_clear()
+
+
+def test_identity_checks_never_build_the_full_tensor(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the full tensor was read")
+
+    flagmodel._slice.cache_clear()
+    for name in ("_tensor", "_count", "_slot_orbits"):
+        monkeypatch.setattr(flagmodel, name, refuse)
+    for n, q in ((4, 2), (3, 3)):
+        for check in (verify_lemma3, verify_factorization, verify_span_commutativity):
+            assert check(n, q).passed, (check.__name__, n, q)
 
 
 def test_structure_constants_commutative_rank():
