@@ -125,15 +125,16 @@ def _require_prime(q: int) -> None:
 #
 # _pivot_masks runs this lattice over every chain matrix and keeps only
 # the pivot sets Q(b), as the subset-major buffers that _count reads;
-# no chain matrix outlives it.  Over F_2 all flags run at once:
+# no chain matrix outlives it.  The flags come Bruhat cell by cell, in
+# the layout of _cell_layout.  Over F_2 all flags run at once:
 # _chain_lanes holds entry (i, j) of every chain matrix as one int, a
 # lane, whose byte f is the entry of flag f, so one XOR or AND of two
-# lanes steps every flag.  Other q stream the columns of _chain_columns
+# lanes steps every flag.  Other q stream the columns of _cell_stream
 # through the lattice flag by flag, on lists mod q with _step_generic;
 # that per-flag path is the lanes' oracle, in the tests and in
 # check_orbit_representatives at every q.  Neither shares code with the
-# elimination kernel of the literal layer (Subspace, Flag,
-# relative_position), which is their oracle in the tests.
+# literal layer (Subspace, Flag, relative_position, and enumerate_flags
+# with its own enumeration), which is their oracle in the tests.
 
 
 def _step_generic(
@@ -163,13 +164,17 @@ def _step_generic(
     return 1 << i, r
 
 
-def _matmul_mod(
-    a: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], q: int
-) -> list[list[int]]:
-    # a times the matrix whose columns are `cols`; with the rows of a
-    # chain basis as `cols`, the rows of the product are the columns of
-    # the moved chain matrix
-    return [[sum(map(operator.mul, row, col)) % q for col in cols] for row in a]
+def _move_columns(h: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], q: int) -> list[list[int]]:
+    # the column list of C h^T, C the chain matrix with columns `cols`:
+    # moved column i is sum_j h[i][j] column j, mod q
+    moved = []
+    for row in h:
+        acc = [0] * len(cols)
+        for c, col in zip(row, cols):
+            if c:
+                acc = [x + c * y for x, y in zip(acc, col)]
+        moved.append([x % q for x in acc])
+    return moved
 
 
 def _subset_splits(n: int) -> list[tuple[int, int, int]]:
@@ -216,55 +221,80 @@ def _flag_masks(columns: Iterable[Sequence[Sequence[int]]], n: int, q: int) -> d
     return out
 
 
+def _cell_layout(y: Perm) -> tuple[list[int], list[tuple[int, int]]]:
+    """The chain basis layout of the flags M with pos(M, E) = y.
+
+    Row k of the chain basis has a 1 at coordinate y(k), free entries
+    at the coordinates below y(k) that no earlier row leads with, and
+    zeros everywhere else.  Returns the 0-based tops of the rows and the
+    free (coordinate, row) slots, the first slot the slowest digit of
+    itertools.product.  Row k thus has #{i > k : y(i) < y(k)} free
+    entries, and the cell q^l(y) flags.  Proof that pos(M, E) = y: the
+    top coordinates of rows 1..k are y(1), ..., y(k), all distinct, so a
+    combination of them has the top coordinate of its highest row with
+    a nonzero coefficient, and lies in E_j exactly when it uses only
+    rows with y(i) <= j.  So dim(M_k cap E_j) = #{i <= k : y(i) <= j},
+    which jumps exactly at (k, y(k)).  Row k is the one vector of M_k
+    with top coordinate y(k), a 1 there and zeros at the earlier tops,
+    so each flag of the cell comes once.
+    """
+    tops = [x - 1 for x in y.image]
+    slots = [(j, k) for k, top in enumerate(tops) for j in range(top) if j not in tops[:k]]
+    return tops, slots
+
+
+def _cell_columns(n: int, q: int, y: Perm) -> Iterator[list[list[int]]]:
+    # the column lists of the chain matrices of the cell of y, the
+    # values of its free slots in itertools.product order
+    tops, slots = _cell_layout(y)
+    cols = [[0] * n for _ in range(n)]
+    for k, top in enumerate(tops):
+        cols[top][k] = 1
+    for values in itertools.product(range(q), repeat=len(slots)):
+        for (j, k), v in zip(slots, values):
+            cols[j][k] = v
+        yield [c[:] for c in cols]
+
+
+def _cell_stream(n: int, q: int) -> Iterator[list[list[int]]]:
+    # the column lists of every chain matrix, the cells in label order;
+    # they partition the flags, so sum_y q^l(y) = [n]_q!, and a count
+    # that is not flag_count(n, q) raises ArithmeticError at the end
+    count = 0
+    for y in enumerate_perms(n):
+        for cols in _cell_columns(n, q, y):
+            count += 1
+            yield cols
+    if count != flag_count(n, q):
+        raise ArithmeticError(f"enumerated {count} flags, expected {flag_count(n, q)}")
+
+
 def _chain_lanes(n: int) -> list[list[int]]:
     """The chain matrices of all complete flags in F_2^n, as byte lanes.
 
     lanes[j][i] is entry i of column j of every chain matrix: its byte
-    f is coordinate j of row b_{i+1} of the f-th basis of
-    _chain_bases(n, 2), so the flags come in the same order.  The lanes
-    are built by the same recursion, one leading coordinate p at a time:
-    the row with its 1 at p takes one byte block per tail digit, and the
-    rows below it repeat the lanes of the remaining coordinates, which
-    are built once per set of coordinates.  Raises ArithmeticError if
-    the count is not flag_count(n, 2).
+    f is that entry of flag f of _cell_stream(n, 2).  The cell of y,
+    L = l(y), takes 2^L bytes of each lane: all 0x01 at its tops, zero
+    off its slots, and at free slot s the counter pattern
+    (0^p 1^p) * 2^s, p = 2^(L - 1 - s).  Raises ArithmeticError if the
+    count is not flag_count(n, 2).
     """
-    memo: dict[tuple[int, ...], tuple[int, list[list[bytes]]]] = {}
-
-    def grow(free: tuple[int, ...]) -> tuple[int, list[list[bytes]]]:
-        # the number of flags on the coordinates `free`, and their last
-        # len(free) rows as planes [row][coordinate]
-        if not free:
-            return 1, []
-        if free in memo:
-            return memo[free]
-        pieces: list[list[list[bytes]]] = [[[] for _ in range(n)] for _ in free]
-        total = 0
-        for ip, p in enumerate(free):
-            later = free[ip + 1 :]
-            m, below = grow(free[:ip] + later)
-            tails = 1 << len(later)
-            head = pieces[0]
-            for j in range(n):
-                if j == p:
-                    head[j].append(b"\x01" * (m * tails))
-                elif j in later:
-                    # itertools.product order: the first later coordinate
-                    # is the slowest digit, 2^s blocks of m flags per value
-                    s = len(later) - 1 - later.index(j)
-                    head[j].append((bytes(m << s) + b"\x01" * (m << s)) * (tails >> (s + 1)))
-                else:
-                    head[j].append(bytes(m * tails))
-            for row, planes in zip(pieces[1:], below):
-                for j in range(n):
-                    row[j].append(planes[j] * tails)
-            total += m * tails
-        memo[free] = out = total, [[b"".join(x) for x in row] for row in pieces]
-        return out
-
-    count, planes = grow(tuple(range(n)))
+    pieces: dict[tuple[int, int], list[bytes]] = {(j, i): [] for j in range(n) for i in range(n)}
+    count = 0
+    for y in enumerate_perms(n):
+        tops, slots = _cell_layout(y)
+        size = 1 << len(slots)
+        cell = {(top, k): b"\x01" * size for k, top in enumerate(tops)}
+        for s, slot in enumerate(slots):
+            p = size >> (s + 1)
+            cell[slot] = (bytes(p) + b"\x01" * p) * (1 << s)
+        zero = bytes(size)
+        for key, entry in pieces.items():
+            entry.append(cell.get(key, zero))
+        count += size
     if count != flag_count(n, 2):
         raise ArithmeticError(f"enumerated {count} flags, expected {flag_count(n, 2)}")
-    return [[int.from_bytes(planes[i][j], "little") for i in range(n)] for j in range(n)]
+    return [[int.from_bytes(b"".join(pieces[j, i]), "little") for i in range(n)] for j in range(n)]
 
 
 def _lane_masks(lanes: Sequence[Sequence[int]], n: int) -> dict[int, bytes]:
@@ -323,12 +353,12 @@ def _debug_matrix(n: int) -> list[list[int]]:
 def _pivot_masks(n: int, q: int) -> dict[int, bytes]:
     """The pivot sets of every chain matrix over F_q, keyed by weight.
 
-    F_2 runs on byte lanes, other q on the columns of _chain_columns as
-    they are grown, so no list of flags is built.
+    F_2 runs on the byte lanes, other q on the column lists of
+    _cell_stream as they are written, so no list of flags is built.
     """
     if q == 2:
         return _lane_masks(_chain_lanes(n), n)
-    return _flag_masks(_chain_columns(n, q), n, q)
+    return _flag_masks(_cell_stream(n, q), n, q)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +566,7 @@ def _chain_bases(n: int, q: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     entries at the unused coordinates after p, so b_n is the remaining
     unit vector and each flag is produced exactly once.  Raises
     ArithmeticError at the end if the count is not flag_count(n, q).
+    Only enumerate_flags reads it, so the cells stay checked by it.
     """
     rows: list[tuple[int, ...]] = []
 
@@ -561,39 +592,6 @@ def _chain_bases(n: int, q: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         yield basis
     if count != flag_count(n, q):
         raise ArithmeticError(f"enumerated {count} flags, expected {flag_count(n, q)}")
-
-
-def _chain_columns(n: int, q: int) -> Iterator[list[tuple[int, ...]]]:
-    # the column list of every chain matrix, in the order of _chain_bases
-    return (list(zip(*b)) for b in _chain_bases(n, q))
-
-
-def _cell_columns(n: int, q: int, y: Perm) -> Iterator[list[list[int]]]:
-    """The column lists of the chain matrices of the flags M with pos(M, E) = y.
-
-    Row k of the chain basis has a 1 at coordinate y(k), free entries
-    at the coordinates below y(k) that no earlier row leads with, and
-    zeros everywhere else.  Row k thus has #{i > k : y(i) < y(k)} free
-    entries, and the cell q^l(y) flags.  Proof that pos(M, E) = y: the
-    top coordinates of rows 1..k are y(1), ..., y(k), all distinct, so a
-    combination of them has the top coordinate of its highest row with
-    a nonzero coefficient, and lies in E_j exactly when it uses only
-    rows with y(i) <= j.  So dim(M_k cap E_j) = #{i <= k : y(i) <= j},
-    which jumps exactly at (k, y(k)).  Row k is the one vector of M_k
-    with top coordinate y(k), a 1 there and zeros at the earlier tops,
-    so each flag of the cell comes once.
-    """
-    cols = [[0] * n for _ in range(n)]
-    slots = []
-    tops: list[int] = []
-    for k, top in enumerate(x - 1 for x in y.image):
-        cols[top][k] = 1
-        slots += [(j, k) for j in range(top) if j not in tops]
-        tops.append(top)
-    for values in itertools.product(range(q), repeat=len(slots)):
-        for (j, k), v in zip(slots, values):
-            cols[j][k] = v
-        yield [c[:] for c in cols]
 
 
 def enumerate_flags(n: int, q: int, budget: int = FLAG_BUDGET) -> tuple[Flag, ...]:
@@ -674,8 +672,8 @@ def _count(n: int, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
     The build has two passes.  _pivot_masks runs the subset lattice of
     every chain matrix and keeps only its pivot sets, one byte per
     column subset: over F_2 for all flags at once in byte lanes, each
-    flag with weight 1; for other q flag by flag as the chain bases are
-    grown, flags with equal patterns merged with a weight.  _count then
+    flag with weight 1; for other q flag by flag as _cell_stream writes
+    them, flags with equal patterns merged with a weight.  _count then
     reads every label off chains of pivot sets.
     For the flag zE the label x = pos(zE, M) comes from the chain
     Q(B_1), ..., Q(B_{n-1}), B_k the coordinates outside z(1), ...,
@@ -902,7 +900,7 @@ def _tensor(n: int, q: int) -> list[dict[int, int]]:
     # _count over every flag of F_q^n, one row per K-orbit of slots;
     # compare_structure_constants reads it.  The caller checks the flag
     # budget.  The field width is checked first, so n >= 9 is refused
-    # before any lane or chain basis is grown
+    # before any lane or cell is written
     _key_field(n)
     return _count(n, _pivot_masks(n, q))
 
@@ -946,20 +944,20 @@ def _slice(n: int, q: int, y: int) -> list[dict[int, int]]:
 def check_orbit_representatives(n: int, q: int, budget: int = FLAG_BUDGET) -> None:
     """Recount the structure tensor of F_q^n on second orbit representatives.
 
-    Every chain matrix is moved by the fixed invertible matrix of
-    _debug_matrix, which takes each representative pair (zE, E) to
-    (g zE, g E), and reduced by the per-flag lattice at every q, so at
-    q = 2 the lanes of the cached tensor meet their oracle.  The tensor
-    counted from the moved pivot sets must equal the cached one, and
-    every y-slice, counted over its cell, must equal column y of the
-    tensor, which checks the cell stream of the convolutions against
-    the all-flag one; otherwise ArithmeticError names n and q.  The flag
-    budget and the field width are checked before anything is
+    Every chain matrix of _cell_stream is moved by the fixed invertible
+    matrix of _debug_matrix, which takes each representative pair
+    (zE, E) to (g zE, g E), and reduced by the per-flag lattice at
+    every q, so at q = 2 the lanes of the cached tensor meet their
+    oracle.  The tensor counted from the moved pivot sets must equal the
+    cached one, and every y-slice, counted over its cell, must equal
+    column y of the tensor, which checks the slices of the convolutions
+    against the all-flag count; otherwise ArithmeticError names n and q.
+    The flag budget and the field width are checked before anything is
     enumerated.
     """
     _check_tensor(n, q, budget)
     h = _debug_matrix(n)
-    moved = (_matmul_mod(h, basis, q) for basis in _chain_bases(n, q))
+    moved = (_move_columns(h, cols, q) for cols in _cell_stream(n, q))
     tensor = _tensor(n, q)
     if _count(n, _flag_masks(moved, n, q)) != tensor:
         raise ArithmeticError(

@@ -763,6 +763,11 @@ def test_slice_refuses_a_faulty_cell(monkeypatch, capsys):
     longest = perms.index(Perm((3, 2, 1)))
     cells = flagmodel._cell_columns
     stray = next(cells(n, q, Perm.identity(n)))
+    stream = list(flagmodel._cell_stream(n, q))
+    # the cached slices that lemma3 reads below are counted on the true
+    # cells, whatever ran before
+    for y in range(len(perms)):
+        flagmodel._slice(n, q, y)
     faults = (
         (lambda c: c[1:], r"the cell of \(3 2 1\) holds 7 flags, expected 8"),
         (lambda c: c + c[:1], r"the cell of \(3 2 1\) holds 9 flags, expected 8"),
@@ -774,18 +779,24 @@ def test_slice_refuses_a_faulty_cell(monkeypatch, capsys):
         with pytest.raises(ArithmeticError, match=message):
             flagmodel._slice.__wrapped__(n, q, longest)
     # one flag dropped and another doubled keeps the count and every y
-    # part, so only the cross-check of --debug-orbit-checks catches it
+    # part, so only the cross-check of --debug-orbit-checks catches it:
+    # the moved rebuild reads the same cells, so it fails first
     monkeypatch.setattr(flagmodel, "_cell_columns",
                         lambda n, q, y: (lambda c: c[:-1] + c[:1])(list(cells(n, q, y))))
     flagmodel._slice.__wrapped__(n, q, longest)
-    with pytest.raises(ArithmeticError, match="slice .* at n = 3, q = 2 differs from the struct"):
+    moved = "structure tensor at n = 3, q = 2 differs between two orbit representatives"
+    with pytest.raises(ArithmeticError, match=moved):
         check_orbit_representatives(n, q)
     assert main(["verify", "lemma3", "--n", "3", "--q", "2", "--debug-orbit-checks",
                  "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert [c["name"] for c in doc["checks"]] == ["lemma3", "orbit-representatives"]
     assert doc["checks"][0]["pass"] and not doc["checks"][1]["pass"]
-    assert "differs from the structure tensor" in doc["checks"][1]["details"][0]["witness"]
+    assert moved in doc["checks"][1]["details"][0]["witness"]
+    # with the rebuild on the true cells, the slices alone are faulty
+    monkeypatch.setattr(flagmodel, "_cell_stream", lambda n, q: iter(stream))
+    with pytest.raises(ArithmeticError, match="slice .* at n = 3, q = 2 differs from the struct"):
+        check_orbit_representatives(n, q)
 
 
 def test_convolve_matches_the_tensor_products():
@@ -819,8 +830,13 @@ def _relane(columns):
 
 
 def _flag_columns(n, q):
-    # the columns of every chain matrix, flag by flag
-    return [[list(c) for c in cols] for cols in flagmodel._chain_columns(n, q)]
+    # the columns of every chain matrix, flag by flag, cell by cell
+    return list(flagmodel._cell_stream(n, q))
+
+
+def _basis_columns(n, q):
+    # the same flags from the literal layer's enumeration, leads first
+    return [[list(c) for c in zip(*basis)] for basis in flagmodel._chain_bases(n, q)]
 
 
 def _patterns(n, groups):
@@ -835,16 +851,33 @@ def _patterns(n, groups):
     return patterns
 
 
-def test_chain_lanes_match_chain_bases(monkeypatch):
-    # entry by entry, in the flag order of _chain_bases
+def test_chain_lanes_match_the_cell_stream():
+    # entry by entry, in the flag order of _cell_stream
     for n in range(1, 6):
         expected = _flag_columns(n, 2)
         lanes = flagmodel._chain_lanes(n)
         assert _unlane(lanes, flag_count(n, 2)) == expected, n
         assert _relane(expected) == lanes, n
-    monkeypatch.setattr(flagmodel, "flag_count", lambda n, q: 22)
-    with pytest.raises(ArithmeticError, match="enumerated 21 flags, expected 22"):
-        flagmodel._chain_lanes(3)
+
+
+def test_count_check_fires_on_a_dropped_cell(monkeypatch):
+    # the cell of the longest permutation, q^3 flags at n = 3, goes
+    # missing from both streams; the failed build leaves no tensor cached
+    n = 3
+    perms = enumerate_perms(n)
+    tensors = {q: flagmodel._tensor(n, q) for q in (2, 3)}
+    flagmodel._tensor.cache_clear()
+    monkeypatch.setattr(flagmodel, "enumerate_perms", lambda n: perms[:-1])
+    with pytest.raises(ArithmeticError, match="enumerated 13 flags, expected 21"):
+        flagmodel._chain_lanes(n)
+    with pytest.raises(ArithmeticError, match="enumerated 25 flags, expected 52"):
+        list(flagmodel._cell_stream(n, 3))
+    for q, count in ((2, 13), (3, 25)):
+        with pytest.raises(ArithmeticError, match=f"enumerated {count} flags"):
+            flagmodel._tensor(n, q)
+    assert flagmodel._tensor.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert {q: flagmodel._tensor(n, q) for q in (2, 3)} == tensors
 
 
 def test_packed_f2_backend_matches_generic():
@@ -855,7 +888,7 @@ def test_packed_f2_backend_matches_generic():
         h = flagmodel._debug_matrix(n)
         lanes = flagmodel._chain_lanes(n)
         columns = _flag_columns(n, 2)
-        moved_columns = [flagmodel._matmul_mod(h, b, 2) for b in flagmodel._chain_bases(n, 2)]
+        moved_columns = [flagmodel._move_columns(h, cols, 2) for cols in columns]
         assert _unlane(lanes, flag_count(n, 2)) == columns, n
         for chains, cols in ((lanes, columns), (_relane(moved_columns), moved_columns)):
             got, want = flagmodel._lane_masks(chains, n), flagmodel._flag_masks(cols, n, 2)
@@ -883,17 +916,19 @@ def test_orbit_check_at_q2_reads_no_lanes(monkeypatch):
 
 def test_orbit_check_catches_a_faulty_lane_lattice(monkeypatch):
     masks = flagmodel._lane_masks
+    # the flag with chain basis e_1, e_2 + e_3, e_2
+    f = _flag_columns(3, 2).index([[1, 0, 0], [0, 1, 1], [0, 1, 0]])
 
     def faulty(lanes, n):
-        # byte count + 1 is Q(b) of the second flag for b = {the first
-        # column}: its pivot moves from the first row to the second,
-        # which leaves every chain of pivot sets a chain, so the count
-        # runs and only the tensor is wrong
+        # byte count + f is Q(b) of flag f for b = {the first column}:
+        # its pivot moves from the first row to the second, which leaves
+        # every chain of pivot sets a chain, so the count runs and only
+        # the tensor is wrong
         [buf] = masks(lanes, n).values()
         buf = bytearray(buf)
         count = flag_count(n, 2)
-        assert buf[count + 1] == 0b01
-        buf[count + 1] = 0b10
+        assert buf[count + f] == 0b01
+        buf[count + f] = 0b10
         return {1: bytes(buf)}
 
     monkeypatch.setattr(flagmodel, "_lane_masks", faulty)
@@ -1030,6 +1065,8 @@ def test_counting_field_width_guard(monkeypatch):
 
     monkeypatch.setattr(flagmodel, "_chain_bases", refuse)
     monkeypatch.setattr(flagmodel, "_chain_lanes", refuse)
+    monkeypatch.setattr(flagmodel, "_cell_columns", refuse)
+    monkeypatch.setattr(flagmodel, "_cell_layout", refuse)
     monkeypatch.setattr(flagmodel, "enumerate_perms", refuse)
     # 10**14 is over flag_count(9, 2), so only the field width refuses
     for call in (lambda: flagmodel._tensor(9, 2),
@@ -1048,7 +1085,7 @@ def test_debug_rebuild_moves_every_chain_matrix():
             continue
         h = flagmodel._debug_matrix(n)
         before = _flag_columns(n, q)
-        after = [flagmodel._matmul_mod(h, basis, q) for basis in flagmodel._chain_bases(n, q)]
+        after = [flagmodel._move_columns(h, cols, q) for cols in before]
         assert len(after) == len(before) == flag_count(n, q), (n, q)
         assert all(a != b for a, b in zip(after, before)), (n, q)
         groups = flagmodel._flag_masks(after, n, q)
@@ -1076,20 +1113,21 @@ def _holds_chains(value, n):
 
 def test_tensor_streams_the_chain_matrices(monkeypatch):
     # at odd q each flag's chain matrix is reduced as soon as it is
-    # grown, and the cached tensor keeps none of them, nor a lane at q = 2
+    # written, and the cached tensor keeps none of them, nor a lane at q = 2
     events = []
-    bases, step = flagmodel._chain_bases, flagmodel._step_generic
+    cells, step = flagmodel._cell_columns, flagmodel._step_generic
+    flags = itertools.count(1)
 
-    def logged_bases(n, q):
-        for k, basis in enumerate(bases(n, q), 1):
-            events.append(("yield", k))
-            yield basis
+    def logged_cells(n, q, y):
+        for cols in cells(n, q, y):
+            events.append(("yield", next(flags)))
+            yield cols
 
     def logged_step(*args):
         events.append(("step",))
         return step(*args)
 
-    monkeypatch.setattr(flagmodel, "_chain_bases", logged_bases)
+    monkeypatch.setattr(flagmodel, "_cell_columns", logged_cells)
     monkeypatch.setattr(flagmodel, "_step_generic", logged_step)
     n = 3
     # _tensor is cached, so the streaming is watched on an uncached build
@@ -1098,6 +1136,7 @@ def test_tensor_streams_the_chain_matrices(monkeypatch):
     assert ("step",) in events[first:second]
     monkeypatch.undo()
     assert tensor == flagmodel._count(n, flagmodel._flag_masks(_flag_columns(n, 3), n, 3))
+    assert tensor == flagmodel._count(n, flagmodel._flag_masks(_basis_columns(n, 3), n, 3))
     assert tensor == flagmodel._tensor(n, 3)
     # the check finds chain matrices and lanes where they are kept
     assert _holds_chains(_flag_columns(n, 3), n)
@@ -1143,6 +1182,28 @@ def test_fast_lattice_shares_no_code_with_the_kernel(monkeypatch):
     # really in reach of the lattice
     for q in (2, 3):
         assert flagmodel._count(3, flagmodel._pivot_masks(3, q)) == expected[q]
+
+
+def test_fast_side_and_literal_layer_enumerate_apart(monkeypatch):
+    # the tensor and the cross-check read the cells, never the literal
+    # layer's enumeration; enumerate_flags reads neither cells nor lanes,
+    # so each side stays the other's oracle
+    n = 3
+    flags = {q: enumerate_flags(n, q) for q in (2, 3)}
+    tensors = {q: flagmodel._tensor(n, q) for q in (2, 3)}
+
+    def refuse(*args):
+        raise AssertionError("the other side's enumeration was called")
+
+    monkeypatch.setattr(flagmodel, "_chain_bases", refuse)
+    for q in (2, 3):
+        assert flagmodel._tensor.__wrapped__(n, q) == tensors[q], q
+        assert check_orbit_representatives(n, q) is None
+    monkeypatch.undo()
+    for name in ("_cell_layout", "_cell_columns", "_cell_stream", "_chain_lanes"):
+        monkeypatch.setattr(flagmodel, name, refuse)
+    for q in (2, 3):
+        assert enumerate_flags(n, q) == flags[q], q
 
 
 # ---------------------------------------------------------------------------
