@@ -191,7 +191,7 @@ def _run_verify(args: argparse.Namespace) -> list[CheckResult]:
     budget = args.budget if args.budget is not None else FLAG_BUDGET
     run = _flag_checks()[check]
     results = [run(n, q, budget=budget, **ts) for q in qs]
-    # after the checks, so that their refusals come before any rebuild
+    # after the checks, so that their refusals come before any recount
     if args.debug_orbit_checks:
         for q in qs:
             results.extend(_check_orbit_representatives(n, q, budget))

@@ -342,12 +342,12 @@ def _lane_masks(lanes: Sequence[Sequence[int]], n: int) -> dict[int, bytes]:
 
 
 def _debug_matrix(n: int) -> list[list[int]]:
-    # a fixed invertible matrix h, all-ones superdiagonal unipotent with
-    # its rows rotated; h times the columns of C is the column list of
-    # C g^-1 with g = h^-T, which moves the representative pairs off the
-    # coordinate flags to (g zE, g E)
-    uni = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
-    return [uni[(i + 1) % n] for i in range(n)]
+    # upper unitriangular h, ones on the diagonal and superdiagonal, for
+    # _move_columns: hE = E, so pos(hM, E) = pos(M, E) and h maps each
+    # cell onto itself, while pos(zE, hM) = pos(h^-1 zE, M) reads orbit z
+    # at a second pair for every z != 1 (h fixes zE only if z^-1 h z is
+    # upper triangular, z^-1(i) < z^-1(i + 1) for every i, so z = 1)
+    return [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
 
 
 def _pivot_masks(n: int, q: int) -> dict[int, bytes]:
@@ -550,9 +550,9 @@ def _check_budget(n: int, q: int, budget: int) -> int:
 
 
 def _check_tensor(n: int, q: int, budget: int) -> None:
-    # the refusals of everything that reads the structure tensor, before
-    # any orbit function or flag is built: the flag budget, then the
-    # counting-field width of _key_field (n >= 9)
+    # the refusals that every flag verifier, convolve and the cross-check
+    # share, before any orbit function or flag is built: the flag
+    # budget, then the counting-field width of _key_field (n >= 9)
     _check_budget(n, q, budget)
     _key_field(n)
 
@@ -726,10 +726,9 @@ def _count(n: int, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
     identities.  The slot images are read off four per-label tables,
     the x and y tables for 1 and the transpose and their starred
     copies for star and both, with the two names swapped for the
-    transpose and both.  check_orbit_representatives thus counts every
-    stored entry at two distinct representatives of the orbit z0,
-    (z0 E, E) and (g z0 E, g E), and reaches the other labels of the
-    orbit through the same identities on both sides.
+    transpose and both.  check_orbit_representatives reads every stored
+    entry back, through the same relabels, in the column of its y, and
+    compares it with a count over that cell at second representatives.
     """
     keys_under = _key_counter(n, groups)
     nperms = math.factorial(n)
@@ -907,20 +906,25 @@ def _tensor(n: int, q: int) -> list[dict[int, int]]:
 
 @lru_cache(maxsize=None)
 def _slice(n: int, q: int, y: int) -> list[dict[int, int]]:
-    """The y-slice of the structure tensor, counted over the cell of y only.
+    # _cell_slice over the cell of y, kept for the products that reread it
+    return _cell_slice(n, q, y, _cell_columns(n, q, enumerate_perms(n)[y]))
+
+
+def _cell_slice(n: int, q: int, y: int, columns: Iterable[Sequence[Sequence[int]]]) -> list[dict[int, int]]:
+    """The y-slice of the structure tensor, counted over one cell's chain matrices.
 
     Labels are indices into enumerate_perms(n).  Entry z maps x to
     count_z(x, y): the number of middle flags M with pos(zE, M) labeled
     x and pos(M, E) labeled y.  Only the flags of the cell
     pos(M, E) = y take part, so the lattice of _flag_masks runs over the
-    q^l(y) chain matrices of _cell_columns, and the key count of _count
+    q^l(y) chain matrices in `columns`, and the key count of _count
     reads x off every flag under every z.  Raises ArithmeticError if a
     key's y part is not y or the cell does not hold q^l(y) flags, which
     checks the cell formula as it runs.  The caller checks the flag
     budget and the field width.
     """
     label = enumerate_perms(n)[y]
-    groups = _flag_masks(_cell_columns(n, q, label), n, q)
+    groups = _flag_masks(columns, n, q)
     full = (1 << n) - 1
     flags = sum(weight * (len(masks) // full) for weight, masks in groups.items())
     if flags != q ** label.length():
@@ -942,39 +946,34 @@ def _slice(n: int, q: int, y: int) -> list[dict[int, int]]:
 
 
 def check_orbit_representatives(n: int, q: int, budget: int = FLAG_BUDGET) -> None:
-    """Recount the structure tensor of F_q^n on second orbit representatives.
+    """Recount the structure tensor of F_q^n, cell by cell, on second orbit representatives.
 
-    Every chain matrix of _cell_stream is moved by the fixed invertible
-    matrix of _debug_matrix, which takes each representative pair
-    (zE, E) to (g zE, g E), and reduced by the per-flag lattice at
-    every q, so at q = 2 the lanes of the cached tensor meet their
-    oracle.  The tensor counted from the moved pivot sets must equal the
-    cached one, and every y-slice, counted over its cell, must equal
-    column y of the tensor, which checks the slices of the convolutions
-    against the all-flag count; otherwise ArithmeticError names n and q.
+    Each cell of _cell_columns is moved by h of _debug_matrix, which
+    keeps it and reads orbit z at (h^-1 zE, E), and _cell_slice reduces
+    every moved flag once with the per-flag lattice at every q, so at
+    q = 2 the lanes of the cached tensor meet their oracle.  Its y check
+    proves that h kept every flag in its cell, and the slice must equal
+    column y of the cached tensor, which checks the K-orbit rows against
+    direct per-cell counts; otherwise ArithmeticError names n and q.
     The flag budget and the field width are checked before anything is
     enumerated.
     """
     _check_tensor(n, q, budget)
     h = _debug_matrix(n)
-    moved = (_move_columns(h, cols, q) for cols in _cell_stream(n, q))
     tensor = _tensor(n, q)
-    if _count(n, _flag_masks(moved, n, q)) != tensor:
-        raise ArithmeticError(
-            f"structure tensor at n = {n}, q = {q} differs between two orbit representatives"
-        )
     _, row_of, relabel_of = _slot_orbits(n)
-    nperms = math.factorial(n)
-    for y in range(nperms):
+    perms = enumerate_perms(n)
+    nperms = len(perms)
+    for y, label in enumerate(perms):
         column: list[dict[int, int]] = [{} for _ in range(nperms)]
         for x in range(nperms):
             s = x * nperms + y
             relabel = relabel_of[s]
             for z, c in tensor[row_of[s]].items():
                 column[relabel[z]][x] = c
-        # a fresh build, so that no more than one slice is held
-        if _slice.__wrapped__(n, q, y) != column:
-            raise ArithmeticError(f"slice {enumerate_perms(n)[y]} at n = {n}, q = {q} "
+        moved = (_move_columns(h, cols, q) for cols in _cell_columns(n, q, label))
+        if _cell_slice(n, q, y, moved) != column:
+            raise ArithmeticError(f"slice {label} at n = {n}, q = {q} "
                                   "differs from the structure tensor")
 
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -243,39 +244,38 @@ def test_failing_orbit_row_names_its_witness(monkeypatch, capsys, check, verify,
 
 
 def test_debug_orbit_checks_flag(capsys, monkeypatch):
-    # every moved rebuild, the pivot sets read after a _debug_matrix
-    # call, is recorded, and while `perturb` is set its count is one off
-    # in the first nonzero slot
-    matrix, masks, count = flagmodel._debug_matrix, flagmodel._flag_masks, flagmodel._count
+    # every moved cell count, a _cell_slice call that read columns
+    # moved by _move_columns, is recorded as (n, q, y), and while
+    # `perturb` is set its count is one off in the first nonzero slot
+    move, count = flagmodel._move_columns, flagmodel._cell_slice
     rebuilt, perturb, pending = [], [], []
 
-    def moved_matrix(n):
+    def moved_columns(h, cols, q):
         pending.append(True)
-        return matrix(n)
+        return move(h, cols, q)
 
-    def moved_masks(columns, n, q):
-        if pending:
-            rebuilt.append((n, q))
-        return masks(columns, n, q)
-
-    def moved_count(n, groups):
-        out = count(n, groups)
+    def moved_count(n, q, y, columns):
+        out = count(n, q, y, columns)
         moved = bool(pending)
         pending.clear()
-        if moved and perturb:
-            counts = next(c for c in out if c)
-            counts[next(iter(counts))] += 1
+        if moved:
+            rebuilt.append((n, q, y))
+            if perturb:
+                counts = next(c for c in out if c)
+                counts[next(iter(counts))] += 1
         return out
 
-    monkeypatch.setattr(flagmodel, "_debug_matrix", moved_matrix)
-    monkeypatch.setattr(flagmodel, "_flag_masks", moved_masks)
-    monkeypatch.setattr(flagmodel, "_count", moved_count)
+    def cells(*points):
+        return [(n, q, y) for n, q in points for y in range(math.factorial(n))]
+
+    monkeypatch.setattr(flagmodel, "_move_columns", moved_columns)
+    monkeypatch.setattr(flagmodel, "_cell_slice", moved_count)
     lemma3 = ["verify", "lemma3", "--n", "2", "--q", "2,3"]
     assert main([*lemma3, "--debug-orbit-checks"]) == 0
-    assert rebuilt == [(2, 2), (2, 3)]
+    assert rebuilt == cells((2, 2), (2, 3))
     rebuilt.clear()
     assert main(["all", "--q", "2", "--debug-orbit-checks"]) == 0
-    assert rebuilt == [(2, 2), (3, 2), (4, 2)]
+    assert rebuilt == cells((2, 2), (3, 2), (4, 2))
     capsys.readouterr()
 
     # a failed cross-check is one failing row after the checks of its
@@ -283,14 +283,15 @@ def test_debug_orbit_checks_flag(capsys, monkeypatch):
     perturb.append(True)
     rebuilt.clear()
     assert main([*lemma3, "--debug-orbit-checks", "--format", "json"]) == 1
-    assert rebuilt == [(2, 2), (2, 3)]
+    # each point fails at its first cell
+    assert rebuilt == [(2, 2, 0), (2, 3, 0)]
     doc = json.loads(capsys.readouterr().out)
     assert [c["name"] for c in doc["checks"]] == ["lemma3"] * 2 + ["orbit-representatives"] * 2
     failed = doc["checks"][2]
     assert failed["params"] == {"n": 2, "q": 2} and not failed["pass"]
     [row] = failed["details"]
     assert row["pass"] is False
-    assert "structure tensor at n = 2, q = 2 differs" in row["witness"]
+    assert "at n = 2, q = 2 differs from the structure tensor" in row["witness"]
     rebuilt.clear()
     assert main(["all", "--q", "2", "--debug-orbit-checks", "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -763,7 +764,6 @@ def test_slice_refuses_a_faulty_cell(monkeypatch, capsys):
     longest = perms.index(Perm((3, 2, 1)))
     cells = flagmodel._cell_columns
     stray = next(cells(n, q, Perm.identity(n)))
-    stream = list(flagmodel._cell_stream(n, q))
     # the cached slices that lemma3 reads below are counted on the true
     # cells, whatever ran before
     for y in range(len(perms)):
@@ -780,12 +780,13 @@ def test_slice_refuses_a_faulty_cell(monkeypatch, capsys):
             flagmodel._slice.__wrapped__(n, q, longest)
     # one flag dropped and another doubled keeps the count and every y
     # part, so only the cross-check of --debug-orbit-checks catches it:
-    # the moved rebuild reads the same cells, so it fails first
+    # its moved cells are the faulty ones, and the first cell of two
+    # flags, (1 3 2), is the first to differ from the lane-built tensor
     monkeypatch.setattr(flagmodel, "_cell_columns",
                         lambda n, q, y: (lambda c: c[:-1] + c[:1])(list(cells(n, q, y))))
     flagmodel._slice.__wrapped__(n, q, longest)
-    moved = "structure tensor at n = 3, q = 2 differs between two orbit representatives"
-    with pytest.raises(ArithmeticError, match=moved):
+    moved = "slice (1 3 2) at n = 3, q = 2 differs from the structure tensor"
+    with pytest.raises(ArithmeticError, match=re.escape(moved)):
         check_orbit_representatives(n, q)
     assert main(["verify", "lemma3", "--n", "3", "--q", "2", "--debug-orbit-checks",
                  "--format", "json"]) == 1
@@ -793,10 +794,6 @@ def test_slice_refuses_a_faulty_cell(monkeypatch, capsys):
     assert [c["name"] for c in doc["checks"]] == ["lemma3", "orbit-representatives"]
     assert doc["checks"][0]["pass"] and not doc["checks"][1]["pass"]
     assert moved in doc["checks"][1]["details"][0]["witness"]
-    # with the rebuild on the true cells, the slices alone are faulty
-    monkeypatch.setattr(flagmodel, "_cell_stream", lambda n, q: iter(stream))
-    with pytest.raises(ArithmeticError, match="slice .* at n = 3, q = 2 differs from the struct"):
-        check_orbit_representatives(n, q)
 
 
 def test_convolve_matches_the_tensor_products():
@@ -914,6 +911,33 @@ def test_orbit_check_at_q2_reads_no_lanes(monkeypatch):
         assert check_orbit_representatives(n, 2) is None
 
 
+def test_orbit_check_reduces_each_flag_once(monkeypatch):
+    # with the tensor cached, the cross-check sends every flag through
+    # the per-flag lattice once, cell by cell, and recounts no full tensor
+    points = ((4, 2), (3, 3), (4, 3))
+    for n, q in points:
+        flagmodel._tensor(n, q)
+    masks = flagmodel._flag_masks
+    read = [0]
+
+    def counted_masks(columns, n, q):
+        def counted():
+            for cols in columns:
+                read[0] += 1
+                yield cols
+        return masks(counted(), n, q)
+
+    def refuse(*args):
+        raise AssertionError("the cross-check recounted the full tensor")
+
+    monkeypatch.setattr(flagmodel, "_flag_masks", counted_masks)
+    monkeypatch.setattr(flagmodel, "_count", refuse)
+    for n, q in points:
+        read[0] = 0
+        assert check_orbit_representatives(n, q) is None
+        assert read[0] == flag_count(n, q), (n, q)
+
+
 def test_orbit_check_catches_a_faulty_lane_lattice(monkeypatch):
     masks = flagmodel._lane_masks
     # the flag with chain basis e_1, e_2 + e_3, e_2
@@ -935,8 +959,38 @@ def test_orbit_check_catches_a_faulty_lane_lattice(monkeypatch):
     # no tensor built from the faulty lattice outlives this test
     flagmodel._tensor.cache_clear()
     try:
-        with pytest.raises(ArithmeticError, match="structure tensor at n = 3, q = 2 differs"):
+        with pytest.raises(ArithmeticError,
+                           match="at n = 3, q = 2 differs from the structure tensor"):
             check_orbit_representatives(3, 2)
+    finally:
+        flagmodel._tensor.cache_clear()
+
+
+def test_orbit_check_catches_a_corrupted_orbit_row(capsys):
+    # one stored count of the cached K-orbit rows, raised by one, row by
+    # row; lemma3 reads the slices, not the rows, so it still passes
+    n = 3
+    try:
+        for q in (2, 3):
+            rows = flagmodel._tensor(n, q)
+            message = f"at n = {n}, q = {q} differs from the structure tensor"
+            for counts in rows:
+                z = min(counts)
+                counts[z] += 1
+                with pytest.raises(ArithmeticError, match=message):
+                    check_orbit_representatives(n, q)
+                counts[z] -= 1
+            counts = rows[len(rows) // 2]
+            counts[min(counts)] += 1
+            assert main(["verify", "lemma3", "--n", str(n), "--q", str(q),
+                         "--debug-orbit-checks", "--format", "json"]) == 1
+            doc = json.loads(capsys.readouterr().out)
+            assert [c["name"] for c in doc["checks"]] == ["lemma3", "orbit-representatives"]
+            lemma3, orbit = doc["checks"]
+            assert lemma3["pass"] and not orbit["pass"]
+            assert orbit["params"] == {"n": n, "q": q}
+            [row] = orbit["details"]
+            assert row["pass"] is False and message in row["witness"], q
     finally:
         flagmodel._tensor.cache_clear()
 
@@ -1079,7 +1133,7 @@ def test_counting_field_width_guard(monkeypatch):
 def test_debug_rebuild_moves_every_chain_matrix():
     # the second representative must really differ, flag by flag, and
     # still give the same tensor, on both lattices, by the counting
-    # kernel and by its oracle
+    # kernel and by its oracle, and keep every flag in its cell
     for n, q in FLAG_GRID:
         if n < 2:
             continue
@@ -1092,6 +1146,17 @@ def test_debug_rebuild_moves_every_chain_matrix():
         tensor = flagmodel._tensor(n, q)
         assert flagmodel._count(n, groups) == tensor, (n, q)
         assert _scatter(n, _patterns(n, groups)) == _expanded(n, tensor), (n, q)
+    # h keeps every cell: by the literal layer, each moved chain matrix
+    # spans a flag in the position of its cell, and is another matrix
+    for n, q in ((3, 2), (3, 3), (3, 5), (4, 2)):
+        h = flagmodel._debug_matrix(n)
+        std = Flag.standard(n, q)
+        for y in enumerate_perms(n):
+            for cols in flagmodel._cell_columns(n, q, y):
+                moved = flagmodel._move_columns(h, cols, q)
+                assert moved != cols, (n, q, y)
+                flag = Flag.from_basis(list(zip(*moved)), q)
+                assert relative_position(flag, std) == y, (n, q, y, moved)
 
 
 def _holds_chains(value, n):
