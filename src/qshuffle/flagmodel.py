@@ -129,7 +129,7 @@ def _require_prime(q: int) -> None:
 # the layout of _cell_layout.  Over F_2 all flags run at once:
 # _chain_lanes holds entry (i, j) of every chain matrix as one int, a
 # lane, whose byte f is the entry of flag f, so one XOR or AND of two
-# lanes steps every flag.  Other q stream the columns of _cell_stream
+# lanes steps every flag.  Other q stream the columns of _cell_columns
 # through the lattice flag by flag, on lists mod q with _step_generic;
 # that per-flag path is the lanes' oracle, in the tests and in
 # check_orbit_representatives at every q.  Neither shares code with the
@@ -164,17 +164,15 @@ def _step_generic(
     return 1 << i, r
 
 
-def _move_columns(h: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], q: int) -> list[list[int]]:
-    # the column list of C h^T, C the chain matrix with columns `cols`:
-    # moved column i is sum_j h[i][j] column j, mod q
-    moved = []
-    for row in h:
-        acc = [0] * len(cols)
-        for c, col in zip(row, cols):
-            if c:
-                acc = [x + c * y for x, y in zip(acc, col)]
-        moved.append([x % q for x in acc])
-    return moved
+def _moved_columns(cols: Sequence[Sequence[int]], q: int) -> list[list[int]]:
+    # the column list of C h^T, C the chain matrix with columns `cols`, h
+    # upper unitriangular with ones on the diagonal and superdiagonal:
+    # column i + column i + 1 mod q, the last column as it is.  hE = E, so
+    # pos(hM, E) = pos(M, E) and h maps each cell onto itself, while
+    # pos(zE, hM) = pos(h^-1 zE, M) reads orbit z at a second pair for
+    # every z != 1 (h fixes zE only if z^-1 h z is upper triangular,
+    # z^-1(i) < z^-1(i + 1) for every i, so z = 1)
+    return [[(x + y) % q for x, y in zip(a, b)] for a, b in zip(cols, cols[1:])] + [list(cols[-1])]
 
 
 def _subset_splits(n: int) -> list[tuple[int, int, int]]:
@@ -256,24 +254,17 @@ def _cell_columns(n: int, q: int, y: Perm) -> Iterator[list[list[int]]]:
         yield [c[:] for c in cols]
 
 
-def _cell_stream(n: int, q: int) -> Iterator[list[list[int]]]:
-    # the column lists of every chain matrix, the cells in label order;
-    # they partition the flags, so sum_y q^l(y) = [n]_q!, and a count
-    # that is not flag_count(n, q) raises ArithmeticError at the end
-    count = 0
-    for y in enumerate_perms(n):
-        for cols in _cell_columns(n, q, y):
-            count += 1
-            yield cols
-    if count != flag_count(n, q):
-        raise ArithmeticError(f"enumerated {count} flags, expected {flag_count(n, q)}")
+def _flags_behind(groups: Mapping[int, bytes], n: int) -> int:
+    # the flags behind the pivot sets `groups`: 2^n - 1 bytes per pattern of `weight` flags
+    full = (1 << n) - 1
+    return sum(weight * (len(masks) // full) for weight, masks in groups.items())
 
 
 def _chain_lanes(n: int) -> list[list[int]]:
     """The chain matrices of all complete flags in F_2^n, as byte lanes.
 
     lanes[j][i] is entry i of column j of every chain matrix: its byte
-    f is that entry of flag f of _cell_stream(n, 2).  The cell of y,
+    f is that entry of flag f of the cells in label order.  The cell of y,
     L = l(y), takes 2^L bytes of each lane: all 0x01 at its tops, zero
     off its slots, and at free slot s the counter pattern
     (0^p 1^p) * 2^s, p = 2^(L - 1 - s).  Raises ArithmeticError if the
@@ -341,24 +332,22 @@ def _lane_masks(lanes: Sequence[Sequence[int]], n: int) -> dict[int, bytes]:
     return {1: b"".join(m.to_bytes(count, "little") for m in pivots)}
 
 
-def _debug_matrix(n: int) -> list[list[int]]:
-    # upper unitriangular h, ones on the diagonal and superdiagonal, for
-    # _move_columns: hE = E, so pos(hM, E) = pos(M, E) and h maps each
-    # cell onto itself, while pos(zE, hM) = pos(h^-1 zE, M) reads orbit z
-    # at a second pair for every z != 1 (h fixes zE only if z^-1 h z is
-    # upper triangular, z^-1(i) < z^-1(i + 1) for every i, so z = 1)
-    return [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
-
-
 def _pivot_masks(n: int, q: int) -> dict[int, bytes]:
     """The pivot sets of every chain matrix over F_q, keyed by weight.
 
-    F_2 runs on the byte lanes, other q on the column lists of
-    _cell_stream as they are written, so no list of flags is built.
+    F_2 runs on the byte lanes, other q on the column lists of the cells
+    in label order as _cell_columns writes them, so no list of flags is
+    built.  The cells partition the flags, so a count that is not
+    flag_count(n, q) raises ArithmeticError.
     """
     if q == 2:
         return _lane_masks(_chain_lanes(n), n)
-    return _flag_masks(_cell_stream(n, q), n, q)
+    cells = (cols for y in enumerate_perms(n) for cols in _cell_columns(n, q, y))
+    groups = _flag_masks(cells, n, q)
+    count = _flags_behind(groups, n)
+    if count != flag_count(n, q):
+        raise ArithmeticError(f"enumerated {count} flags, expected {flag_count(n, q)}")
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +661,7 @@ def _count(n: int, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
     The build has two passes.  _pivot_masks runs the subset lattice of
     every chain matrix and keeps only its pivot sets, one byte per
     column subset: over F_2 for all flags at once in byte lanes, each
-    flag with weight 1; for other q flag by flag as _cell_stream writes
+    flag with weight 1; for other q flag by flag as _cell_columns writes
     them, flags with equal patterns merged with a weight.  _count then
     reads every label off chains of pivot sets.
     For the flag zE the label x = pos(zE, M) comes from the chain
@@ -734,7 +723,7 @@ def _count(n: int, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
     nperms = math.factorial(n)
     _, inverse, star, both = _relabels(n)
     reps, _, _ = _slot_orbits(n)
-    shift, chains, names = _label_chains(n)
+    shift, chains, names, _ = _label_chains(n)
     low = (1 << shift) - 1
     # the name of label p's chain, read as an x name or as the name of
     # pos(E, M) = y^-1, gives the x part x * n! or the y part y of a
@@ -823,14 +812,18 @@ def _slot_orbits(n: int) -> tuple[list[int], list[int], list[list[int]]]:
 
 
 @lru_cache(maxsize=None)
-def _label_chains(n: int) -> tuple[int, list[list[int]], list[int]]:
-    # the bit width of a chain name, which shifts the y half of a key,
-    # and for every label z the chain B_1, ..., B_(n-1), B_k the
-    # coordinates outside z(1), ..., z(k), with its name
+def _label_chains(n: int) -> tuple[int, list[list[int]], list[int], list[bytes]]:
+    # the bit width of a chain name, which shifts the y half of a key;
+    # for every label z the chain B_1, ..., B_(n-1), B_k the coordinates
+    # outside z(1), ..., z(k), with its name; and for _key_counter the
+    # tables taking a pivot mask to byte k of its counting field
     full = (1 << n) - 1
     chains = [[full ^ m for m in itertools.accumulate(1 << (k - 1) for k in z.image)][:-1]
               for z in enumerate_perms(n)]
-    return n * (n - 1).bit_length(), chains, [_chain_name(c, n) for c in chains]
+    size = _key_field(n)[1]
+    fields = [_chain_name([m], n).to_bytes(size, sys.byteorder) for m in range(256)]
+    planes = list(map(bytes, zip(*fields)))
+    return n * (n - 1).bit_length(), chains, [_chain_name(c, n) for c in chains], planes
 
 
 def _key_counter(n: int, groups: Mapping[int, bytes]) -> Callable[[Sequence[int]], Counter[int]]:
@@ -843,12 +836,9 @@ def _key_counter(n: int, groups: Mapping[int, bytes]) -> Callable[[Sequence[int]
     one Counter update per weight.
     """
     fmt, size = _key_field(n)
-    shift, chains, _ = _label_chains(n)
+    shift, chains, _, planes = _label_chains(n)
     full = (1 << n) - 1
     order = sys.byteorder
-    # byte k of the field of every pivot mask, as a translation table
-    fields = [_chain_name([m], n).to_bytes(size, order) for m in range(256)]
-    planes = [bytes(f[k] for f in fields) for k in range(size)]
     # field p of subset b's packed column names Q(b) of pattern p;
     # every column is read into one int once, per weight
     packed = []
@@ -925,13 +915,12 @@ def _cell_slice(n: int, q: int, y: int, columns: Iterable[Sequence[Sequence[int]
     """
     label = enumerate_perms(n)[y]
     groups = _flag_masks(columns, n, q)
-    full = (1 << n) - 1
-    flags = sum(weight * (len(masks) // full) for weight, masks in groups.items())
+    flags = _flags_behind(groups, n)
     if flags != q ** label.length():
         raise ArithmeticError(f"the cell of {label} holds {flags} flags, expected "
                               f"{q ** label.length()}")
     keys_under = _key_counter(n, groups)
-    shift, chains, names = _label_chains(n)
+    shift, chains, names, _ = _label_chains(n)
     low = (1 << shift) - 1
     # the y part of a key names the chain of pos(E, M) = y^-1
     y_name = {names[_relabels(n)[1][y]]}
@@ -948,10 +937,11 @@ def _cell_slice(n: int, q: int, y: int, columns: Iterable[Sequence[Sequence[int]
 def check_orbit_representatives(n: int, q: int, budget: int = FLAG_BUDGET) -> None:
     """Recount the structure tensor of F_q^n, cell by cell, on second orbit representatives.
 
-    Each cell of _cell_columns is moved by h of _debug_matrix, which
-    keeps it and reads orbit z at (h^-1 zE, E), and _cell_slice reduces
-    every moved flag once with the per-flag lattice at every q, so at
-    q = 2 the lanes of the cached tensor meet their oracle.  Its y check
+    Each cell of _cell_columns is moved by the h of _moved_columns,
+    column i + column i + 1 mod q, which keeps it and reads orbit z at
+    (h^-1 zE, E), and _cell_slice reduces every moved flag once with the
+    per-flag lattice at every q, so at q = 2 the lanes of the cached
+    tensor meet their oracle.  Its y check
     proves that h kept every flag in its cell, and the slice must equal
     column y of the cached tensor, which checks the K-orbit rows against
     direct per-cell counts; otherwise ArithmeticError names n and q.
@@ -959,7 +949,6 @@ def check_orbit_representatives(n: int, q: int, budget: int = FLAG_BUDGET) -> No
     enumerated.
     """
     _check_tensor(n, q, budget)
-    h = _debug_matrix(n)
     tensor = _tensor(n, q)
     _, row_of, relabel_of = _slot_orbits(n)
     perms = enumerate_perms(n)
@@ -971,7 +960,7 @@ def check_orbit_representatives(n: int, q: int, budget: int = FLAG_BUDGET) -> No
             relabel = relabel_of[s]
             for z, c in tensor[row_of[s]].items():
                 column[relabel[z]][x] = c
-        moved = (_move_columns(h, cols, q) for cols in _cell_columns(n, q, label))
+        moved = (_moved_columns(cols, q) for cols in _cell_columns(n, q, label))
         if _cell_slice(n, q, y, moved) != column:
             raise ArithmeticError(f"slice {label} at n = {n}, q = {q} "
                                   "differs from the structure tensor")

@@ -1,5 +1,6 @@
 """Tests for the command line interface: output, exit codes, JSON."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -245,14 +246,14 @@ def test_failing_orbit_row_names_its_witness(monkeypatch, capsys, check, verify,
 
 def test_debug_orbit_checks_flag(capsys, monkeypatch):
     # every moved cell count, a _cell_slice call that read columns
-    # moved by _move_columns, is recorded as (n, q, y), and while
+    # moved by _moved_columns, is recorded as (n, q, y), and while
     # `perturb` is set its count is one off in the first nonzero slot
-    move, count = flagmodel._move_columns, flagmodel._cell_slice
+    move, count = flagmodel._moved_columns, flagmodel._cell_slice
     rebuilt, perturb, pending = [], [], []
 
-    def moved_columns(h, cols, q):
+    def moved_columns(cols, q):
         pending.append(True)
-        return move(h, cols, q)
+        return move(cols, q)
 
     def moved_count(n, q, y, columns):
         out = count(n, q, y, columns)
@@ -268,7 +269,7 @@ def test_debug_orbit_checks_flag(capsys, monkeypatch):
     def cells(*points):
         return [(n, q, y) for n, q in points for y in range(math.factorial(n))]
 
-    monkeypatch.setattr(flagmodel, "_move_columns", moved_columns)
+    monkeypatch.setattr(flagmodel, "_moved_columns", moved_columns)
     monkeypatch.setattr(flagmodel, "_cell_slice", moved_count)
     lemma3 = ["verify", "lemma3", "--n", "2", "--q", "2,3"]
     assert main([*lemma3, "--debug-orbit-checks"]) == 0
@@ -308,6 +309,26 @@ def test_all_grid(capsys):
     assert main(["all"]) == 0
     out = capsys.readouterr().out
     assert "OVERALL: PASS (33 checks)" in out
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["all", "--format", "json"],
+         "9ab8ed2ad9d1502e4f65392c25e1029ceabd93f863eab23bec1b7b9b3f5adfd3"),
+        # a passing cross-check adds nothing to the output
+        (["all", "--format", "json", "--debug-orbit-checks"],
+         "9ab8ed2ad9d1502e4f65392c25e1029ceabd93f863eab23bec1b7b9b3f5adfd3"),
+        (["verify", "structure-constants", "--n", "4", "--q", "3", "--format", "json"],
+         "5a76852eb98ddf464f5d15c6d98857160c01d72222e9c7c8a8aaed589de89420"),
+    ],
+    ids=["all", "all-debug", "structure-constants-4-3"],
+)
+def test_json_stdout_is_pinned(capsys, argv, digest):
+    # the sha256 of the whole document; a change that alters these bytes
+    # on purpose updates the digest and says so in CHANGES.md
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_json_verdicts_are_the_conjunction_of_their_rows(capsys):

@@ -758,6 +758,23 @@ def test_slices_match_the_tensor_columns():
             assert flagmodel._slice(n, q, y) == column, (n, q, y)
 
 
+def test_key_count_tables_are_built_once_per_n(monkeypatch):
+    # the first slice at n = 4 builds the per-n tables of _label_chains;
+    # a slice of another cell names no chain again
+    n, q = 4, 2
+    flagmodel._cell_slice(n, q, 0, flagmodel._cell_columns(n, q, enumerate_perms(n)[0]))
+    name, calls = flagmodel._chain_name, []
+
+    def counted_name(*args):
+        calls.append(args)
+        return name(*args)
+
+    monkeypatch.setattr(flagmodel, "_chain_name", counted_name)
+    y = len(enumerate_perms(n)) - 1
+    flagmodel._cell_slice(n, q, y, flagmodel._cell_columns(n, q, enumerate_perms(n)[y]))
+    assert calls == []
+
+
 def test_slice_refuses_a_faulty_cell(monkeypatch, capsys):
     n, q = 3, 2
     perms = enumerate_perms(n)
@@ -828,7 +845,16 @@ def _relane(columns):
 
 def _flag_columns(n, q):
     # the columns of every chain matrix, flag by flag, cell by cell
-    return list(flagmodel._cell_stream(n, q))
+    return [cols for y in enumerate_perms(n) for cols in flagmodel._cell_columns(n, q, y)]
+
+
+def _dense_move(cols, q):
+    # the oracle of _moved_columns: moved column i = sum_j h_ij column j
+    # mod q, h upper unitriangular with ones on the diagonal and the
+    # superdiagonal
+    n = len(cols)
+    h = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+    return [[sum(c * col[k] for c, col in zip(row, cols)) % q for k in range(n)] for row in h]
 
 
 def _basis_columns(n, q):
@@ -849,7 +875,7 @@ def _patterns(n, groups):
 
 
 def test_chain_lanes_match_the_cell_stream():
-    # entry by entry, in the flag order of _cell_stream
+    # entry by entry, in the flag order of the cells
     for n in range(1, 6):
         expected = _flag_columns(n, 2)
         lanes = flagmodel._chain_lanes(n)
@@ -859,7 +885,8 @@ def test_chain_lanes_match_the_cell_stream():
 
 def test_count_check_fires_on_a_dropped_cell(monkeypatch):
     # the cell of the longest permutation, q^3 flags at n = 3, goes
-    # missing from both streams; the failed build leaves no tensor cached
+    # missing from the lanes and from the cells that _pivot_masks
+    # streams; the failed build leaves no tensor cached
     n = 3
     perms = enumerate_perms(n)
     tensors = {q: flagmodel._tensor(n, q) for q in (2, 3)}
@@ -868,7 +895,7 @@ def test_count_check_fires_on_a_dropped_cell(monkeypatch):
     with pytest.raises(ArithmeticError, match="enumerated 13 flags, expected 21"):
         flagmodel._chain_lanes(n)
     with pytest.raises(ArithmeticError, match="enumerated 25 flags, expected 52"):
-        list(flagmodel._cell_stream(n, 3))
+        flagmodel._pivot_masks(n, 3)
     for q, count in ((2, 13), (3, 25)):
         with pytest.raises(ArithmeticError, match=f"enumerated {count} flags"):
             flagmodel._tensor(n, q)
@@ -882,10 +909,9 @@ def test_packed_f2_backend_matches_generic():
     # chain matrices and, relaned, on their moved copies of the debug
     # rebuild
     for n in range(1, 6):
-        h = flagmodel._debug_matrix(n)
         lanes = flagmodel._chain_lanes(n)
         columns = _flag_columns(n, 2)
-        moved_columns = [flagmodel._move_columns(h, cols, 2) for cols in columns]
+        moved_columns = [flagmodel._moved_columns(cols, 2) for cols in columns]
         assert _unlane(lanes, flag_count(n, 2)) == columns, n
         for chains, cols in ((lanes, columns), (_relane(moved_columns), moved_columns)):
             got, want = flagmodel._lane_masks(chains, n), flagmodel._flag_masks(cols, n, 2)
@@ -1133,13 +1159,14 @@ def test_counting_field_width_guard(monkeypatch):
 def test_debug_rebuild_moves_every_chain_matrix():
     # the second representative must really differ, flag by flag, and
     # still give the same tensor, on both lattices, by the counting
-    # kernel and by its oracle, and keep every flag in its cell
+    # kernel and by its oracle, and keep every flag in its cell; the
+    # move matches its dense product on every chain matrix
     for n, q in FLAG_GRID:
         if n < 2:
             continue
-        h = flagmodel._debug_matrix(n)
         before = _flag_columns(n, q)
-        after = [flagmodel._move_columns(h, cols, q) for cols in before]
+        after = [flagmodel._moved_columns(cols, q) for cols in before]
+        assert after == [_dense_move(cols, q) for cols in before], (n, q)
         assert len(after) == len(before) == flag_count(n, q), (n, q)
         assert all(a != b for a, b in zip(after, before)), (n, q)
         groups = flagmodel._flag_masks(after, n, q)
@@ -1149,11 +1176,10 @@ def test_debug_rebuild_moves_every_chain_matrix():
     # h keeps every cell: by the literal layer, each moved chain matrix
     # spans a flag in the position of its cell, and is another matrix
     for n, q in ((3, 2), (3, 3), (3, 5), (4, 2)):
-        h = flagmodel._debug_matrix(n)
         std = Flag.standard(n, q)
         for y in enumerate_perms(n):
             for cols in flagmodel._cell_columns(n, q, y):
-                moved = flagmodel._move_columns(h, cols, q)
+                moved = flagmodel._moved_columns(cols, q)
                 assert moved != cols, (n, q, y)
                 flag = Flag.from_basis(list(zip(*moved)), q)
                 assert relative_position(flag, std) == y, (n, q, y, moved)
@@ -1265,7 +1291,7 @@ def test_fast_side_and_literal_layer_enumerate_apart(monkeypatch):
         assert flagmodel._tensor.__wrapped__(n, q) == tensors[q], q
         assert check_orbit_representatives(n, q) is None
     monkeypatch.undo()
-    for name in ("_cell_layout", "_cell_columns", "_cell_stream", "_chain_lanes"):
+    for name in ("_cell_layout", "_cell_columns", "_chain_lanes"):
         monkeypatch.setattr(flagmodel, name, refuse)
     for q in (2, 3):
         assert enumerate_flags(n, q) == flags[q], q
