@@ -83,7 +83,9 @@ def _parse_qs(text: str) -> list[int]:
     return vals
 
 
-def _parse_t_range(text: str) -> list[int]:
+def _parse_t_range(text: str, n: int) -> list[int]:
+    # a range past verify_lemma3's t bound is refused before its list is
+    # built, so 1:10000000000 is an error at once, not a long wait
     if ":" in text:
         lo_s, _, hi_s = text.partition(":")
         try:
@@ -92,6 +94,8 @@ def _parse_t_range(text: str) -> list[int]:
             raise ValueError(f"could not parse t range {text!r}") from None
         if hi < lo:
             raise ValueError(f"empty t range {text!r}")
+        if lo < 1 or hi > n + 2:
+            raise ValueError(f"t range {text!r} is not within 1:{n + 2}")
         return list(range(lo, hi + 1))
     return _parse_ints(text, "t")
 
@@ -187,7 +191,7 @@ def _run_verify(args: argparse.Namespace) -> list[CheckResult]:
         return [_check_group_identity(n)]
     qs = _parse_qs(args.q if args.q is not None else _VERIFY_Q)
     # _refuse_ignored let --t through for lemma3 only
-    ts = {"t_values": _parse_t_range(args.t)} if args.t is not None else {}
+    ts = {"t_values": _parse_t_range(args.t, n)} if args.t is not None else {}
     budget = args.budget if args.budget is not None else FLAG_BUDGET
     run = _flag_checks()[check]
     results = [run(n, q, budget=budget, **ts) for q in qs]

@@ -117,11 +117,11 @@ def _require_prime(q: int) -> None:
 # leading pivots of the span of the columns of C in B, so it does not
 # depend on the order of those columns, and Q(B) follows from Q(B
 # minus its top column) by one step: reduce that column against the
-# stored columns, keyed by their leading pivots, and read off the new
-# pivot.  _pivot_masks thus computes Q over the lattice of column
-# subsets, 2^n - 2 steps, and _count reads pos(zE, M) for all n! orders
-# z off chains of Q values, without inverting C or reducing any row
-# order.
+# echelon rows of the columns before it, keyed by their leading pivots,
+# and read off the new pivot.  _pivot_masks thus computes Q over the
+# lattice of column subsets, 2^n - 2 steps, and _count reads pos(zE, M)
+# for all n! orders z off chains of Q values, without inverting C or
+# reducing any row order.
 #
 # _pivot_masks runs this lattice over every chain matrix and keeps only
 # the pivot sets Q(b), as the subset-major buffers that _count reads;
@@ -130,38 +130,12 @@ def _require_prime(q: int) -> None:
 # _chain_lanes holds entry (i, j) of every chain matrix as one int, a
 # lane, whose byte f is the entry of flag f, so one XOR or AND of two
 # lanes steps every flag.  Other q stream the columns of _cell_columns
-# through the lattice flag by flag, on lists mod q with _step_generic;
-# that per-flag path is the lanes' oracle, in the tests and in
-# check_orbit_representatives at every q.  Neither shares code with the
-# literal layer (Subspace, Flag, relative_position, and enumerate_flags
-# with its own enumeration), which is their oracle in the tests.
-
-
-def _step_generic(
-    stored: Mapping[int, Sequence[int]], col: Sequence[int], q: int
-) -> tuple[int, Sequence[int]]:
-    # the pivot bit of col reduced against the stored columns, and the
-    # reduced column scaled to a leading 1; a column that needs neither
-    # is returned as it came, so callers must not mutate it
-    r = col
-    i = 0
-    while True:
-        # entries before i are zero: reducing by a stored column clears
-        # its pivot and touches nothing before it
-        while i < len(r) and not r[i]:
-            i += 1
-        if i == len(r):
-            raise ArithmeticError("dependent columns have no pivot")
-        s = stored.get(1 << i)
-        if s is None:
-            break
-        c = r[i]
-        r = [(x - c * y) % q for x, y in zip(r, s)]
-    if r[i] != 1:
-        # always 1 over F_2
-        inv = pow(r[i], -1, q)
-        r = [(x * inv) % q for x in r]
-    return 1 << i, r
+# through the lattice flag by flag, on the elimination kernel mod q of
+# spectral (_add_row, _reduce), which the literal layer (Subspace, Flag,
+# relative_position) runs on too.  That per-flag path is the lanes'
+# oracle, in the tests and in check_orbit_representatives at q = 2; the
+# lanes share no code with the kernel, and the tests check every pivot
+# set of the per-flag path against a local rref that shares none either.
 
 
 def _moved_columns(cols: Sequence[Sequence[int]], q: int) -> list[list[int]]:
@@ -186,27 +160,33 @@ def _flag_masks(columns: Iterable[Sequence[Sequence[int]]], n: int, q: int) -> d
     """The pivot sets of every chain matrix, reduced flag by flag.
 
     Byte b of a flag's pattern is the pivot set Q(b) of the column
-    subset b, as a bit mask of rows (byte 0 is the empty set).  Flags
+    subset b, as a bit mask of rows (byte 0 is the empty set).  Each b
+    below 2^(n-1) keeps its columns as the kernel's echelon rows, grown
+    from its rest's by one _add_row call; a larger b, the rest of none,
+    reads its new lead by one _reduce call.  A column with no new lead
+    raises ArithmeticError.  Entries must lie in [0, q).  Flags
     with equal patterns add equal counts, so they are merged: for q > 2
     there are far fewer patterns than flags.  The patterns of one weight
     go to one buffer, subset-major: byte b * len(group) + p is Q(b) of
     pattern p.
     """
     full = (1 << n) - 1
-    splits = _subset_splits(n)
     half = 1 << (n - 1)
-    lower, upper = splits[: half - 1], splits[half - 1 :]
+    splits = _subset_splits(n)
     patterns: dict[bytes, int] = {}
     pivots = [0] * full
-    stored: list[dict] = [{}] * half
+    stored: list[dict[int, tuple[int, ...]]] = [{}] * half
     for cols in columns:
-        for b, top, rest in lower:
-            below = stored[rest]
-            t, reduced = _step_generic(below, cols[top], q)
-            stored[b] = {**below, t: reduced}
-            pivots[b] = pivots[rest] | t
-        for b, top, rest in upper:
-            pivots[b] = pivots[rest] | _step_generic(stored[rest], cols[top], q)[0]
+        for b, top, rest in splits:
+            if b < half:
+                # b is the rest of a larger subset: keep its echelon rows
+                stored[b] = below = dict(stored[rest])
+                t = _add_row(below, cols[top], q)
+            else:
+                t = _reduce(list(cols[top]), stored[rest], q)
+            if t == n:
+                raise ArithmeticError("dependent columns have no pivot")
+            pivots[b] = pivots[rest] | 1 << t
         pattern = bytes(pivots)
         patterns[pattern] = patterns.get(pattern, 0) + 1
     groups: dict[int, list[bytes]] = {}
@@ -1192,14 +1172,17 @@ def verify_lemma3(
 
     By default t runs over [1, n+2], past the collapse point f_n =
     f_{n-1} and into the range where both sides vanish.  An empty
-    list of t values is refused.
+    list of t values is refused, and so is a t outside [1, n+2]: past
+    it a row compares zero with zero, while [t]_q still costs a t-term
+    polynomial.
     """
     _check_tensor(n, q, budget)
     ts = sorted(set(t_values)) if t_values is not None else list(range(1, n + 3))
     if not ts:
         raise ValueError("empty t list: a check of no t values proves nothing")
-    if any(t < 1 for t in ts):
-        raise ValueError(f"t values must be >= 1, got {ts}")
+    if ts[0] < 1 or ts[-1] > n + 2:
+        bad = ts[0] if ts[0] < 1 else ts[-1]
+        raise ValueError(f"t values must be in [1, {n + 2}], got {bad}")
     base = f1(n, q)
     needed = sorted(set(ts) | {t + 1 for t in ts})
     fs = {t: f_t(n, q, t) for t in needed}

@@ -48,7 +48,10 @@ multiplicity path.  `rank` (fraction-free Bareiss elimination over Z)
 stays for the span ranks of the flag model and as the oracle of the
 tests.  The elimination mod p, `_reduce`, is the one kernel of the
 package: the literal flag layer (subspaces, flags, intersection
-dimensions) runs on it too.
+dimensions) and the pivot-profile lattice of the flag model at odd q
+run on it too.  Their rows are mostly zeros, so it skips the zero
+entries of each echelon row.  Only the F_2 lanes of the flag model
+eliminate on their own, all flags at once.
 """
 
 from __future__ import annotations
@@ -184,8 +187,10 @@ def _reduce(v: list[int], pivots: dict[int, Sequence[int]], p: int) -> int:
 
     `pivots` maps a leading index i to the tail row[i:] of an echelon
     row with row[i] == 1.  The entries of v before i are already zero,
-    and so are those of the row, so an update touches only the tails.
-    Returns the leading index of the remainder, len(v) when it is zero.
+    and so are those of the row, so an update touches only the tail,
+    and only where the tail is nonzero: chain matrices and flag bases
+    are mostly zeros.  Returns the leading index of the remainder,
+    len(v) when it is zero.
     """
     i = 0
     n = len(v)
@@ -196,7 +201,9 @@ def _reduce(v: list[int], pivots: dict[int, Sequence[int]], p: int) -> int:
         if tail is None:
             return i
         c = v[i]
-        v[i:] = [(x - c * y) % p for x, y in zip(v[i:], tail)]
+        for j, y in enumerate(tail, i):
+            if y:
+                v[j] = (v[j] - c * y) % p
 
 
 def _add_row(pivots: dict[int, tuple[int, ...]], row: Sequence[int], p: int) -> int:

@@ -146,9 +146,27 @@ def test_t_selection_list(capsys):
     assert [row["t"] for row in doc["checks"][0]["details"]] == [1, 2, 4]
 
 
-def test_bad_t_is_validation_error(capsys):
+def test_bad_t_is_validation_error(capsys, monkeypatch):
     assert main(["verify", "lemma3", "--t", "x"]) == 2
     assert main(["verify", "lemma3", "--t", "5:1"]) == 2
+    capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("an orbit function was built")
+
+    # for t > n, f_t = 0, so rows past n + 2 compare zero with zero; the
+    # refusal comes before any orbit function, and a range is refused
+    # before its list is built
+    monkeypatch.setattr(flagmodel, "f1", refuse)
+    monkeypatch.setattr(flagmodel, "f_t", refuse)
+    for t in ("6", "1:6", "1:10000000000", "0:3", "2,6"):
+        assert main(["verify", "lemma3", "--n", "3", "--q", "2", "--t", t]) == 2, t
+        err = capsys.readouterr().err
+        assert "1:5" in err or "[1, 5]" in err, (t, err)
+    with pytest.raises(ValueError, match=r"\[1, 5\], got 6"):
+        flagmodel.verify_lemma3(3, 2, [1, 6])
+    monkeypatch.undo()
+    assert main(["verify", "lemma3", "--n", "3", "--q", "2", "--t", "1:5"]) == 0
     capsys.readouterr()
 
 
@@ -321,8 +339,35 @@ def test_all_grid(capsys):
          "9ab8ed2ad9d1502e4f65392c25e1029ceabd93f863eab23bec1b7b9b3f5adfd3"),
         (["verify", "structure-constants", "--n", "4", "--q", "3", "--format", "json"],
          "5a76852eb98ddf464f5d15c6d98857160c01d72222e9c7c8a8aaed589de89420"),
+        # the flag checks at an odd q and at the largest n of FLAG_GRID
+        (["verify", "lemma3", "--n", "3", "--q", "5", "--format", "json"],
+         "fb5b19edb24231cb8257fea1348c77740a30efb10cc2e1084cc3b32d74ed1d9d"),
+        (["verify", "factorization", "--n", "3", "--q", "5", "--format", "json"],
+         "cc742cafa0dbef3d72f2172cb5462e2560da0002dab1fb83d3b0bb136b59a5d5"),
+        (["verify", "span", "--n", "3", "--q", "5", "--format", "json"],
+         "3b40faf1e3532a44015b23d0ffb75ce37f562f5850d6afcdd0bd5af519a0ed13"),
+        (["verify", "structure-constants", "--n", "3", "--q", "5", "--format", "json"],
+         "58ed4f0b13ba35647022465aa0dd12b30ef0557103f88dfdea53ad6e6bf899e0"),
+        (["verify", "lemma3", "--n", "5", "--q", "2", "--format", "json"],
+         "2968b5a55273a47b08bbdb0b38cb40599bd7a8c93afc7d6dd061221f4d5eacaa"),
+        (["verify", "factorization", "--n", "5", "--q", "2", "--format", "json"],
+         "50171c51ea989e4d03b2bbe66b534b5d60b0ec3fde40e904500bfae64f40633b"),
+        (["verify", "span", "--n", "5", "--q", "2", "--format", "json"],
+         "e7a76001076b1964d08c470494238f48ff91d4d407f707727e2ef944ed4cc83a"),
+        (["verify", "structure-constants", "--n", "5", "--q", "2", "--format", "json"],
+         "7491673dff8363f74bce6f28b3317914b20d2411f1731f322496267a627ce97c"),
+        # the hecke-spectrum commands, which read no flags
+        (["verify", "hecke-identity", "--n", "7", "--format", "json"],
+         "4803ff10a66175b8957afb427458cb26f5442972d6b3efd6385badea407c2be4"),
+        (["verify", "group-identity", "--n", "8", "--format", "json"],
+         "9ae6afb7b6f5b996663280a2e9213cf2678a7cb9e041d02f45aecb55a8920675"),
+        (["multiplicities", "--n", "5", "--format", "json"],
+         "cb3f671a4ce75ffea8e966a0f88b19f61dd458ba07b0d431415fcee2b476a635"),
     ],
-    ids=["all", "all-debug", "structure-constants-4-3"],
+    ids=["all", "all-debug", "structure-constants-4-3",
+         "lemma3-3-5", "factorization-3-5", "span-3-5", "structure-constants-3-5",
+         "lemma3-5-2", "factorization-5-2", "span-5-2", "structure-constants-5-2",
+         "hecke-identity-7", "group-identity-8", "multiplicities-5"],
 )
 def test_json_stdout_is_pinned(capsys, argv, digest):
     # the sha256 of the whole document; a change that alters these bytes

@@ -333,7 +333,7 @@ def _local_position(w_flag, v_flag):
 
 
 def _random_matrices(rng, q):
-    # zero, full, dependent, wide and tall matrices over F_q
+    # zero, full, dependent, sparse, wide and tall matrices over F_q
     out = []
     for nrows, ncols in ((1, 1), (3, 3), (4, 4), (2, 5), (3, 6), (5, 2), (6, 3)):
         out.append([[0] * ncols for _ in range(nrows)])
@@ -343,6 +343,18 @@ def _random_matrices(rng, q):
         out.append(full[:-1] + [combo])
         # entries outside [0, q) must be read mod q
         out.append([[x + q * rng.randrange(-2, 3) for x in row] for row in full])
+        # mostly zeros, as in a chain matrix: a lead per row, leads that
+        # repeat, a zero tail or one more entry after the lead, and
+        # entries outside [0, q)
+        sparse = []
+        for _ in range(nrows):
+            row = [0] * ncols
+            lead = rng.randrange(ncols)
+            row[lead] = rng.randrange(1, q) + q * rng.randrange(-1, 2)
+            if lead + 1 < ncols and rng.randrange(2):
+                row[rng.randrange(lead + 1, ncols)] = rng.randrange(-q, 2 * q)
+            sparse.append(row)
+        out.append(sparse)
     return out
 
 
@@ -1206,7 +1218,7 @@ def test_tensor_streams_the_chain_matrices(monkeypatch):
     # at odd q each flag's chain matrix is reduced as soon as it is
     # written, and the cached tensor keeps none of them, nor a lane at q = 2
     events = []
-    cells, step = flagmodel._cell_columns, flagmodel._step_generic
+    cells, step = flagmodel._cell_columns, flagmodel._add_row
     flags = itertools.count(1)
 
     def logged_cells(n, q, y):
@@ -1219,7 +1231,7 @@ def test_tensor_streams_the_chain_matrices(monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(flagmodel, "_cell_columns", logged_cells)
-    monkeypatch.setattr(flagmodel, "_step_generic", logged_step)
+    monkeypatch.setattr(flagmodel, "_add_row", logged_step)
     n = 3
     # _tensor is cached, so the streaming is watched on an uncached build
     tensor = flagmodel._count(n, flagmodel._pivot_masks(n, 3))
@@ -1243,10 +1255,19 @@ def test_tensor_streams_the_chain_matrices(monkeypatch):
         assert not _holds_chains(cached, n), q
 
 
-def test_fast_lattice_shares_no_code_with_the_kernel(monkeypatch):
-    # the literal layer runs on the elimination kernel; the pivot-profile
-    # lattice, its fast path, must not, or it would not be checked by it
-    expected = {q: flagmodel._tensor(3, q) for q in (2, 3)}
+def test_literal_layer_runs_on_the_kernel_and_lattice_matches_local_rref(monkeypatch):
+    # the literal layer and the pivot-profile lattice both run on the
+    # elimination kernel, so the lattice is checked against _local_rref,
+    # which shares no code with the package: Q(b) is the lead set of the
+    # rref of the columns in b, for every flag and its moved copy
+    for n, q in ((3, 2), (3, 3), (3, 5), (4, 3), (4, 2)):
+        for cols in _flag_columns(n, q):
+            for c in (cols, flagmodel._moved_columns(cols, q)):
+                rrefs = (_local_rref([c[j] for j in range(n) if b >> j & 1], q)
+                         for b in range((1 << n) - 1))
+                want = bytes(sum(1 << row.index(1) for row in rows) for rows in rrefs)
+                assert flagmodel._flag_masks([c], n, q) == {1: want}, (n, q, c)
+    expected = flagmodel._tensor(3, 2)
     wf, vf = representative_pair(Perm((2, 3, 1)), 3)
     # two echelon bases of one span, with different tails
     a = Subspace([(1, 1, 0), (0, 1, 1)], 3, 2)
@@ -1269,10 +1290,8 @@ def test_fast_lattice_shares_no_code_with_the_kernel(monkeypatch):
     ):
         with pytest.raises(AssertionError, match="kernel"):
             call()
-    # a fresh count, not the cached _tensor, so the patched kernel is
-    # really in reach of the lattice
-    for q in (2, 3):
-        assert flagmodel._count(3, flagmodel._pivot_masks(3, q)) == expected[q]
+    # the F_2 lanes stay off the kernel: a fresh count, not the cached _tensor
+    assert flagmodel._count(3, flagmodel._pivot_masks(3, 2)) == expected
 
 
 def test_fast_side_and_literal_layer_enumerate_apart(monkeypatch):
