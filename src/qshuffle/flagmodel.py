@@ -123,12 +123,12 @@ def _require_prime(q: int) -> None:
 # for all n! orders z off chains of Q values, without inverting C or
 # reducing any row order.
 #
-# _pivot_masks runs this lattice over every chain matrix and keeps only
-# the pivot sets Q(b), as the subset-major buffers that _count reads;
-# no chain matrix outlives it.  The flags come Bruhat cell by cell, in
-# the layout of _cell_layout.  Over F_2 all flags run at once:
-# _chain_lanes holds entry (i, j) of every chain matrix as one int, a
-# lane, whose byte f is the entry of flag f, so one XOR or AND of two
+# _pivot_masks runs this lattice over the chain matrices of the cells it
+# is given, for the full tensor and every slice alike, and keeps only the
+# pivot sets Q(b), as the subset-major buffers that _count reads; no
+# chain matrix outlives it.  Over F_2 the flags of those cells run at
+# once: _chain_lanes holds entry (i, j) of every chain matrix as one int,
+# a lane, whose byte f is the entry of flag f, so one XOR or AND of two
 # lanes steps every flag.  Other q stream the columns of _cell_columns
 # through the lattice flag by flag, on the elimination kernel mod q of
 # spectral (_add_row, _reduce), which the literal layer (Subspace, Flag,
@@ -234,25 +234,19 @@ def _cell_columns(n: int, q: int, y: Perm) -> Iterator[list[list[int]]]:
         yield [c[:] for c in cols]
 
 
-def _flags_behind(groups: Mapping[int, bytes], n: int) -> int:
-    # the flags behind the pivot sets `groups`: 2^n - 1 bytes per pattern of `weight` flags
-    full = (1 << n) - 1
-    return sum(weight * (len(masks) // full) for weight, masks in groups.items())
-
-
-def _chain_lanes(n: int) -> list[list[int]]:
-    """The chain matrices of all complete flags in F_2^n, as byte lanes.
+def _chain_lanes(n: int, labels: Iterable[Perm]) -> tuple[list[list[int]], int]:
+    """The chain matrices of the cells of `labels` over F_2, as byte lanes.
 
     lanes[j][i] is entry i of column j of every chain matrix: its byte
-    f is that entry of flag f of the cells in label order.  The cell of y,
+    f is that entry of flag f of the cells in order.  The cell of y,
     L = l(y), takes 2^L bytes of each lane: all 0x01 at its tops, zero
     off its slots, and at free slot s the counter pattern
-    (0^p 1^p) * 2^s, p = 2^(L - 1 - s).  Raises ArithmeticError if the
-    count is not flag_count(n, 2).
+    (0^p 1^p) * 2^s, p = 2^(L - 1 - s).  Returns the lanes and their
+    flag count.
     """
     pieces: dict[tuple[int, int], list[bytes]] = {(j, i): [] for j in range(n) for i in range(n)}
     count = 0
-    for y in enumerate_perms(n):
+    for y in labels:
         tops, slots = _cell_layout(y)
         size = 1 << len(slots)
         cell = {(top, k): b"\x01" * size for k, top in enumerate(tops)}
@@ -263,13 +257,12 @@ def _chain_lanes(n: int) -> list[list[int]]:
         for key, entry in pieces.items():
             entry.append(cell.get(key, zero))
         count += size
-    if count != flag_count(n, 2):
-        raise ArithmeticError(f"enumerated {count} flags, expected {flag_count(n, 2)}")
-    return [[int.from_bytes(b"".join(pieces[j, i]), "little") for i in range(n)] for j in range(n)]
+    lanes = [[int.from_bytes(b"".join(pieces[j, i]), "little") for i in range(n)] for j in range(n)]
+    return lanes, count
 
 
-def _lane_masks(lanes: Sequence[Sequence[int]], n: int) -> dict[int, bytes]:
-    """The pivot sets of every chain matrix over F_2, all flags at once.
+def _lane_masks(lanes: Sequence[Sequence[int]], n: int, count: int) -> dict[int, bytes]:
+    """The pivot sets of the `count` chain matrices in `lanes` over F_2, all at once.
 
     The same lattice as _flag_masks on lanes: s[i][j] is entry j of the
     stored column with pivot i, zero in the flags that have none.  Row
@@ -278,7 +271,6 @@ def _lane_masks(lanes: Sequence[Sequence[int]], n: int) -> dict[int, bytes]:
     i.  The pivot sets, one byte per flag, form a single buffer of
     weight 1, subset-major: byte b * count + f is Q(b) of flag f.
     """
-    count = flag_count(n, 2)
     full = (1 << n) - 1
     half = 1 << (n - 1)
     ones = int.from_bytes(b"\x01" * count, "little")
@@ -312,22 +304,17 @@ def _lane_masks(lanes: Sequence[Sequence[int]], n: int) -> dict[int, bytes]:
     return {1: b"".join(m.to_bytes(count, "little") for m in pivots)}
 
 
-def _pivot_masks(n: int, q: int) -> dict[int, bytes]:
-    """The pivot sets of every chain matrix over F_q, keyed by weight.
+def _pivot_masks(n: int, q: int, labels: Iterable[Perm]) -> dict[int, bytes]:
+    """The pivot sets of the chain matrices of the cells of `labels`, keyed by weight.
 
-    F_2 runs on the byte lanes, other q on the column lists of the cells
-    in label order as _cell_columns writes them, so no list of flags is
-    built.  The cells partition the flags, so a count that is not
-    flag_count(n, q) raises ArithmeticError.
+    F_2 runs on the byte lanes of those cells, other q on their column
+    lists as _cell_columns writes them, so no list of flags is built.
+    The cells are checked where the sets are read, by _census.
     """
     if q == 2:
-        return _lane_masks(_chain_lanes(n), n)
-    cells = (cols for y in enumerate_perms(n) for cols in _cell_columns(n, q, y))
-    groups = _flag_masks(cells, n, q)
-    count = _flags_behind(groups, n)
-    if count != flag_count(n, q):
-        raise ArithmeticError(f"enumerated {count} flags, expected {flag_count(n, q)}")
-    return groups
+        lanes, count = _chain_lanes(n, labels)
+        return _lane_masks(lanes, n, count)
+    return _flag_masks((cols for y in labels for cols in _cell_columns(n, q, y)), n, q)
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +611,8 @@ def representative_pair(w: Perm, q: int) -> tuple[Flag, Flag]:
 # per-(n, q) structure tensor
 
 
-def _count(n: int, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
-    """The convolution structure tensor at n, counted from pivot sets.
+def _count(n: int, q: int, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
+    """The convolution structure tensor of F_q^n, counted from pivot sets.
 
     Labels are indices into enumerate_perms(n).  The count of slot
     x * n! + y under z is the number of middle flags M with
@@ -640,10 +627,10 @@ def _count(n: int, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
 
     The build has two passes.  _pivot_masks runs the subset lattice of
     every chain matrix and keeps only its pivot sets, one byte per
-    column subset: over F_2 for all flags at once in byte lanes, each
-    flag with weight 1; for other q flag by flag as _cell_columns writes
-    them, flags with equal patterns merged with a weight.  _count then
-    reads every label off chains of pivot sets.
+    column subset: over F_2 for the flags of all cells at once in byte
+    lanes, each flag with weight 1; for other q flag by flag as
+    _cell_columns writes them, flags with equal patterns merged with a
+    weight.  _count then reads every label off chains of pivot sets.
     For the flag zE the label x = pos(zE, M) comes from the chain
     Q(B_1), ..., Q(B_{n-1}), B_k the coordinates outside z(1), ...,
     z(k), and the identity order gives pos(E, M), whose inverse is
@@ -659,7 +646,9 @@ def _count(n: int, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
     between fields, and one Counter per z, over the fields of every
     weight times that weight, counts them; _key_counter holds this
     packing and count, and _slice shares it.  A field needs 2 * n * w
-    bits, so n >= 9 is refused before anything is enumerated.
+    bits, so n >= 9 is refused before anything is enumerated.  The keys
+    under the identity, the first z, go to _census with every label and
+    flag_count(n, q) before any count is stored.
 
     Two identities fix every count; write w* = w0 w w0, w0 the longest
     permutation.
@@ -724,6 +713,8 @@ def _count(n: int, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
         if min(orbit) < z:
             continue
         keys = keys_under(chains[z])
+        if not z:
+            _census(n, q, keys, enumerate_perms(n), flag_count(n, q))
         xs = list(map(low.__and__, keys))
         ys = list(map(shift.__rrshift__, keys))
         counts = list(keys.values())
@@ -845,6 +836,22 @@ def _key_counter(n: int, groups: Mapping[int, bytes]) -> Callable[[Sequence[int]
     return keys_under
 
 
+def _census(n: int, q: int, keys: Mapping[int, int], labels: Iterable[Perm], total: int) -> None:
+    # the one cell check of the fast side, on the keys under the identity
+    # chain: each names pos(E, M) = y^-1 twice, and a key's y half is the
+    # same under every chain.  ArithmeticError unless they count `total`
+    # flags and q^l(y) in the cell of each y in `labels`
+    count = sum(keys.values())
+    if count != total:
+        raise ArithmeticError(f"enumerated {count} flags, expected {total}")
+    shift, _, names, _ = _label_chains(n)
+    for y in labels:
+        name = names[_perm_index(n)[y.inverse().image]]
+        held, size = keys.get(name << shift | name, 0), q ** y.length()
+        if held != size:
+            raise ArithmeticError(f"the cell of {y} holds {held} flags, expected {size}")
+
+
 def _chain_name(sets: Iterable[int], n: int) -> int:
     # the sum of the sets, as bit masks of 0..n-1, as digit vectors: set
     # S adds 1 at bit j * w for each j in S, w = (n - 1).bit_length()
@@ -871,45 +878,37 @@ def _tensor(n: int, q: int) -> list[dict[int, int]]:
     # budget.  The field width is checked first, so n >= 9 is refused
     # before any lane or cell is written
     _key_field(n)
-    return _count(n, _pivot_masks(n, q))
+    return _count(n, q, _pivot_masks(n, q, enumerate_perms(n)))
 
 
 @lru_cache(maxsize=None)
 def _slice(n: int, q: int, y: int) -> list[dict[int, int]]:
     # _cell_slice over the cell of y, kept for the products that reread it
-    return _cell_slice(n, q, y, _cell_columns(n, q, enumerate_perms(n)[y]))
+    return _cell_slice(n, q, y, _pivot_masks(n, q, [enumerate_perms(n)[y]]))
 
 
-def _cell_slice(n: int, q: int, y: int, columns: Iterable[Sequence[Sequence[int]]]) -> list[dict[int, int]]:
-    """The y-slice of the structure tensor, counted over one cell's chain matrices.
+def _cell_slice(n: int, q: int, y: int, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
+    """The y-slice of the structure tensor, counted from one cell's pivot sets.
 
     Labels are indices into enumerate_perms(n).  Entry z maps x to
     count_z(x, y): the number of middle flags M with pos(zE, M) labeled
     x and pos(M, E) labeled y.  Only the flags of the cell
-    pos(M, E) = y take part, so the lattice of _flag_masks runs over the
-    q^l(y) chain matrices in `columns`, and the key count of _count
-    reads x off every flag under every z.  Raises ArithmeticError if a
-    key's y part is not y or the cell does not hold q^l(y) flags, which
-    checks the cell formula as it runs.  The caller checks the flag
-    budget and the field width.
+    pos(M, E) = y take part, so `groups` holds the pivot sets of its
+    q^l(y) chain matrices, and the key count of _count reads x off every
+    flag under every z.  _census raises ArithmeticError unless they are
+    q^l(y) flags, all in that cell, which checks the cell formula as it
+    runs.  The caller checks the flag budget and the field width.
     """
     label = enumerate_perms(n)[y]
-    groups = _flag_masks(columns, n, q)
-    flags = _flags_behind(groups, n)
-    if flags != q ** label.length():
-        raise ArithmeticError(f"the cell of {label} holds {flags} flags, expected "
-                              f"{q ** label.length()}")
     keys_under = _key_counter(n, groups)
     shift, chains, names, _ = _label_chains(n)
     low = (1 << shift) - 1
-    # the y part of a key names the chain of pos(E, M) = y^-1
-    y_name = {names[_relabels(n)[1][y]]}
     x_of = dict(zip(names, itertools.count()))
     out = []
-    for chain in chains:
+    for z, chain in enumerate(chains):
         keys = keys_under(chain)
-        if set(map(operator.rshift, keys, itertools.repeat(shift))) != y_name:
-            raise ArithmeticError(f"a flag of the cell of {label} is not in position {label}")
+        if not z:
+            _census(n, q, keys, [label], q ** label.length())
         out.append({x_of[key & low]: c for key, c in keys.items()})
     return out
 
@@ -919,12 +918,12 @@ def check_orbit_representatives(n: int, q: int, budget: int = FLAG_BUDGET) -> No
 
     Each cell of _cell_columns is moved by the h of _moved_columns,
     column i + column i + 1 mod q, which keeps it and reads orbit z at
-    (h^-1 zE, E), and _cell_slice reduces every moved flag once with the
-    per-flag lattice at every q, so at q = 2 the lanes of the cached
-    tensor meet their oracle.  Its y check
-    proves that h kept every flag in its cell, and the slice must equal
-    column y of the cached tensor, which checks the K-orbit rows against
-    direct per-cell counts; otherwise ArithmeticError names n and q.
+    (h^-1 zE, E).  _flag_masks reduces every moved flag once at every
+    q, so at q = 2 the lanes of the cached tensor meet their oracle.
+    The census of _cell_slice proves that h kept every flag in its
+    cell, and the slice must equal column y of the cached tensor, which
+    checks the K-orbit rows against direct per-cell counts; otherwise
+    ArithmeticError names n and q.
     The flag budget and the field width are checked before anything is
     enumerated.
     """
@@ -941,7 +940,7 @@ def check_orbit_representatives(n: int, q: int, budget: int = FLAG_BUDGET) -> No
             for z, c in tensor[row_of[s]].items():
                 column[relabel[z]][x] = c
         moved = (_moved_columns(cols, q) for cols in _cell_columns(n, q, label))
-        if _cell_slice(n, q, y, moved) != column:
+        if _cell_slice(n, q, y, _flag_masks(moved, n, q)) != column:
             raise ArithmeticError(f"slice {label} at n = {n}, q = {q} "
                                   "differs from the structure tensor")
 

@@ -51,7 +51,7 @@ package: the literal flag layer (subspaces, flags, intersection
 dimensions) and the pivot-profile lattice of the flag model at odd q
 run on it too.  Their rows are mostly zeros, so it skips the zero
 entries of each echelon row.  Only the F_2 lanes of the flag model
-eliminate on their own, all flags at once.
+eliminate on their own, all flags of a set of cells at once.
 """
 
 from __future__ import annotations

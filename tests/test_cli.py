@@ -17,6 +17,7 @@ import qshuffle.cli as cli
 from qshuffle import flagmodel
 from qshuffle.cli import main
 from qshuffle.report import CheckResult
+from test_acceptance import FLAG_GRID
 
 
 def test_verify_lemma3_text(capsys):
@@ -374,6 +375,39 @@ def test_json_stdout_is_pinned(capsys, argv, digest):
     # on purpose updates the digest and says so in CHANGES.md
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# the sha256 of the joined stdout of the four flag checks at each point
+# of FLAG_GRID, each as text and then as json, recorded before the fast
+# side read its slices through the one pivot-set builder
+FLAG_CHECK_DIGESTS = {
+    (2, 2): "36c4922673171f7958557981cbcf4188862d5b17740be50772527446ebc08fe7",
+    (2, 3): "d796fd67317fd0cbd6762a65e69bdfe0bf8b05d830aa4f153d67c1adba64624a",
+    (3, 2): "34fd9ba046f6d9a6bf2873e6ea5a412c899ae759d0fbeee7419e47af7b0de0f1",
+    (3, 3): "4e9fe7a201d6947d479facea60bd5ef0a123307a607ef6f12057930d03304873",
+    (3, 5): "ece05f909240456e7499d9f35ee03f0b3a5b4db5fd4937029f563aea18e34160",
+    (4, 2): "c9a69361f99a787697b8b8cfe11694095ad1d2447cc9ceb38060446254af1b90",
+    (4, 3): "7552ccf8b133f8e15bedba0a6016c9024ab867edda0cf33836c8adc2d048a0a3",
+    (5, 2): "8f182072a91f7036c1afaccfcf5f444e20b2557bae0265fa39871f08e2670ec7",
+}
+
+
+@pytest.mark.parametrize("n, q", FLAG_GRID)
+def test_flag_check_bytes_are_pinned(capsys, n, q):
+    # a change that alters these bytes on purpose updates the digest and
+    # says so in CHANGES.md; a passing cross-check leaves the bytes of a
+    # check unchanged, tried once per point on the check that builds the
+    # full tensor anyway
+    point = ["--n", str(n), "--q", str(q)]
+    outs = []
+    for check in ("lemma3", "factorization", "span", "structure-constants"):
+        for fmt in ("text", "json"):
+            assert main(["verify", check, *point, "--format", fmt]) == 0
+            outs.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == FLAG_CHECK_DIGESTS[n, q]
+    argv = ["verify", "structure-constants", *point, "--format", "json", "--debug-orbit-checks"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == outs[-1]
 
 
 def test_json_verdicts_are_the_conjunction_of_their_rows(capsys):

@@ -758,9 +758,12 @@ def test_cells_partition_the_flags():
 
 
 def test_slices_match_the_tensor_columns():
-    # slice y, counted over its cell, is column y of the full tensor
+    # slice y, counted over its cell, is column y of the full tensor; at
+    # q = 2 it reads the lanes of its cell, so it must also equal the
+    # slice counted from the per-flag lattice of that cell
     for n, q in FLAG_GRID:
-        nperms = math.factorial(n)
+        perms = enumerate_perms(n)
+        nperms = len(perms)
         table = _expanded(n, flagmodel._tensor(n, q))
         for y in range(nperms):
             column = [{} for _ in range(nperms)]
@@ -768,13 +771,17 @@ def test_slices_match_the_tensor_columns():
                 for z, c in table[x * nperms + y].items():
                     column[z][x] = c
             assert flagmodel._slice(n, q, y) == column, (n, q, y)
+            if q == 2:
+                per_flag = flagmodel._flag_masks(flagmodel._cell_columns(n, q, perms[y]), n, q)
+                assert flagmodel._cell_slice(n, q, y, per_flag) == column, (n, q, y)
 
 
 def test_key_count_tables_are_built_once_per_n(monkeypatch):
     # the first slice at n = 4 builds the per-n tables of _label_chains;
     # a slice of another cell names no chain again
     n, q = 4, 2
-    flagmodel._cell_slice(n, q, 0, flagmodel._cell_columns(n, q, enumerate_perms(n)[0]))
+    perms = enumerate_perms(n)
+    flagmodel._cell_slice(n, q, 0, flagmodel._pivot_masks(n, q, perms[:1]))
     name, calls = flagmodel._chain_name, []
 
     def counted_name(*args):
@@ -782,47 +789,82 @@ def test_key_count_tables_are_built_once_per_n(monkeypatch):
         return name(*args)
 
     monkeypatch.setattr(flagmodel, "_chain_name", counted_name)
-    y = len(enumerate_perms(n)) - 1
-    flagmodel._cell_slice(n, q, y, flagmodel._cell_columns(n, q, enumerate_perms(n)[y]))
+    flagmodel._cell_slice(n, q, len(perms) - 1, flagmodel._pivot_masks(n, q, perms[-1:]))
     assert calls == []
 
 
+def _fault_cells(monkeypatch, fault):
+    # every cell the fast side reads goes through fault(column lists,
+    # label): the lanes of _chain_lanes at q = 2, _cell_columns at other
+    # q and in the cross-check at every q
+    lanes, cells = flagmodel._chain_lanes, flagmodel._cell_columns
+
+    def faulty_lanes(n, labels):
+        columns = [cols for y in labels for cols in fault(_unlane(*lanes(n, [y])), y)]
+        return _relane(columns), len(columns)
+
+    monkeypatch.setattr(flagmodel, "_chain_lanes", faulty_lanes)
+    monkeypatch.setattr(flagmodel, "_cell_columns", lambda n, q, y: fault(list(cells(n, q, y)), y))
+
+
 def test_slice_refuses_a_faulty_cell(monkeypatch, capsys):
-    n, q = 3, 2
+    n = 3
     perms = enumerate_perms(n)
     longest = perms.index(Perm((3, 2, 1)))
-    cells = flagmodel._cell_columns
-    stray = next(cells(n, q, Perm.identity(n)))
-    # the cached slices that lemma3 reads below are counted on the true
-    # cells, whatever ran before
-    for y in range(len(perms)):
-        flagmodel._slice(n, q, y)
-    faults = (
-        (lambda c: c[1:], r"the cell of \(3 2 1\) holds 7 flags, expected 8"),
-        (lambda c: c + c[:1], r"the cell of \(3 2 1\) holds 9 flags, expected 8"),
-        (lambda c: c[:-1] + [stray], r"a flag of the cell of \(3 2 1\) is not in position"),
-    )
-    for fault, message in faults:
-        monkeypatch.setattr(flagmodel, "_cell_columns",
-                            lambda n, q, y, fault=fault: fault(list(cells(n, q, y))))
+    for q in (2, 3):
+        stray = next(flagmodel._cell_columns(n, q, Perm.identity(n)))
+        # the cached tensor and slices that the cross-check and lemma3
+        # read below are counted on the true cells, whatever ran before
+        flagmodel._tensor(n, q)
+        for y in range(len(perms)):
+            flagmodel._slice(n, q, y)
+        size = q ** 3
+        faults = (
+            (lambda c, y: c[1:], f"enumerated {size - 1} flags, expected {size}"),
+            (lambda c, y: c + c[:1], f"enumerated {size + 1} flags, expected {size}"),
+            (lambda c, y: c[:-1] + [stray],
+             rf"the cell of \(3 2 1\) holds {size - 1} flags, expected {size}"),
+        )
+        for fault, message in faults:
+            _fault_cells(monkeypatch, fault)
+            with pytest.raises(ArithmeticError, match=message):
+                flagmodel._slice.__wrapped__(n, q, longest)
+            monkeypatch.undo()
+        # one flag dropped and another doubled keeps the count and every y
+        # part, so only the cross-check of --debug-orbit-checks catches it:
+        # its moved cells are the faulty ones, and the first cell of
+        # several flags, (1 3 2), is the first to differ from the tensor
+        _fault_cells(monkeypatch, lambda c, y: c[:-1] + c[:1])
+        flagmodel._slice.__wrapped__(n, q, longest)
+        moved = f"slice (1 3 2) at n = 3, q = {q} differs from the structure tensor"
+        with pytest.raises(ArithmeticError, match=re.escape(moved)):
+            check_orbit_representatives(n, q)
+        assert main(["verify", "lemma3", "--n", "3", "--q", str(q), "--debug-orbit-checks",
+                     "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in doc["checks"]] == ["lemma3", "orbit-representatives"]
+        assert doc["checks"][0]["pass"] and not doc["checks"][1]["pass"]
+        assert moved in doc["checks"][1]["details"][0]["witness"]
+        monkeypatch.undo()
+
+
+def test_census_names_a_cell_that_keeps_the_total(monkeypatch):
+    # one flag of the cell of (3 2 1) dropped and one of (1 3 2) doubled
+    # keeps flag_count(n, q), so only the count of each cell on the
+    # identity chain refuses the full tensor; at q = 2 the lanes carry the
+    # fault.  The failed build leaves no tensor cached
+    n = 3
+    drop, double = Perm((3, 2, 1)), Perm((1, 3, 2))
+    tensors = {q: flagmodel._tensor(n, q) for q in (2, 3)}
+    flagmodel._tensor.cache_clear()
+    _fault_cells(monkeypatch, lambda c, y: c[1:] if y == drop else c + c[:1] if y == double else c)
+    for q in (2, 3):
+        message = rf"the cell of \(1 3 2\) holds {q + 1} flags, expected {q}"
         with pytest.raises(ArithmeticError, match=message):
-            flagmodel._slice.__wrapped__(n, q, longest)
-    # one flag dropped and another doubled keeps the count and every y
-    # part, so only the cross-check of --debug-orbit-checks catches it:
-    # its moved cells are the faulty ones, and the first cell of two
-    # flags, (1 3 2), is the first to differ from the lane-built tensor
-    monkeypatch.setattr(flagmodel, "_cell_columns",
-                        lambda n, q, y: (lambda c: c[:-1] + c[:1])(list(cells(n, q, y))))
-    flagmodel._slice.__wrapped__(n, q, longest)
-    moved = "slice (1 3 2) at n = 3, q = 2 differs from the structure tensor"
-    with pytest.raises(ArithmeticError, match=re.escape(moved)):
-        check_orbit_representatives(n, q)
-    assert main(["verify", "lemma3", "--n", "3", "--q", "2", "--debug-orbit-checks",
-                 "--format", "json"]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert [c["name"] for c in doc["checks"]] == ["lemma3", "orbit-representatives"]
-    assert doc["checks"][0]["pass"] and not doc["checks"][1]["pass"]
-    assert moved in doc["checks"][1]["details"][0]["witness"]
+            flagmodel._tensor(n, q)
+    assert flagmodel._tensor.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert {q: flagmodel._tensor(n, q) for q in (2, 3)} == tensors
 
 
 def test_convolve_matches_the_tensor_products():
@@ -887,29 +929,32 @@ def _patterns(n, groups):
 
 
 def test_chain_lanes_match_the_cell_stream():
-    # entry by entry, in the flag order of the cells
+    # entry by entry, in the flag order of the cells, for all cells at
+    # once and for each cell alone
     for n in range(1, 6):
+        perms = enumerate_perms(n)
         expected = _flag_columns(n, 2)
-        lanes = flagmodel._chain_lanes(n)
-        assert _unlane(lanes, flag_count(n, 2)) == expected, n
+        lanes, count = flagmodel._chain_lanes(n, perms)
+        assert count == flag_count(n, 2), n
+        assert _unlane(lanes, count) == expected, n
         assert _relane(expected) == lanes, n
+        for y in perms:
+            assert _unlane(*flagmodel._chain_lanes(n, [y])) == list(
+                flagmodel._cell_columns(n, 2, y)), (n, y)
 
 
 def test_count_check_fires_on_a_dropped_cell(monkeypatch):
     # the cell of the longest permutation, q^3 flags at n = 3, goes
-    # missing from the lanes and from the cells that _pivot_masks
-    # streams; the failed build leaves no tensor cached
+    # missing from the labels that _tensor hands the lanes and the cell
+    # stream of _pivot_masks; the census of _count refuses the total,
+    # and the failed build leaves no tensor cached
     n = 3
     perms = enumerate_perms(n)
     tensors = {q: flagmodel._tensor(n, q) for q in (2, 3)}
     flagmodel._tensor.cache_clear()
     monkeypatch.setattr(flagmodel, "enumerate_perms", lambda n: perms[:-1])
-    with pytest.raises(ArithmeticError, match="enumerated 13 flags, expected 21"):
-        flagmodel._chain_lanes(n)
-    with pytest.raises(ArithmeticError, match="enumerated 25 flags, expected 52"):
-        flagmodel._pivot_masks(n, 3)
-    for q, count in ((2, 13), (3, 25)):
-        with pytest.raises(ArithmeticError, match=f"enumerated {count} flags"):
+    for q, count, total in ((2, 13, 21), (3, 25, 52)):
+        with pytest.raises(ArithmeticError, match=f"enumerated {count} flags, expected {total}"):
             flagmodel._tensor(n, q)
     assert flagmodel._tensor.cache_info().currsize == 0
     monkeypatch.undo()
@@ -919,18 +964,23 @@ def test_count_check_fires_on_a_dropped_cell(monkeypatch):
 def test_packed_f2_backend_matches_generic():
     # the lane lattice against the flag-by-flag one at q = 2, on the
     # chain matrices and, relaned, on their moved copies of the debug
-    # rebuild
+    # rebuild, and cell by cell as _slice reads it
     for n in range(1, 6):
-        lanes = flagmodel._chain_lanes(n)
+        perms = enumerate_perms(n)
+        lanes, count = flagmodel._chain_lanes(n, perms)
         columns = _flag_columns(n, 2)
         moved_columns = [flagmodel._moved_columns(cols, 2) for cols in columns]
-        assert _unlane(lanes, flag_count(n, 2)) == columns, n
+        assert _unlane(lanes, count) == columns, n
         for chains, cols in ((lanes, columns), (_relane(moved_columns), moved_columns)):
-            got, want = flagmodel._lane_masks(chains, n), flagmodel._flag_masks(cols, n, 2)
+            got, want = flagmodel._lane_masks(chains, n, count), flagmodel._flag_masks(cols, n, 2)
             assert _patterns(n, got) == _patterns(n, want), n
-            assert flagmodel._count(n, got) == flagmodel._tensor(n, 2), n
-            assert flagmodel._count(n, want) == flagmodel._tensor(n, 2), n
-        assert flagmodel._pivot_masks(n, 2) == flagmodel._lane_masks(lanes, n), n
+            assert flagmodel._count(n, 2, got) == flagmodel._tensor(n, 2), n
+            assert flagmodel._count(n, 2, want) == flagmodel._tensor(n, 2), n
+        assert flagmodel._pivot_masks(n, 2, perms) == flagmodel._lane_masks(lanes, n, count), n
+        for y in perms:
+            got = flagmodel._pivot_masks(n, 2, [y])
+            want = flagmodel._flag_masks(flagmodel._cell_columns(n, 2, y), n, 2)
+            assert _patterns(n, got) == _patterns(n, want), (n, y)
 
 
 def test_orbit_check_at_q2_reads_no_lanes(monkeypatch):
@@ -981,14 +1031,13 @@ def test_orbit_check_catches_a_faulty_lane_lattice(monkeypatch):
     # the flag with chain basis e_1, e_2 + e_3, e_2
     f = _flag_columns(3, 2).index([[1, 0, 0], [0, 1, 1], [0, 1, 0]])
 
-    def faulty(lanes, n):
+    def faulty(lanes, n, count):
         # byte count + f is Q(b) of flag f for b = {the first column}:
         # its pivot moves from the first row to the second, which leaves
         # every chain of pivot sets a chain, so the count runs and only
         # the tensor is wrong
-        [buf] = masks(lanes, n).values()
+        [buf] = masks(lanes, n, count).values()
         buf = bytearray(buf)
-        count = flag_count(n, 2)
         assert buf[count + f] == 0b01
         buf[count + f] = 0b10
         return {1: bytes(buf)}
@@ -1037,10 +1086,10 @@ def test_lattices_refuse_dependent_columns():
     # column 2 of one flag repeats its column 1, so the subset {1, 2}
     # has no new pivot there
     n = 3
-    columns = _unlane(flagmodel._chain_lanes(n), flag_count(n, 2))
+    columns = _unlane(*flagmodel._chain_lanes(n, enumerate_perms(n)))
     columns[5][2] = columns[5][1]
     with pytest.raises(ArithmeticError, match="dependent columns have no pivot"):
-        flagmodel._lane_masks(_relane(columns), n)
+        flagmodel._lane_masks(_relane(columns), n, len(columns))
     with pytest.raises(ArithmeticError, match="dependent columns have no pivot"):
         flagmodel._flag_masks(columns, n, 2)
 
@@ -1079,7 +1128,7 @@ def _scatter(n, patterns):
 def test_counting_kernel_matches_the_scatter():
     weight_groups = set()
     for n, q in FLAG_GRID:
-        groups = flagmodel._pivot_masks(n, q)
+        groups = flagmodel._pivot_masks(n, q, enumerate_perms(n))
         patterns = _patterns(n, groups)
         assert sum(patterns.values()) == flag_count(n, q)
         weight_groups.add(len(groups))
@@ -1103,7 +1152,7 @@ def test_scatter_obeys_the_transpose_and_duality_identities():
         index = {w: i for i, w in enumerate(perms)}
         inverse = [index[w.inverse()] for w in perms]
         star = [index[_star(w)] for w in perms]
-        full = _scatter(n, _patterns(n, flagmodel._pivot_masks(n, q)))
+        full = _scatter(n, _patterns(n, flagmodel._pivot_masks(n, q, perms)))
         for x, y in itertools.product(range(nperms), repeat=2):
             counts = full[x * nperms + y]
             turned = full[inverse[y] * nperms + inverse[x]]
@@ -1126,7 +1175,7 @@ def test_tensor_counts_once_per_symmetry_orbit(monkeypatch):
     monkeypatch.setattr(flagmodel, "Counter", Counted)
     for n, labels, rows in ((4, 13, 172), (5, 45, 3676)):
         runs.clear()
-        tensor = flagmodel._count(n, flagmodel._pivot_masks(n, 2))
+        tensor = flagmodel._count(n, 2, flagmodel._pivot_masks(n, 2, enumerate_perms(n)))
         assert (len(runs), len(tensor)) == (labels, rows), n
         assert len(flagmodel._slot_orbits(n)[0]) == rows, n
     # the label orbits {z, z^-1, z*, z*^-1} at n = 6
@@ -1163,7 +1212,7 @@ def test_counting_field_width_guard(monkeypatch):
     # 10**14 is over flag_count(9, 2), so only the field width refuses
     for call in (lambda: flagmodel._tensor(9, 2),
                  lambda: check_orbit_representatives(9, 2, 10**14),
-                 lambda: flagmodel._count(9, {})):
+                 lambda: flagmodel._count(9, 2, {})):
         with pytest.raises(ValueError, match="72 bits, over 64"):
             call()
 
@@ -1183,7 +1232,7 @@ def test_debug_rebuild_moves_every_chain_matrix():
         assert all(a != b for a, b in zip(after, before)), (n, q)
         groups = flagmodel._flag_masks(after, n, q)
         tensor = flagmodel._tensor(n, q)
-        assert flagmodel._count(n, groups) == tensor, (n, q)
+        assert flagmodel._count(n, q, groups) == tensor, (n, q)
         assert _scatter(n, _patterns(n, groups)) == _expanded(n, tensor), (n, q)
     # h keeps every cell: by the literal layer, each moved chain matrix
     # spans a flag in the position of its cell, and is another matrix
@@ -1234,16 +1283,16 @@ def test_tensor_streams_the_chain_matrices(monkeypatch):
     monkeypatch.setattr(flagmodel, "_add_row", logged_step)
     n = 3
     # _tensor is cached, so the streaming is watched on an uncached build
-    tensor = flagmodel._count(n, flagmodel._pivot_masks(n, 3))
+    tensor = flagmodel._count(n, 3, flagmodel._pivot_masks(n, 3, enumerate_perms(n)))
     first, second = events.index(("yield", 1)), events.index(("yield", 2))
     assert ("step",) in events[first:second]
     monkeypatch.undo()
-    assert tensor == flagmodel._count(n, flagmodel._flag_masks(_flag_columns(n, 3), n, 3))
-    assert tensor == flagmodel._count(n, flagmodel._flag_masks(_basis_columns(n, 3), n, 3))
+    assert tensor == flagmodel._count(n, 3, flagmodel._flag_masks(_flag_columns(n, 3), n, 3))
+    assert tensor == flagmodel._count(n, 3, flagmodel._flag_masks(_basis_columns(n, 3), n, 3))
     assert tensor == flagmodel._tensor(n, 3)
     # the check finds chain matrices and lanes where they are kept
     assert _holds_chains(_flag_columns(n, 3), n)
-    assert _holds_chains(flagmodel._chain_lanes(n), n)
+    assert _holds_chains(flagmodel._chain_lanes(n, enumerate_perms(n))[0], n)
     for q in (2, 3):
         check_orbit_representatives(n, q)
         cached = flagmodel._tensor(n, q)
@@ -1268,6 +1317,7 @@ def test_literal_layer_runs_on_the_kernel_and_lattice_matches_local_rref(monkeyp
                 want = bytes(sum(1 << row.index(1) for row in rows) for rows in rrefs)
                 assert flagmodel._flag_masks([c], n, q) == {1: want}, (n, q, c)
     expected = flagmodel._tensor(3, 2)
+    slices = [flagmodel._slice(3, 2, y) for y in range(6)]
     wf, vf = representative_pair(Perm((2, 3, 1)), 3)
     # two echelon bases of one span, with different tails
     a = Subspace([(1, 1, 0), (0, 1, 1)], 3, 2)
@@ -1290,8 +1340,10 @@ def test_literal_layer_runs_on_the_kernel_and_lattice_matches_local_rref(monkeyp
     ):
         with pytest.raises(AssertionError, match="kernel"):
             call()
-    # the F_2 lanes stay off the kernel: a fresh count, not the cached _tensor
-    assert flagmodel._count(3, flagmodel._pivot_masks(3, 2)) == expected
+    # the F_2 lanes stay off the kernel, for the tensor and for every
+    # slice: fresh counts, not the cached ones
+    assert flagmodel._count(3, 2, flagmodel._pivot_masks(3, 2, enumerate_perms(3))) == expected
+    assert [flagmodel._slice.__wrapped__(3, 2, y) for y in range(6)] == slices
 
 
 def test_fast_side_and_literal_layer_enumerate_apart(monkeypatch):
