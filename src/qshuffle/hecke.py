@@ -21,13 +21,17 @@ or a plain int for the value at an integer q.  The walks key their
 terms by label index, the position of w in enumerate_perms(n), and
 read s_i w and the sign of l(s_i w) - l(w) off one table per generator
 (``_rank_steps``); the public functions translate to Perm only at their
-boundary.  Left multiplication by tau (n - 1 steps with a running sum)
-and T_x b for every x (one step per x) are walks over that step.
-``mul`` walks at Q and is the Z[q] oracle of the int walks.  The
-spectrum's tau matrix and the structure-constant check walk at their
-integer q.  ``wallach_product`` walks at q = 2^B
-(Kronecker substitution) and decodes each coefficient as balanced
-base-2^B digits, with B from a proven bound on the coefficients.
+boundary.  T_x b for every x is a walk over that step, one step per x
+from the product at the first left descent of x.  Left multiplication
+by tau is n - 1 generator steps with a running sum, in whatever
+representation supplies the action y -> T_i y: the step here for the
+regular representation, and the seminormal blocks of the spectrum for
+its irreducible ones.  ``mul`` walks at Q and is the Z[q] oracle of the
+int walks.  The dense tau matrix, the oracle of the multiplicity
+tests, and the structure-constant check walk at their integer q.
+``wallach_product`` walks at q = 2^B (Kronecker substitution) and
+decodes each coefficient as balanced base-2^B digits, with B from a
+proven bound on the coefficients.
 
 The q = 1 identity stays independent of the step.
 ``wallach_group_product`` keeps its running product as one int of n!
@@ -233,24 +237,6 @@ def _rank_steps(n: int) -> tuple[list[int], ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _first_descents(n: int) -> list[tuple[list[int], int] | None]:
-    """The first left descent of each label index, and the index it steps to.
-
-    Entry u is (d_i, u + d_i[u]) for the least i with d_i[u] < 0, d_i
-    the rank steps of s_i: the table of the first left descent i of w_u
-    and the index of s_i w_u, which is smaller.  The identity, index 0,
-    has no descent and holds None.  Built on first use, once per n.
-    """
-    table: list[tuple[list[int], int] | None] = [None] * math.factorial(n)
-    # the later generators first, so the least descent is written last
-    for step in reversed(_rank_steps(n)):
-        for u, d in enumerate(step):
-            if d < 0:
-                table[u] = (step, u + d)
-    return table
-
-
 def _simple_times(step: Sequence[int], terms: Mapping[int, R], q: R) -> dict[int, R]:
     # T_i * sum c_u T_u for the rank steps `step` of s_i, keyed by label
     # index, over the ring of q (the Poly Q or an int); zero
@@ -272,6 +258,13 @@ def _simple_times(step: Sequence[int], terms: Mapping[int, R], q: R) -> dict[int
     return out
 
 
+def _regular(n: int, q: R) -> Callable[[int, Mapping[int, R]], dict[int, R]]:
+    # the regular representation's action (i, y) -> T_i y over the ring
+    # of q, keyed by label index: one generator step over _rank_steps
+    steps = _rank_steps(n)
+    return lambda i, terms: _simple_times(steps[i - 1], terms, q)
+
+
 def _indices(a: HeckeElt) -> dict[int, Poly]:
     index = _perm_index(a.n)
     return {index[w.image]: c for w, c in a.terms.items()}
@@ -287,18 +280,18 @@ def _basis_walk(n: int, terms: Mapping[int, R], q: R) -> Callable[[int], dict[in
     # x -> T_x * b for b = sum of `terms`, keyed by label index, over the
     # ring of q; zero terms dropped.  Each product is one generator step
     # from a shorter one, T_x b = T_i (T_{s_i x} b) for the first left
-    # descent i of x, read off _first_descents, and is memoized, so
-    # products share their common prefixes.  A descent is a negative
-    # rank step, so s_i x precedes x and in enumerate_perms order every
-    # call is one step.
-    descents = _first_descents(n)
+    # descent i of x, the first generator whose rank step is negative at
+    # x, and is memoized, so products share their common prefixes.  A
+    # negative step means s_i x = x + d_i[x] precedes x in
+    # enumerate_perms order, so every call is one step.
+    steps = _rank_steps(n)
     memo: dict[int, dict[int, R]] = {0: dict(terms)}
 
     def walk(x: int) -> dict[int, R]:
         hit = memo.get(x)
         if hit is None:
-            step, parent = descents[x]
-            prod = _simple_times(step, walk(parent), q)
+            step = next(s for s in steps if s[x] < 0)
+            prod = _simple_times(step, walk(x + step[x]), q)
             memo[x] = hit = {u: c for u, c in prod.items() if c}
         return hit
 
@@ -346,17 +339,19 @@ def tau(n: int) -> HeckeElt:
     return HeckeElt(n, [(cycle_element(g, n), ONE) for g in range(1, n + 1)])
 
 
-def _tau_walk(n: int, terms: Mapping[int, R], q: R) -> dict[int, R]:
-    # tau * x over the ring of q in n - 1 generator steps, keyed by
-    # label index: T_{c_g} = T_g T_{c_{g+1}} as lengths add, so each
-    # T_{c_g} x is one step from T_{c_{g+1}} x, starting at
-    # T_{c_n} x = x, and tau * x is their running sum.  The result holds
-    # every key of `terms` and keeps zero coefficients.
-    steps = _rank_steps(n)
+def _tau_walk(
+    n: int, terms: Mapping[int, R], times: Callable[[int, Mapping[int, R]], dict[int, R]]
+) -> dict[int, R]:
+    # tau * x in n - 1 generator steps of an action times(i, y) = T_i y,
+    # in any representation with sparse keyed vectors: T_{c_g} =
+    # T_g T_{c_{g+1}} as lengths add, so each T_{c_g} x is one step from
+    # T_{c_{g+1}} x, starting at T_{c_n} x = x, and tau * x is their
+    # running sum.  The result holds every key of `terms` and keeps zero
+    # coefficients.
     acc = dict(terms)
     step = terms
     for g in range(n - 1, 0, -1):
-        step = _simple_times(steps[g - 1], step, q)
+        step = times(g, step)
         for u, c in step.items():
             old = acc.get(u)
             acc[u] = c if old is None else old + c
@@ -428,11 +423,12 @@ def wallach_product(n: int, omit: int | None = None) -> HeckeElt:
     factors = _factors(n, omit)
     bits = _kronecker_bits(n, omit)
     q = 1 << bits
+    times = _regular(n, q)
     # the identity has index 0
     prod = {0: 1}
     for k in factors:
         qk = q_int(k)(q)
-        shifted = _tau_walk(n, prod, q)
+        shifted = _tau_walk(n, prod, times)
         for u, c in prod.items():
             shifted[u] -= qk * c
         prod = {u: c for u, c in shifted.items() if c}

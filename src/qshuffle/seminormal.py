@@ -3,17 +3,21 @@
 For an integer q0 >= 1 and a partition lam of n, rho_lam acts on a space
 with one basis vector v_t per standard tableau t of shape lam.  Let
 c_t(k) be the content (column minus row) of the entry k in t, and let
-r = c_t(i+1) - c_t(i) for a generator T_i; r is never 0.  With
+r = c_t(i+1) - c_t(i) for a generator T_i; r is never 0.  Write m = |r|
+and [m] = 1 + q0 + ... + q0^(m-1).  With
 
-    a(r) = (q0 - 1) q0^r / (q0^r - 1),   or its limit 1/r at q0 = 1,
+    a(r) = q0^m / [m] for r > 0,   a(r) = -1 / [m] for r < 0,
 
 T_i v_t = a(r) v_t + b v_s, where s = s_i t is t with i and i+1
 swapped.  The v_s term is there only when s is standard, which happens
-exactly when |r| >= 2.  Then b is 1 when r > 0 and a(r) a(-r) + q0 when
-r < 0, so each 2x2 block on (v_t, v_s) has trace q0 - 1 and determinant
--q0.  This is Hoefsmit's form (thesis, 1974), as in Mathas,
-*Iwahori-Hecke algebras and Schur algebras of the symmetric group*
-(1999); at q0 = 1 it is Young's seminormal form of S_n.
+exactly when |r| >= 2.  Then b is 1 when r > 0 and
+a(r) a(-r) + q0 = (q0 [m]^2 - q0^m) / [m]^2 when r < 0, so each 2x2
+block on (v_t, v_s) has trace q0 - 1 and determinant -q0.  This is
+Hoefsmit's form (thesis, 1974), as in Mathas, *Iwahori-Hecke algebras
+and Schur algebras of the symmetric group* (1999), whose
+a(r) = (q0 - 1) q0^r / (q0^r - 1) is the one above with the factor
+q0 - 1 cancelled; so one formula holds for every q0 >= 1, and at
+q0 = 1, where a(r) = 1/r, it is Young's seminormal form of S_n.
 
 A `Block` holds each rho_lam(T_i) as sparse integer columns, every entry
 times one common denominator D, so that the relations of H_n(q0) and the
@@ -21,13 +25,14 @@ Jucys-Murphy eigenvalues can be checked exactly on ints.  It assumes
 none of the facts the multiplicity proof needs: it computes them, and
 `spectral` decides from them.  A block also gives rho_lam(tau) modulo a
 prime, built by `Block.apply`, the action whose relations are checked,
-in the order of `hecke._tau_walk`.
+through `hecke._tau_walk`.
 """
 
 from __future__ import annotations
 
 import math
 
+from .hecke import _tau_walk
 from .polyring import q_int
 
 __all__ = ["Block", "partitions"]
@@ -101,7 +106,8 @@ class Block:
     coefficient of v_t in D * T_i v_t, the index of the partner s_i t
     (-1 when it is not standard) and the coefficient of v_{s_i t}.  D =
     `denominator` is the least common multiple of the denominators of
-    the entries.
+    the entries: the lcm of the [m], m = |r|, squared where s_i t is
+    standard.
     """
 
     __slots__ = ("shape", "q0", "tableaux", "contents", "denominator", "gens")
@@ -114,16 +120,6 @@ class Block:
         index = {t: j for j, t in enumerate(self.tableaux)}
         n = sum(shape)
 
-        # a(r) = num / den(|r|), and the off-diagonal a(r) a(-r) + q0 is
-        # (q0 den^2 - u v) / den^2, with u = (q0 - 1) q0^m, v = q0 - 1
-        # (both 1 at q0 = 1)
-        def den(m: int) -> int:
-            return m if q0 == 1 else q0**m - 1
-
-        def u(m: int) -> int:
-            return 1 if q0 == 1 else (q0 - 1) * q0**m
-
-        v = 1 if q0 == 1 else q0 - 1
         # per generator, per column: (r, partner)
         moves = []
         for i in range(1, n):
@@ -135,7 +131,9 @@ class Block:
                 s = index.get(t[: i - 1] + (b, a) + t[i + 1 :], -1) if a != b else -1
                 col.append((c[i] - c[i - 1], s))
             moves.append(col)
-        dens = {den(abs(r)) ** (2 if s >= 0 else 1) for col in moves for r, s in col}
+        # [m] for every m = |r|, the one denominator of the entries
+        bracket = {abs(r): q_int(abs(r))(q0) for col in moves for r, _ in col}
+        dens = {bracket[abs(r)] ** (2 if s >= 0 else 1) for col in moves for r, s in col}
         big_d = math.lcm(*dens)
         self.denominator = big_d
         self.gens: list[_Gen] = []
@@ -143,15 +141,15 @@ class Block:
             diag, partner, off = [], [], []
             for r, s in col:
                 m = abs(r)
-                d = den(m)
-                diag.append(big_d // d * (u(m) if r > 0 else -v))
+                d = bracket[m]
+                diag.append(big_d // d * (q0**m if r > 0 else -1))
                 partner.append(s)
                 if s < 0:
                     off.append(0)
                 elif r > 0:
                     off.append(big_d)
                 else:
-                    off.append(big_d // d**2 * (q0 * d * d - u(m) * v))
+                    off.append(big_d // d**2 * (q0 * d * d - q0**m))
             self.gens.append((diag, partner, off))
 
     def apply(self, i: int, vec: dict[int, int]) -> dict[int, int]:
@@ -232,24 +230,19 @@ class Block:
     def tau_mod(self, p: int) -> list[list[int]]:
         """The rows of rho(tau) reduced mod a prime p that does not divide D.
 
-        rho(tau) = sum over g of rho(T_g) ... rho(T_{n-1}), the g = n term
-        the identity.  Column t is built by `apply` alone, in the order of
-        hecke._tau_walk: starting at v_t, each step applies one generator,
-        n - 1 down to 1, times D^-1 mod p, and the column is the running
-        sum of the steps.  The relations and Jucys-Murphy checks run on
-        the same `apply`.
+        Column t, rho(tau) v_t, is hecke._tau_walk from v_t through
+        `apply` times D^-1 mod p, the same `apply` on which the relations
+        and Jucys-Murphy checks run.
         """
         d = len(self.tableaux)
         inv = pow(self.denominator, -1, p)
-        cols = []
-        for t in range(d):
-            step, acc = {t: 1}, {t: 1}
-            for g in range(len(self.gens), 0, -1):
-                step = {s: x * inv % p for s, x in self.apply(g, step).items()}
-                for s, x in step.items():
-                    acc[s] = (acc.get(s, 0) + x) % p
-            cols.append([acc.get(s, 0) for s in range(d)])
-        return [list(row) for row in zip(*cols)]
+
+        def times(i: int, vec: dict[int, int]) -> dict[int, int]:
+            return {s: x * inv % p for s, x in self.apply(i, vec).items()}
+
+        n = len(self.gens) + 1
+        cols = [_tau_walk(n, {t: 1}, times) for t in range(d)]
+        return [[col.get(t, 0) % p for col in cols] for t in range(d)]
 
 
 def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]:

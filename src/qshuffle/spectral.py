@@ -60,7 +60,7 @@ import functools
 import math
 from typing import Iterable, Sequence
 
-from .hecke import _tau_walk, wallach_product
+from .hecke import _regular, _tau_walk, wallach_product
 from .polyring import q_int
 from .report import CheckResult
 from .seminormal import Block, partitions
@@ -269,7 +269,8 @@ def tau_matrix(n: int, q0: int) -> tuple[tuple[int, ...], ...]:
     """
     _check_q0(q0)
     size = len(enumerate_perms(n))
-    cols = [_tau_walk(n, {u: 1}, q0) for u in range(size)]
+    times = _regular(n, q0)
+    cols = [_tau_walk(n, {u: 1}, times) for u in range(size)]
     return tuple(tuple(col.get(u, 0) for col in cols) for u in range(size))
 
 

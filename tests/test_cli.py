@@ -364,11 +364,17 @@ def test_all_grid(capsys):
          "9ae6afb7b6f5b996663280a2e9213cf2678a7cb9e041d02f45aecb55a8920675"),
         (["multiplicities", "--n", "5", "--format", "json"],
          "cb3f671a4ce75ffea8e966a0f88b19f61dd458ba07b0d431415fcee2b476a635"),
+        # the only pinned blocks larger than 6 x 6, and every check as text
+        (["multiplicities", "--n", "7", "--format", "json"],
+         "fd833f4d6e2dd837d2afb4930edfab2a34670df0920842375fee1eb9d39dc40a"),
+        (["all"],
+         "b041d3a62f2065e93c5c733c7b9c7977255377c0c68dd42dce57b2e2847fc7c3"),
     ],
     ids=["all", "all-debug", "structure-constants-4-3",
          "lemma3-3-5", "factorization-3-5", "span-3-5", "structure-constants-3-5",
          "lemma3-5-2", "factorization-5-2", "span-5-2", "structure-constants-5-2",
-         "hecke-identity-7", "group-identity-8", "multiplicities-5"],
+         "hecke-identity-7", "group-identity-8", "multiplicities-5",
+         "multiplicities-7", "all-text"],
 )
 def test_json_stdout_is_pinned(capsys, argv, digest):
     # the sha256 of the whole document; a change that alters these bytes

@@ -187,7 +187,7 @@ def test_tau_times_matches_mul():
     # the steps through a running sum
     for n in range(1, 6):
         for u, w in enumerate(enumerate_perms(n)):
-            got = hecke._elt(n, hecke._tau_walk(n, {u: ONE}, Q))
+            got = hecke._elt(n, hecke._tau_walk(n, {u: ONE}, hecke._regular(n, Q)))
             assert got == mul_along(tau(n), HeckeElt.basis(w), max), (n, w)
     rng = random.Random(23)
     for n in range(1, 5):
@@ -197,9 +197,9 @@ def test_tau_times_matches_mul():
                 (rng.choice(perms), Poly([rng.randint(-2, 2) for _ in range(3)]))
                 for _ in range(rng.randint(1, 5))
             ])
-            got = hecke._elt(n, hecke._tau_walk(n, hecke._indices(a), Q))
+            got = hecke._elt(n, hecke._tau_walk(n, hecke._indices(a), hecke._regular(n, Q)))
             assert got == mul_along(tau(n), a, max) == mul(tau(n), a), a
-        assert hecke._tau_walk(n, {}, Q) == {}
+        assert hecke._tau_walk(n, {}, hecke._regular(n, Q)) == {}
 
 
 def test_basis_times_matches_mul():
@@ -259,19 +259,6 @@ def test_rank_steps_match_literal_products():
                 moved = s * w
                 assert index[moved] == u + step[u], (n, i, w)
                 assert (step[u] > 0) == (moved.length() > w.length()), (n, i, w)
-
-
-def test_first_descents_follow_the_descent_rule():
-    # each entry against the rule the walk used to run per product, the
-    # least i with a negative rank step; the identity has no descent
-    for n in range(1, 8):
-        steps = hecke._rank_steps(n)
-        table = hecke._first_descents(n)
-        assert len(table) == len(enumerate_perms(n)) and table[0] is None
-        for x in range(1, len(table)):
-            step = next(d for d in steps if d[x] < 0)
-            got, parent = table[x]
-            assert got is step and parent == x + step[x], (n, x)
 
 
 def test_factors_commute():
@@ -409,14 +396,13 @@ def test_group_walk_needs_no_group_mul_or_hecke_step(monkeypatch):
 
 
 def test_import_builds_no_rank_table():
-    # the rank-step, descent and label-symmetry tables are built on
-    # first use, so the import that starts every command carries no
-    # table build
+    # the rank-step and label-symmetry tables are built on first use,
+    # so the import that starts every command carries no table build
     code = (
         "import qshuffle, qshuffle.cli\n"
         "from qshuffle import flagmodel, hecke\n"
         "print(sum(f.cache_info().currsize for f in (hecke._rank_steps,\n"
-        "    hecke._first_descents, flagmodel._relabels, flagmodel._slot_orbits)))"
+        "    flagmodel._relabels, flagmodel._slot_orbits)))"
     )
     src = os.path.dirname(os.path.dirname(hecke.__file__))
     env = {**os.environ, "PYTHONPATH": src}

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import qshuffle.hecke as hecke
+import qshuffle.seminormal as seminormal
 import qshuffle.spectral as spectral
 from qshuffle.cli import main
 from qshuffle.hecke import HeckeElt, mul, tau
@@ -221,7 +222,7 @@ def test_tau_matrix_matches_tau_times():
         for q0 in (1, 2, 3):
             m = tau_matrix(n, q0)
             for j in range(size):
-                col = hecke._tau_walk(n, {j: ONE}, Q)
+                col = hecke._tau_walk(n, {j: ONE}, hecke._regular(n, Q))
                 want = [col[u](q0) if u in col else 0 for u in range(size)]
                 assert [row[j] for row in m] == want, (n, q0, j)
 
@@ -386,6 +387,43 @@ def test_seminormal_blocks_hold_every_fact_of_the_proof():
                 assert block.connected(), (shape, q0)
 
 
+def test_seminormal_entries_are_hoefsmits_form():
+    # every entry of every generator against Hoefsmit's form as written,
+    # a(r) = (q0 - 1) q0^r / (q0^r - 1) with its limit 1/r at q0 = 1:
+    # a(r) on the diagonal, and for a standard s_i t, 1 when r > 0 and
+    # a(r) a(-r) + q0 when r < 0; D is the lcm of their denominators
+    def a(r, q0):
+        if q0 == 1:
+            return Fraction(1, r)
+        x = Fraction(q0) ** r
+        return (q0 - 1) * x / (x - 1)
+
+    for n in range(1, 7):
+        for shape in partitions(n):
+            for q0 in (1, 2, 3, 5):
+                block = Block(shape, q0)
+                d = block.denominator
+                dens = set()
+                for i, (diag, partner, off) in enumerate(block.gens, 1):
+                    for t, (word, c) in enumerate(zip(block.tableaux, block.contents)):
+                        where = (shape, q0, i, word)
+                        r = c[i] - c[i - 1]
+                        entries = [(Fraction(diag[t], d), a(r, q0))]
+                        s = partner[t]
+                        assert (s >= 0) == (abs(r) >= 2), where
+                        if s >= 0:
+                            swapped = word[: i - 1] + (word[i], word[i - 1]) + word[i + 1 :]
+                            assert block.tableaux[s] == swapped, where
+                            want = 1 if r > 0 else a(r, q0) * a(-r, q0) + q0
+                            entries.append((Fraction(off[t], d), want))
+                        else:
+                            assert off[t] == 0, where
+                        for got, want in entries:
+                            assert got == want, where
+                            dens.add(want.denominator)
+                assert d == math.lcm(*dens), (shape, q0)
+
+
 def test_tau_mod_reads_the_generators_only_through_apply(monkeypatch):
     # the matrix whose nullities the certificate counts is built by the
     # same apply on which the relations and Jucys-Murphy checks run
@@ -408,6 +446,15 @@ def test_tau_mod_reads_the_generators_only_through_apply(monkeypatch):
     monkeypatch.setattr(Block, "apply", doubled_first)
     for b, m in zip(blocks, want):
         assert b.tau_mod(_CERT_PRIME) != m, (b.shape, b.q0)
+
+    # and tau is hecke's walk, not a loop over the generators of its own
+    def no_walk(*args):
+        raise AssertionError("tau walk reached")
+
+    monkeypatch.setattr(seminormal, "_tau_walk", no_walk)
+    for b in blocks:
+        with pytest.raises(AssertionError, match="tau walk reached"):
+            b.tau_mod(_CERT_PRIME)
 
 
 def test_block_checks_catch_broken_blocks():
