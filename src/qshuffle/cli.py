@@ -126,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--budget", type=int,
                     help=f"max number of flags to enumerate (default {FLAG_BUDGET})")
     pv.add_argument("--debug-orbit-checks", action="store_true", default=None,
-                    help="recheck the structure tensor on second orbit representatives")
+                    help="recount every slice of the structure tensor, cell by cell, "
+                         "on second orbit representatives")
 
     pm = sub.add_parser("multiplicities", help="eigenvalue multiplicities of tau")
     _add_common(pm)

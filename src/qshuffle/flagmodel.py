@@ -30,10 +30,12 @@ at the same q.
 A product reads only the y-slices of the structure tensor for y in the
 support of its sparser factor.  Slice y counts the middle flags of one
 Bruhat cell, {M : pos(M, E) = y}, which holds q^l(y) of the [n]_q!
-flags, so the product rule, the factorization and span, whose sparse
-factors live on the n cycles, never enumerate all flags.  Only
-compare_structure_constants and check_orbit_representatives build the
-full tensor over every flag.
+flags, and no check reads every flag at once: the product rule, the
+factorization and span read the slices of the n cycles of their sparse
+factors, and compare_structure_constants reads those of 1, s_1, ...,
+s_(n-1), from which every other structure constant follows.  Only the
+cross-check check_orbit_representatives counts every slice, one cell at
+a time.
 
 Enumerating flags is exponential in n, so every entry point that needs
 the flag variety takes a `budget` and refuses (with
@@ -51,7 +53,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .hecke import _basis_walk, tau
+from .hecke import _basis_walk, _regular, tau
 from .polyring import q_int
 from .report import CheckResult
 from .spectral import _add_row, _echelon, _is_prime, _reduce, rank
@@ -119,23 +121,23 @@ def _require_prime(q: int) -> None:
 # minus its top column) by one step: reduce that column against the
 # echelon rows of the columns before it, keyed by their leading pivots,
 # and read off the new pivot.  _pivot_masks thus computes Q over the
-# lattice of column subsets, 2^n - 2 steps, and _count reads pos(zE, M)
-# for all n! orders z off chains of Q values, without inverting C or
-# reducing any row order.
+# lattice of column subsets, 2^n - 2 steps, and _cell_slice reads
+# pos(zE, M) for all n! orders z off chains of Q values, without
+# inverting C or reducing any row order.
 #
-# _pivot_masks runs this lattice over the chain matrices of the cells it
-# is given, for the full tensor and every slice alike, and keeps only the
-# pivot sets Q(b), as the subset-major buffers that _count reads; no
-# chain matrix outlives it.  Over F_2 the flags of those cells run at
-# once: _chain_lanes holds entry (i, j) of every chain matrix as one int,
-# a lane, whose byte f is the entry of flag f, so one XOR or AND of two
-# lanes steps every flag.  Other q stream the columns of _cell_columns
-# through the lattice flag by flag, on the elimination kernel mod q of
-# spectral (_add_row, _reduce), which the literal layer (Subspace, Flag,
-# relative_position) runs on too.  That per-flag path is the lanes'
-# oracle, in the tests and in check_orbit_representatives at q = 2; the
-# lanes share no code with the kernel, and the tests check every pivot
-# set of the per-flag path against a local rref that shares none either.
+# _pivot_masks runs this lattice over the chain matrices of one cell and
+# keeps only the pivot sets Q(b), as the subset-major buffers that
+# _cell_slice reads; no chain matrix outlives it.  Over F_2 the flags of
+# the cell run at once: _chain_lanes holds entry (i, j) of every chain
+# matrix as one int, a lane, whose byte f is the entry of flag f, so one
+# XOR or AND of two lanes steps every flag.  Other q stream the columns
+# of _cell_columns through the lattice flag by flag, on the elimination
+# kernel mod q of spectral (_add_row, _reduce), which the literal layer
+# (Subspace, Flag, relative_position) runs on too.  That per-flag path
+# is the lanes' oracle, in the tests and in check_orbit_representatives
+# at q = 2; the lanes share no code with the kernel, and the tests check
+# every pivot set of the per-flag path against a local rref that shares
+# none either.
 
 
 def _moved_columns(cols: Sequence[Sequence[int]], q: int) -> list[list[int]]:
@@ -234,31 +236,23 @@ def _cell_columns(n: int, q: int, y: Perm) -> Iterator[list[list[int]]]:
         yield [c[:] for c in cols]
 
 
-def _chain_lanes(n: int, labels: Iterable[Perm]) -> tuple[list[list[int]], int]:
-    """The chain matrices of the cells of `labels` over F_2, as byte lanes.
+def _chain_lanes(n: int, y: Perm) -> tuple[list[list[int]], int]:
+    """The chain matrices of the cell of y over F_2, as byte lanes.
 
     lanes[j][i] is entry i of column j of every chain matrix: its byte
-    f is that entry of flag f of the cells in order.  The cell of y,
-    L = l(y), takes 2^L bytes of each lane: all 0x01 at its tops, zero
-    off its slots, and at free slot s the counter pattern
-    (0^p 1^p) * 2^s, p = 2^(L - 1 - s).  Returns the lanes and their
-    flag count.
+    f is that entry of flag f of the cell, in _cell_columns order.  With
+    L = l(y) each lane has 2^L bytes: all 0x01 at the tops, zero off the
+    slots, and at free slot s the counter pattern (0^p 1^p) * 2^s,
+    p = 2^(L - 1 - s).  Returns the lanes and their flag count, 2^L.
     """
-    pieces: dict[tuple[int, int], list[bytes]] = {(j, i): [] for j in range(n) for i in range(n)}
-    count = 0
-    for y in labels:
-        tops, slots = _cell_layout(y)
-        size = 1 << len(slots)
-        cell = {(top, k): b"\x01" * size for k, top in enumerate(tops)}
-        for s, slot in enumerate(slots):
-            p = size >> (s + 1)
-            cell[slot] = (bytes(p) + b"\x01" * p) * (1 << s)
-        zero = bytes(size)
-        for key, entry in pieces.items():
-            entry.append(cell.get(key, zero))
-        count += size
-    lanes = [[int.from_bytes(b"".join(pieces[j, i]), "little") for i in range(n)] for j in range(n)]
-    return lanes, count
+    tops, slots = _cell_layout(y)
+    size = 1 << len(slots)
+    cell = {(top, k): b"\x01" * size for k, top in enumerate(tops)}
+    for s, slot in enumerate(slots):
+        p = size >> (s + 1)
+        cell[slot] = (bytes(p) + b"\x01" * p) * (1 << s)
+    lanes = [[int.from_bytes(cell.get((j, i), b""), "little") for i in range(n)] for j in range(n)]
+    return lanes, size
 
 
 def _lane_masks(lanes: Sequence[Sequence[int]], n: int, count: int) -> dict[int, bytes]:
@@ -304,17 +298,17 @@ def _lane_masks(lanes: Sequence[Sequence[int]], n: int, count: int) -> dict[int,
     return {1: b"".join(m.to_bytes(count, "little") for m in pivots)}
 
 
-def _pivot_masks(n: int, q: int, labels: Iterable[Perm]) -> dict[int, bytes]:
-    """The pivot sets of the chain matrices of the cells of `labels`, keyed by weight.
+def _pivot_masks(n: int, q: int, y: Perm) -> dict[int, bytes]:
+    """The pivot sets of the chain matrices of the cell of y, keyed by weight.
 
-    F_2 runs on the byte lanes of those cells, other q on their column
-    lists as _cell_columns writes them, so no list of flags is built.
-    The cells are checked where the sets are read, by _census.
+    F_2 runs on the byte lanes of the cell, other q on its column lists
+    as _cell_columns writes them, so no list of flags is built.  The
+    cell is checked where the sets are read, by _census.
     """
     if q == 2:
-        lanes, count = _chain_lanes(n, labels)
+        lanes, count = _chain_lanes(n, y)
         return _lane_masks(lanes, n, count)
-    return _flag_masks((cols for y in labels for cols in _cell_columns(n, q, y)), n, q)
+    return _flag_masks(_cell_columns(n, q, y), n, q)
 
 
 # ---------------------------------------------------------------------------
@@ -608,178 +602,14 @@ def representative_pair(w: Perm, q: int) -> tuple[Flag, Flag]:
 
 
 # ---------------------------------------------------------------------------
-# per-(n, q) structure tensor
-
-
-def _count(n: int, q: int, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
-    """The convolution structure tensor of F_q^n, counted from pivot sets.
-
-    Labels are indices into enumerate_perms(n).  The count of slot
-    x * n! + y under z is the number of middle flags M with
-    relative_position(A, M) labeled x and relative_position(M, C)
-    labeled y, where (A, C) is the representative pair of orbit z.
-    That count is exactly the structure constant of the convolution
-    algebra, so a product reads only the (x, y) pairs in the supports
-    of its factors.  The tensor is returned as one row per K-orbit of
-    slots (K below), in the order of the representatives of
-    _slot_orbits(n): row r maps z to the count of slot reps[r] under z,
-    and every other slot is read off its orbit's row by _slot_orbits.
-
-    The build has two passes.  _pivot_masks runs the subset lattice of
-    every chain matrix and keeps only its pivot sets, one byte per
-    column subset: over F_2 for the flags of all cells at once in byte
-    lanes, each flag with weight 1; for other q flag by flag as
-    _cell_columns writes them, flags with equal patterns merged with a
-    weight.  _count then reads every label off chains of pivot sets.
-    For the flag zE the label x = pos(zE, M) comes from the chain
-    Q(B_1), ..., Q(B_{n-1}), B_k the coordinates outside z(1), ...,
-    z(k), and the identity order gives pos(E, M), whose inverse is
-    y = pos(M, E).  A chain is named by one int, the sum of its sets
-    as digit vectors: set S adds 1 at bit j * w for each row j in S,
-    w = (n - 1).bit_length().  The digit of row j counts the sets that
-    hold j, and a chain of sizes n - 1, ..., 1 has the digits 0..n-1 in
-    some order, so the name is injective (the plain sum of the masks
-    is not, for n >= 4).  The names at one subset, over all patterns of
-    one weight, are packed as one int of fixed-width fields; the y
-    names go to the upper half of each field.  For each z the keys
-    (y, x) of all patterns are then one sum of n big ints with no carry
-    between fields, and one Counter per z, over the fields of every
-    weight times that weight, counts them; _key_counter holds this
-    packing and count, and _slice shares it.  A field needs 2 * n * w
-    bits, so n >= 9 is refused before anything is enumerated.  The keys
-    under the identity, the first z, go to _census with every label and
-    flag_count(n, q) before any count is stored.
-
-    Two identities fix every count; write w* = w0 w w0, w0 the longest
-    permutation.
-
-    - Transpose: count_z(x, y) = count_{z^-1}(y^-1, x^-1).  The middle
-      flags M counted at the pair (A, C) for the labels (x, y) are
-      exactly those counted at (C, A) for (y^-1, x^-1), since swapping
-      a pair inverts its label, and (C, A) = (E, zE) lies in the orbit
-      z^-1.
-    - Duality: count_z(x, y) = count_{z*}(x*, y*).  For a flag M let
-      M^perp be the flag with steps (M^perp)_i = (M_{n-i})^perp under
-      the standard dot product; M -> M^perp is an involution of the
-      flags.  dim(A^perp cap B^perp) = n - dim A - dim B + dim(A cap B),
-      so dim(W^perp_i cap V^perp_j) = i + j - n + d_{n-i,n-j}(W, V).
-      The term i + j - n has no mixed second difference, so the jump
-      rule of relative_position finds a jump of (W^perp, V^perp) at
-      (i, j) exactly where (W, V) has one at (n+1-i, n+1-j):
-      pos(W^perp, V^perp) = w0 pos(W, V) w0.  Step i of (zE)^perp is
-      spanned by e_{z(n)}, ..., e_{z(n+1-i)}, so (zE)^perp = z w0 E and
-      E^perp = w0 E, and the permutation matrix P of w0, which takes
-      uE to w0 uE, moves that pair to (z* E, E).  So M -> P M^perp, a
-      bijection of flags, takes the middle flags counted at (zE, E)
-      for (x, y) to those counted at (z* E, E) for (x*, y*).
-
-    The group K = {1, transpose, star, both} of these two commuting
-    involutions acts on triples (x, y, z) and fixes every count.  So
-    the Counter runs for one z of each K-orbit of labels, the least
-    index among z, z^-1, z*, z*^-1, and each of its keys (x, y) is
-    written, for each distinct image k(z), to slot k(x, y) under k(z)
-    when that slot is a representative, and nowhere else.  Each stored
-    (slot, z) is written once: z = k(z0) for the one k chosen for z's
-    orbit representative z0, and k(slot) is then a key under z0 by the
-    identities.  The slot images are read off four per-label tables,
-    the x and y tables for 1 and the transpose and their starred
-    copies for star and both, with the two names swapped for the
-    transpose and both.  check_orbit_representatives reads every stored
-    entry back, through the same relabels, in the column of its y, and
-    compares it with a count over that cell at second representatives.
-    """
-    keys_under = _key_counter(n, groups)
-    nperms = math.factorial(n)
-    _, inverse, star, both = _relabels(n)
-    reps, _, _ = _slot_orbits(n)
-    shift, chains, names, _ = _label_chains(n)
-    low = (1 << shift) - 1
-    # the name of label p's chain, read as an x name or as the name of
-    # pos(E, M) = y^-1, gives the x part x * n! or the y part y of a
-    # slot; the starred tables give x* * n! and y*
-    x_part = dict(zip(names, range(0, nperms * nperms, nperms)))
-    y_part = dict(zip(names, inverse))
-    starred = ({name: s * nperms for name, s in zip(names, star)}, dict(zip(names, both)))
-    tables = ((x_part, y_part), (x_part, y_part), starred, starred)
-    # 1-based row of each representative slot, 0 elsewhere
-    row_at = [0] * (nperms * nperms)
-    for r, s in enumerate(reps, 1):
-        row_at[s] = r
-    # the first item of each pair is its 1-based row, 0 for a slot not stored
-    stored = operator.itemgetter(0)
-    out: list[dict[int, int]] = [dict() for _ in range(len(reps) + 1)]
-    for z in range(nperms):
-        orbit = (z, inverse[z], star[z], both[z])
-        if min(orbit) < z:
-            continue
-        keys = keys_under(chains[z])
-        if not z:
-            _census(n, q, keys, enumerate_perms(n), flag_count(n, q))
-        xs = list(map(low.__and__, keys))
-        ys = list(map(shift.__rrshift__, keys))
-        counts = list(keys.values())
-        # the first k of K = (1, transpose, star, both) reaching each label
-        firsts: dict[int, int] = {}
-        for k, zk in enumerate(orbit):
-            firsts.setdefault(zk, k)
-        for zk, k in firsts.items():
-            x_of, y_of = tables[k]
-            a, b = (ys, xs) if k % 2 else (xs, ys)
-            slots = map(operator.add, map(x_of.__getitem__, a), map(y_of.__getitem__, b))
-            for r, c in filter(stored, zip(map(row_at.__getitem__, slots), counts)):
-                out[r][zk] = c
-    del out[0]
-    return out
+# per-(n, q) structure tensor, one slice at a time
 
 
 @lru_cache(maxsize=None)
-def _relabels(n: int) -> tuple[list[int], list[int], list[int], list[int]]:
-    # z -> k(z) on label indices for k = 1, transpose, star and both of
-    # K: z, z^-1, z* = w0 z w0 and z*^-1, with (w0 z w0)(i) the value
-    # n + 1 - z(n + 1 - i)
-    perms = enumerate_perms(n)
+def _inverses(n: int) -> list[int]:
+    # the label index of w^-1 for the label index of every w
     index = _perm_index(n)
-    inverse = [index[w.inverse().image] for w in perms]
-    star = [index[tuple(n + 1 - v for v in reversed(w.image))] for w in perms]
-    return list(range(len(perms))), inverse, star, [inverse[s] for s in star]
-
-
-@lru_cache(maxsize=None)
-def _slot_orbits(n: int) -> tuple[list[int], list[int], list[list[int]]]:
-    """The K-orbits of the slots x * n! + y of the structure tensor.
-
-    K acts on slots by (x, y) -> (y^-1, x^-1), (x*, y*) and
-    (y*^-1, x*^-1), and _count proves row(k(s)) = row(s) relabeled by
-    z -> k(z).  Returns the least slot of each orbit, increasing, and
-    for every slot s the index of its orbit and the relabel list of the
-    k with k(rep) = s: the row of s maps relabel[z] to the count of
-    the orbit's row at z.  Each k is an involution, so k is found as the
-    one that takes s to its orbit's least slot.  Built on first use,
-    once per n.
-    """
-    relabels = _relabels(n)
-    _, inverse, star, both = relabels
-    nperms = len(inverse)
-    # each image of slot s = x * n! + y as 4 * image + k for the k-th
-    # element of K, so that one min per slot is 4 * the least slot + the
-    # first k reaching it; the images are streamed, so no list of them
-    # is held
-
-    def images(of_x: list[int], of_y: list[int]) -> Iterator[int]:
-        # of_x[x] + of_y[y] for every slot, in slot order
-        xs = itertools.chain.from_iterable(map(itertools.repeat, of_x, itertools.repeat(nperms)))
-        return map(operator.add, xs, itertools.cycle(of_y))
-
-    turned = images([4 * i + 1 for i in inverse], [4 * i * nperms for i in inverse])
-    starred = images([4 * s * nperms for s in star], [4 * s + 2 for s in star])
-    turned_starred = images([4 * b + 3 for b in both], [4 * b * nperms for b in both])
-    codes = list(map(min, range(0, 4 * nperms * nperms, 4), turned, starred, turned_starred))
-    # s is its orbit's least slot exactly when k = 0 reaches the least
-    reps = [c >> 2 for c in codes if not c & 3]
-    row_of = dict(zip(reps, itertools.count()))
-    rows = list(map(row_of.__getitem__, map(operator.rshift, codes, itertools.repeat(2))))
-    kinds = list(map(relabels.__getitem__, map(operator.and_, codes, itertools.repeat(3))))
-    return reps, rows, kinds
+    return [index[w.inverse().image] for w in enumerate_perms(n)]
 
 
 @lru_cache(maxsize=None)
@@ -798,7 +628,7 @@ def _label_chains(n: int) -> tuple[int, list[list[int]], list[int], list[bytes]]
 
 
 def _key_counter(n: int, groups: Mapping[int, bytes]) -> Callable[[Sequence[int]], Counter[int]]:
-    """The per-z key count of _count, over the pivot sets `groups`.
+    """The per-z key count of _cell_slice, over the pivot sets `groups`.
 
     Returns keys_under(chain): for the chain of a label z, the Counter
     of the keys (name of y^-1 = pos(E, M)) << shift | (name of
@@ -836,20 +666,20 @@ def _key_counter(n: int, groups: Mapping[int, bytes]) -> Callable[[Sequence[int]
     return keys_under
 
 
-def _census(n: int, q: int, keys: Mapping[int, int], labels: Iterable[Perm], total: int) -> None:
+def _census(n: int, q: int, keys: Mapping[int, int], y: Perm) -> None:
     # the one cell check of the fast side, on the keys under the identity
     # chain: each names pos(E, M) = y^-1 twice, and a key's y half is the
-    # same under every chain.  ArithmeticError unless they count `total`
-    # flags and q^l(y) in the cell of each y in `labels`
+    # same under every chain.  ArithmeticError unless they count q^l(y)
+    # flags, all in the cell of y
+    size = q ** y.length()
     count = sum(keys.values())
-    if count != total:
-        raise ArithmeticError(f"enumerated {count} flags, expected {total}")
+    if count != size:
+        raise ArithmeticError(f"enumerated {count} flags, expected {size}")
     shift, _, names, _ = _label_chains(n)
-    for y in labels:
-        name = names[_perm_index(n)[y.inverse().image]]
-        held, size = keys.get(name << shift | name, 0), q ** y.length()
-        if held != size:
-            raise ArithmeticError(f"the cell of {y} holds {held} flags, expected {size}")
+    name = names[_perm_index(n)[y.inverse().image]]
+    held = keys.get(name << shift | name, 0)
+    if held != size:
+        raise ArithmeticError(f"the cell of {y} holds {held} flags, expected {size}")
 
 
 def _chain_name(sets: Iterable[int], n: int) -> int:
@@ -872,19 +702,10 @@ def _key_field(n: int) -> tuple[str, int]:
 
 
 @lru_cache(maxsize=None)
-def _tensor(n: int, q: int) -> list[dict[int, int]]:
-    # _count over every flag of F_q^n, one row per K-orbit of slots;
-    # compare_structure_constants reads it.  The caller checks the flag
-    # budget.  The field width is checked first, so n >= 9 is refused
-    # before any lane or cell is written
-    _key_field(n)
-    return _count(n, q, _pivot_masks(n, q, enumerate_perms(n)))
-
-
-@lru_cache(maxsize=None)
 def _slice(n: int, q: int, y: int) -> list[dict[int, int]]:
     # _cell_slice over the cell of y, kept for the products that reread it
-    return _cell_slice(n, q, y, _pivot_masks(n, q, [enumerate_perms(n)[y]]))
+    label = enumerate_perms(n)[y]
+    return _cell_slice(n, q, y, _pivot_masks(n, q, label))
 
 
 def _cell_slice(n: int, q: int, y: int, groups: Mapping[int, bytes]) -> list[dict[int, int]]:
@@ -892,15 +713,32 @@ def _cell_slice(n: int, q: int, y: int, groups: Mapping[int, bytes]) -> list[dic
 
     Labels are indices into enumerate_perms(n).  Entry z maps x to
     count_z(x, y): the number of middle flags M with pos(zE, M) labeled
-    x and pos(M, E) labeled y.  Only the flags of the cell
-    pos(M, E) = y take part, so `groups` holds the pivot sets of its
-    q^l(y) chain matrices, and the key count of _count reads x off every
-    flag under every z.  _census raises ArithmeticError unless they are
-    q^l(y) flags, all in that cell, which checks the cell formula as it
-    runs.  The caller checks the flag budget and the field width.
+    x and pos(M, E) labeled y, (zE, E) the representative pair of orbit
+    z.  That count is the structure constant of the convolution algebra,
+    e_x * e_y = sum over z of count_z(x, y) e_z.  Only the flags of the
+    cell pos(M, E) = y take part, so `groups` holds the pivot sets of
+    its q^l(y) chain matrices, as _pivot_masks writes them.
+
+    For the flag zE the label x = pos(zE, M) is read off the chain
+    Q(B_1), ..., Q(B_{n-1}), B_k the coordinates outside z(1), ...,
+    z(k), and the identity order gives pos(E, M), whose inverse is y.
+    A chain is named by one int, the sum of its sets as digit vectors:
+    set S adds 1 at bit j * w for each row j in S, w = (n - 1).bit_length().
+    The digit of row j counts the sets that hold j, and a chain of sizes
+    n - 1, ..., 1 has the digits 0..n-1 in some order, so the name is
+    injective (the plain sum of the masks is not, for n >= 4).
+    _key_counter packs the names at one subset, over all patterns of one
+    weight, as one int of fixed-width fields with the y names in the
+    upper half of each field, so the keys (y, x) of every pattern under
+    one z are one sum of n big ints with no carry between fields, and
+    one Counter.  A field needs 2 * n * w bits, so n >= 9 is refused by
+    _key_field.  _census raises ArithmeticError unless the keys under
+    the identity count q^l(y) flags, all in the cell of y, which checks
+    the cell formula as it runs.  The caller checks the flag budget and
+    the field width.
     """
-    label = enumerate_perms(n)[y]
     keys_under = _key_counter(n, groups)
+    label = enumerate_perms(n)[y]
     shift, chains, names, _ = _label_chains(n)
     low = (1 << shift) - 1
     x_of = dict(zip(names, itertools.count()))
@@ -908,39 +746,31 @@ def _cell_slice(n: int, q: int, y: int, groups: Mapping[int, bytes]) -> list[dic
     for z, chain in enumerate(chains):
         keys = keys_under(chain)
         if not z:
-            _census(n, q, keys, [label], q ** label.length())
+            _census(n, q, keys, label)
         out.append({x_of[key & low]: c for key, c in keys.items()})
     return out
 
 
 def check_orbit_representatives(n: int, q: int, budget: int = FLAG_BUDGET) -> None:
-    """Recount the structure tensor of F_q^n, cell by cell, on second orbit representatives.
+    """Recount every slice of the structure tensor of F_q^n on second orbit representatives.
 
     Each cell of _cell_columns is moved by the h of _moved_columns,
     column i + column i + 1 mod q, which keeps it and reads orbit z at
     (h^-1 zE, E).  _flag_masks reduces every moved flag once at every
-    q, so at q = 2 the lanes of the cached tensor meet their oracle.
-    The census of _cell_slice proves that h kept every flag in its
-    cell, and the slice must equal column y of the cached tensor, which
-    checks the K-orbit rows against direct per-cell counts; otherwise
-    ArithmeticError names n and q.
-    The flag budget and the field width are checked before anything is
+    q, and the slice counted from those pivot sets must equal the slice
+    counted from the cell's own, by _pivot_masks, so at q = 2 the lanes
+    meet their per-flag oracle.  The census of the moved slice proves
+    that h kept every flag in its cell.  Otherwise ArithmeticError names
+    the cell, n and q.  Both slices are counted afresh, not read from
+    the cache of _slice, and dropped after their comparison.  The flag
+    budget and the field width are checked before anything is
     enumerated.
     """
     _check_tensor(n, q, budget)
-    tensor = _tensor(n, q)
-    _, row_of, relabel_of = _slot_orbits(n)
-    perms = enumerate_perms(n)
-    nperms = len(perms)
-    for y, label in enumerate(perms):
-        column: list[dict[int, int]] = [{} for _ in range(nperms)]
-        for x in range(nperms):
-            s = x * nperms + y
-            relabel = relabel_of[s]
-            for z, c in tensor[row_of[s]].items():
-                column[relabel[z]][x] = c
+    for y, label in enumerate(enumerate_perms(n)):
+        own = _cell_slice(n, q, y, _pivot_masks(n, q, label))
         moved = (_moved_columns(cols, q) for cols in _cell_columns(n, q, label))
-        if _cell_slice(n, q, y, _flag_masks(moved, n, q)) != column:
+        if _cell_slice(n, q, y, _flag_masks(moved, n, q)) != own:
             raise ArithmeticError(f"slice {label} at n = {n}, q = {q} "
                                   "differs from the structure tensor")
 
@@ -1110,17 +940,21 @@ def convolve(f: OrbitFn, g: OrbitFn, budget: int = FLAG_BUDGET) -> OrbitFn:
     pos(M, E) = y of supp g count, so the product reads the y-slices of
     supp g, each built over its cell of q^l(y) flags and cached.  When
     the cells of supp f hold fewer flags than those of supp g, it
-    reads those of supp f instead, through the transpose identity of
-    _count: f * g = T(T(g) * T(f)), T(h)(w) = h(w^-1), and l(w^-1) =
+    reads those of supp f instead, through the transpose identity
+    count_z(x, y) = count_{z^-1}(y^-1, x^-1) of _cell_slice: the middle
+    flags M counted at the pair (A, C) = (zE, E) for the labels (x, y)
+    are exactly those counted at (C, A) for (y^-1, x^-1), since swapping
+    a pair inverts its label, and (C, A) = (E, zE) lies in the orbit
+    z^-1.  So f * g = T(T(g) * T(f)), T(h)(w) = h(w^-1), and l(w^-1) =
     l(w).  The choice depends only on the supports; the values are the
     same either way.  The budget and the field width are checked as for
-    the full tensor.
+    every flag check.
     """
     f._check(g)
     n, q = f.n, f.q
     _check_tensor(n, q, budget)
     perms = enumerate_perms(n)
-    inverse = _relabels(n)[1]
+    inverse = _inverses(n)
     left, right = _indexed(f), _indexed(g)
 
     def cells(h: list[tuple[int, int]]) -> int:
@@ -1301,95 +1135,126 @@ def _pair_name(perms: Sequence[Perm], slots: list[int]) -> str:
     return f"pair ({perms[xi]}, {perms[yi]})"
 
 
+def _commuting_pairs(n: int, q: int) -> int:
+    """The number of pairs (x, y) of labels with T_x T_y = T_y T_x at q.
+
+    The Z[q]-linear map i: T_w -> T_{w^-1} is an anti-automorphism of
+    H: the relations (T_i + 1)(T_i - q) = 0 and the braid relations read
+    the same backwards, and the reverse of a reduced word of w is one of
+    w^-1, so i(T_x T_y) = T_{y^-1} T_{x^-1}.  It permutes the basis, so
+    it commutes with specializing at q, and T_y T_x = i(T_{x^-1}
+    T_{y^-1}).  The walk from T_y gives T_x T_y for every x, and the
+    walk from T_{y^-1} gives T_{x^-1} T_{y^-1}, so the two decide every
+    pair at y and at y^-1: n! walks, each dropped after its pair of y,
+    cover all n!^2 pairs.
+    """
+    inverse = _inverses(n)
+    count = 0
+    for y, y_inv in enumerate(inverse):
+        if y_inv < y:
+            continue
+        walks = [_basis_walk(n, {y: 1}, q)]
+        if y_inv != y:
+            walks.append(_basis_walk(n, {y_inv: 1}, q))
+        for walk, turned in zip(walks, reversed(walks)):
+            for x, x_inv in enumerate(inverse):
+                prod, swapped = walk(x), turned(x_inv)
+                count += len(prod) == len(swapped) and all(
+                    prod.get(inverse[z]) == c for z, c in swapped.items())
+    return count
+
+
 def compare_structure_constants(n: int, q: int, budget: int = FLAG_BUDGET) -> CheckResult:
     """Match convolution structure constants against the Hecke algebra at q.
 
-    For every ordered pair (x, y) of orbit labels the table of
-    convolve(e_x, e_y) is compared against the basis product expansions
-    T_x T_y and T_y T_x specialized at q.  One of the two operand
-    orders must reproduce every one of the n!^2 tables; which one holds
-    is reported as "orientation" ("product" means convolve follows the
-    T_x T_y order, "reversed" the opposite; when the algebra is
-    commutative both hold and "product" is reported).  Additionally f1
-    must coincide with tau specialized at q.
+    For every ordered pair (x, y) of orbit labels, e_x * e_y = sum over
+    z of count_z(x, y) e_z is compared with the basis products T_x T_y
+    and T_y T_x specialized at q.  One of the two operand orders must
+    hold for all n!^2 pairs; which one holds is reported as
+    "orientation" ("product" means convolve follows the T_x T_y order,
+    "reversed" the opposite; when the algebra is commutative both hold
+    and "product" is reported).  Additionally f1 must coincide with tau
+    specialized at q.
 
-    Both predicates on slots, "row(x, y) = T_x T_y at q" (product
-    order) and "row(x, y) = T_y T_x at q" (reversed order), hold on
-    a whole K-orbit of slots or on none of it, K as in _count.  On the
-    tensor side, row(k(x, y)) is row(x, y) relabeled by z -> k(z), by
-    the transpose and duality identities.  On the Hecke side, let i
-    and d be the Z[q]-linear maps T_w -> T_{w^-1} and T_w -> T_{w*}.
-    The relations of H, (T_i + 1)(T_i - q) = 0 and the braid relations,
-    read the same backwards, and the reverse of a reduced word of w is
-    one of w^-1, so i is an anti-automorphism: i(T_x T_y) =
-    T_{y^-1} T_{x^-1}.  Conjugation by w0 takes s_i to s_{n-i}, which
-    maps the relations to relations and a reduced word of w to one of
-    w*, so d is an automorphism: d(T_x T_y) = T_{x*} T_{y*}.  Both
-    permute the basis, so they commute with specializing at q, and the
-    coefficient of T_z in i(h) or d(h) is that of T_{z^-1} or T_{z*}
-    in h.  So for the transpose, row(y^-1, x^-1) = T_{y^-1} T_{x^-1}
-    is row(x, y) = T_x T_y with both sides relabeled by z -> z^-1, and
-    row(y^-1, x^-1) = T_{x^-1} T_{y^-1} is row(x, y) = T_y T_x
-    relabeled; the same holds for the star with z -> z*, and for both.
+    Only the generator rows are counted, as in Iwahori's identification
+    of this convolution algebra with H: the slices of the cells of 1,
+    s_1, ..., s_(n-1), which hold 1 + (n - 1) q flags, give e_x * e_y
+    for every x at those y, the n * n! generator slots.  The rest
+    follows.  Write phi(T_w) = e_w, extended linearly, and suppose the
+    reversed rows hold: e_x * e_1 = e_x, and e_w * e_{s_i} =
+    phi(T_i T_w) for every w and i, so phi(h) * e_{s_i} = phi(T_i h)
+    for every h by linearity.  Induct on l(y).  For y = s_i y' with
+    l(y') = l(y) - 1, the row at w = y' gives e_{y'} * e_{s_i} =
+    phi(T_i T_{y'}) = e_y, and convolution is associative,
 
-    So the check compares the product order at the representative
-    (x, y) of each orbit and the reversed order at its swap (y, x),
-    which meets every orbit once, since swapping the pair commutes with
-    K; the T_x T_y walk from T_y thus evaluates only the
-    representatives' x.  Each match count is a sum of orbit sizes, and
-    the first miss of an order is the least slot of its missed orbits,
-    their representatives.
+        ((f * g) * h)(A, C) = sum over M, N of f(A, N) g(N, M) h(M, C)
+                            = (f * (g * h))(A, C),
+
+    so e_x * e_y = (e_x * e_{y'}) * e_{s_i} = phi(T_{y'} T_x) * e_{s_i}
+    = phi(T_i T_{y'} T_x) = phi(T_y T_x).  The product rows,
+    e_w * e_{s_i} = phi(T_w T_i), give e_x * e_y = phi(T_x T_y) the
+    same way, along right descents y = y' s_i.  So when the reversed
+    rows hold, reversed_order_matches is n!^2, and
+    product_order_matches counts the pairs with phi(T_x T_y) =
+    phi(T_y T_x): those with T_x T_y = T_y T_x at q, a count on the
+    Hecke side alone, by _commuting_pairs.  Symmetrically when the
+    product rows hold.
+
+    When neither order holds on the generator rows the row fails:
+    "pairs" is the n * n! generator slots, the two counts are the
+    matches among them, and the witness names the first missed slot
+    (x, y), by x * n! + y, of each order.
     """
     _check_tensor(n, q, budget)
-    table = _tensor(n, q)
-    reps, row_of, relabel_of = _slot_orbits(n)
     perms = enumerate_perms(n)
     nperms = len(perms)
-    sizes = Counter(row_of)
-
-    # T_x T_y at q decides the product order at the representative
-    # (x, y) and the reversed order at its swap (y, x); the walk and the
-    # tensor both key by label index
-    by_y: dict[int, list[tuple[int, int]]] = {}
-    for r, s in enumerate(reps):
-        x, y = divmod(s, nperms)
-        by_y.setdefault(y, []).append((r, x))
+    index = _perm_index(n)
+    times = _regular(n, q)
     product_misses: list[int] = []
     reversed_misses: list[int] = []
-    for y, row_xs in by_y.items():
+    # y = 1 at i = 0, then y = s_i; the slice and the walk key by label index
+    for i in range(n):
+        y = index[Perm.simple(i, n).image] if i else 0
+        rows: list[dict[int, int]] = [{} for _ in range(nperms)]
+        for z, counts in enumerate(_slice(n, q, y)):
+            for x, c in counts.items():
+                rows[x][z] = c
         walk = _basis_walk(n, {y: 1}, q)
-        for r, x in row_xs:
-            h = walk(x)
-            if table[r] != h:
-                product_misses.append(r)
-            swap = y * nperms + x
-            relabel = relabel_of[swap]
-            if {relabel[z]: c for z, c in table[row_of[swap]].items()} != h:
-                reversed_misses.append(row_of[swap])
+        for x, row in enumerate(rows):
+            # T_x T_y, and T_y T_x: T_i T_x, or T_x at the identity
+            if row != walk(x):
+                product_misses.append(x * nperms + y)
+            turned = {u: c for u, c in times(i, {x: 1}).items() if c} if i else {x: 1}
+            if row != turned:
+                reversed_misses.append(x * nperms + y)
 
-    total = nperms * nperms
-    product_matches = total - sum(sizes[r] for r in product_misses)
-    reversed_matches = total - sum(sizes[r] for r in reversed_misses)
-    if product_matches == total:
+    if not product_misses:
         orientation = "product"
-    elif reversed_matches == total:
+    elif not reversed_misses:
         orientation = "reversed"
     else:
         orientation = "inconsistent"
+    if orientation == "inconsistent":
+        pairs = n * nperms
+        product_matches = pairs - len(product_misses)
+        reversed_matches = pairs - len(reversed_misses)
+    else:
+        pairs = nperms * nperms
+        commuting = _commuting_pairs(n, q)
+        product_matches = pairs if orientation == "product" else commuting
+        reversed_matches = commuting if orientation == "product" else pairs
 
     tensor_row: dict[str, object] = {
-        "pairs": total,
+        "pairs": pairs,
         "product_order_matches": product_matches,
         "reversed_order_matches": reversed_matches,
         "orientation": orientation,
         "pass": orientation != "inconsistent",
     }
     if orientation == "inconsistent":
-        product_first = _pair_name(perms, [reps[r] for r in product_misses])
-        reversed_first = _pair_name(perms, [reps[r] for r in reversed_misses])
         tensor_row["witness"] = (
-            f"product order first miss {product_first}; "
-            f"reversed order first miss {reversed_first}"
+            f"product order first miss {_pair_name(perms, product_misses)}; "
+            f"reversed order first miss {_pair_name(perms, reversed_misses)}"
         )
     tau_at_q = OrbitFn(n, q, tau(n).specialize(q))
     f1_row = _row({"check": "f1 == specialize(tau, q)"}, f1(n, q), tau_at_q)

@@ -282,18 +282,22 @@ def _basis_walk(n: int, terms: Mapping[int, R], q: R) -> Callable[[int], dict[in
     # from a shorter one, T_x b = T_i (T_{s_i x} b) for the first left
     # descent i of x, the first generator whose rank step is negative at
     # x, and is memoized, so products share their common prefixes.  A
-    # negative step means s_i x = x + d_i[x] precedes x in
-    # enumerate_perms order, so every call is one step.
+    # walk follows first descents down to a memoized product, then steps
+    # back up; it does not call itself, so a dropped walk frees its memo
+    # at once, not at a cyclic garbage collection.
     steps = _rank_steps(n)
     memo: dict[int, dict[int, R]] = {0: dict(terms)}
 
     def walk(x: int) -> dict[int, R]:
-        hit = memo.get(x)
-        if hit is None:
+        path = []
+        while x not in memo:
             step = next(s for s in steps if s[x] < 0)
-            prod = _simple_times(step, walk(x + step[x]), q)
-            memo[x] = hit = {u: c for u, c in prod.items() if c}
-        return hit
+            path.append((x, step))
+            x += step[x]
+        prod = memo[x]
+        for x, step in reversed(path):
+            memo[x] = prod = {u: c for u, c in _simple_times(step, prod, q).items() if c}
+        return prod
 
     return walk
 

@@ -357,6 +357,14 @@ def test_all_grid(capsys):
          "e7a76001076b1964d08c470494238f48ff91d4d407f707727e2ef944ed4cc83a"),
         (["verify", "structure-constants", "--n", "5", "--q", "2", "--format", "json"],
          "7491673dff8363f74bce6f28b3317914b20d2411f1731f322496267a627ce97c"),
+        # past the default flag budget: read off the generator cells, these
+        # run in well under a second
+        (["verify", "structure-constants", "--n", "5", "--q", "3", "--budget", "300000",
+          "--format", "json"],
+         "a0d1fcb468599b7d2e372c00298742e86691461bad7ecb3b89ce3ffaa294ee35"),
+        (["verify", "structure-constants", "--n", "4", "--q", "5", "--budget", "40000",
+          "--format", "json"],
+         "ec58d3e94292daf1f9e3931fd84f2bcbc43b72f5d7781aa2ce178dc955049c88"),
         # the hecke-spectrum commands, which read no flags
         (["verify", "hecke-identity", "--n", "7", "--format", "json"],
          "4803ff10a66175b8957afb427458cb26f5442972d6b3efd6385badea407c2be4"),
@@ -373,6 +381,7 @@ def test_all_grid(capsys):
     ids=["all", "all-debug", "structure-constants-4-3",
          "lemma3-3-5", "factorization-3-5", "span-3-5", "structure-constants-3-5",
          "lemma3-5-2", "factorization-5-2", "span-5-2", "structure-constants-5-2",
+         "structure-constants-5-3", "structure-constants-4-5",
          "hecke-identity-7", "group-identity-8", "multiplicities-5",
          "multiplicities-7", "all-text"],
 )
@@ -402,8 +411,7 @@ FLAG_CHECK_DIGESTS = {
 def test_flag_check_bytes_are_pinned(capsys, n, q):
     # a change that alters these bytes on purpose updates the digest and
     # says so in CHANGES.md; a passing cross-check leaves the bytes of a
-    # check unchanged, tried once per point on the check that builds the
-    # full tensor anyway
+    # check unchanged, tried once per point on structure-constants
     point = ["--n", str(n), "--q", str(q)]
     outs = []
     for check in ("lemma3", "factorization", "span", "structure-constants"):

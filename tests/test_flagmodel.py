@@ -7,6 +7,7 @@ intersection-dimension computation, and a literal sum over middle
 flags.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -239,8 +240,8 @@ def test_budget_refusals(monkeypatch):
         with pytest.raises(BudgetExceeded):
             verify(n, q)
     # within the budget, n = 9 is refused on the counting-field width,
-    # still before any orbit function or structure tensor
-    monkeypatch.setattr(flagmodel, "_tensor", no_orbit_fns)
+    # still before any orbit function or slice of the structure tensor
+    monkeypatch.setattr(flagmodel, "_slice", no_orbit_fns)
     budget = 10**14
     assert flag_count(9, 2) <= budget
     for verify in (
@@ -616,14 +617,33 @@ def _conv_tables_oracle(n, q):
     return tables
 
 
-def _expanded(n, rows):
-    """The tensor as n!^2 dicts, slot x * n! + y, from its rows per K-orbit.
+@functools.lru_cache(maxsize=None)
+def _oracle_tensor(n, q):
+    """The whole structure tensor, slot x * n! + y, by the scatter.
 
-    Each slot reads its orbit's row with the labels moved by the
-    relabel list of _slot_orbits.
+    The counting kernel's oracle, _scatter, runs over the patterns of
+    every cell; callers that change it work on a copy.
     """
-    _, row_of, relabel_of = flagmodel._slot_orbits(n)
-    return [{relabel[z]: c for z, c in rows[r].items()} for r, relabel in zip(row_of, relabel_of)]
+    patterns = {}
+    for y in enumerate_perms(n):
+        patterns.update(_patterns(n, flagmodel._pivot_masks(n, q, y)))
+    return _scatter(n, patterns)
+
+
+def _slice_rows(n, q, y):
+    # slice y of the package as slots: x * n! + y -> {z: count}
+    nperms = math.factorial(n)
+    rows = {}
+    for z, counts in enumerate(flagmodel._slice(n, q, y)):
+        for x, c in counts.items():
+            rows.setdefault(x * nperms + y, {})[z] = c
+    return rows
+
+
+def _column(tensor, y):
+    # the nonzero slots of column y of a whole tensor
+    nperms = math.isqrt(len(tensor))
+    return {s: counts for s in range(y, len(tensor), nperms) if (counts := tensor[s])}
 
 
 def test_convolution_matches_middle_flag_oracle():
@@ -659,12 +679,13 @@ def test_convolution_matches_middle_flag_oracle():
                     expected[z] = expected.get(z, 0) + f[x] * g[y] * cnt
             expected = {z: c for z, c in expected.items() if c}
             assert convolve(f, g).values == expected, (n, q, f, g)
-    # one larger size, compared as a whole tensor
+    # one larger size, compared slice by slice
     perms = enumerate_perms(4)
     got = {}
-    for key, counts in enumerate(_expanded(4, flagmodel._tensor(4, 2))):
-        x, y = divmod(key, len(perms))
-        got[perms[x], perms[y]] = {perms[z]: cnt for z, cnt in counts.items()}
+    for y in range(len(perms)):
+        for key, counts in _slice_rows(4, 2, y).items():
+            x = key // len(perms)
+            got[perms[x], perms[y]] = {perms[z]: cnt for z, cnt in counts.items()}
     assert got == _conv_tables_oracle(4, 2)
 
 
@@ -702,30 +723,23 @@ def test_convolution_debug_representative_agrees():
         check_orbit_representatives(5, 3)
 
 
-def _tensor_products(acc, n, q, f, g):
-    """Add f * g to acc, f and g as (label index, value) pairs, off the full tensor.
+def _tensor_products(acc, tensor, f, g):
+    """Add f * g to acc, f and g as (label index, value) pairs, off a whole tensor.
 
-    Slot x * n! + y reads the row of its K-orbit through the relabel
-    list of _slot_orbits: the product kernel before cell-local slices,
-    kept as convolve's oracle.
+    Slot x * n! + y of `tensor` maps z to count_z(x, y): convolve's
+    oracle, which reads no slice.
     """
-    rows = flagmodel._tensor(n, q)
-    _, row_of, relabel_of = flagmodel._slot_orbits(n)
     nperms = len(acc)
     for x, a in f:
-        base = x * nperms
         for y, b in g:
-            s = base + y
-            relabel = relabel_of[s]
-            ab = a * b
-            for z, c in rows[row_of[s]].items():
-                acc[relabel[z]] += c * ab
+            for z, c in tensor[x * nperms + y].items():
+                acc[z] += c * a * b
 
 
 def _tensor_product(f, g):
     perms = enumerate_perms(f.n)
     acc = [0] * len(perms)
-    _tensor_products(acc, f.n, f.q, flagmodel._indexed(f), flagmodel._indexed(g))
+    _tensor_products(acc, _oracle_tensor(f.n, f.q), flagmodel._indexed(f), flagmodel._indexed(g))
     return OrbitFn(f.n, f.q, {w: c for w, c in zip(perms, acc) if c})
 
 
@@ -758,22 +772,18 @@ def test_cells_partition_the_flags():
 
 
 def test_slices_match_the_tensor_columns():
-    # slice y, counted over its cell, is column y of the full tensor; at
-    # q = 2 it reads the lanes of its cell, so it must also equal the
-    # slice counted from the per-flag lattice of that cell
+    # slice y, counted over its cell, is column y of the oracle tensor,
+    # scattered over every cell; at q = 2 it reads the lanes of its
+    # cell, so it must also equal the slice counted from the per-flag
+    # lattice of that cell
     for n, q in FLAG_GRID:
         perms = enumerate_perms(n)
-        nperms = len(perms)
-        table = _expanded(n, flagmodel._tensor(n, q))
-        for y in range(nperms):
-            column = [{} for _ in range(nperms)]
-            for x in range(nperms):
-                for z, c in table[x * nperms + y].items():
-                    column[z][x] = c
-            assert flagmodel._slice(n, q, y) == column, (n, q, y)
+        table = _oracle_tensor(n, q)
+        for y in range(len(perms)):
+            assert _slice_rows(n, q, y) == _column(table, y), (n, q, y)
             if q == 2:
                 per_flag = flagmodel._flag_masks(flagmodel._cell_columns(n, q, perms[y]), n, q)
-                assert flagmodel._cell_slice(n, q, y, per_flag) == column, (n, q, y)
+                assert flagmodel._cell_slice(n, q, y, per_flag) == flagmodel._slice(n, q, y)
 
 
 def test_key_count_tables_are_built_once_per_n(monkeypatch):
@@ -781,7 +791,7 @@ def test_key_count_tables_are_built_once_per_n(monkeypatch):
     # a slice of another cell names no chain again
     n, q = 4, 2
     perms = enumerate_perms(n)
-    flagmodel._cell_slice(n, q, 0, flagmodel._pivot_masks(n, q, perms[:1]))
+    flagmodel._cell_slice(n, q, 0, flagmodel._pivot_masks(n, q, perms[0]))
     name, calls = flagmodel._chain_name, []
 
     def counted_name(*args):
@@ -789,7 +799,7 @@ def test_key_count_tables_are_built_once_per_n(monkeypatch):
         return name(*args)
 
     monkeypatch.setattr(flagmodel, "_chain_name", counted_name)
-    flagmodel._cell_slice(n, q, len(perms) - 1, flagmodel._pivot_masks(n, q, perms[-1:]))
+    flagmodel._cell_slice(n, q, len(perms) - 1, flagmodel._pivot_masks(n, q, perms[-1]))
     assert calls == []
 
 
@@ -799,9 +809,9 @@ def _fault_cells(monkeypatch, fault):
     # q and in the cross-check at every q
     lanes, cells = flagmodel._chain_lanes, flagmodel._cell_columns
 
-    def faulty_lanes(n, labels):
-        columns = [cols for y in labels for cols in fault(_unlane(*lanes(n, [y])), y)]
-        return _relane(columns), len(columns)
+    def faulty_lanes(n, y):
+        columns = fault(_unlane(*lanes(n, y)), y)
+        return _relane(columns, n), len(columns)
 
     monkeypatch.setattr(flagmodel, "_chain_lanes", faulty_lanes)
     monkeypatch.setattr(flagmodel, "_cell_columns", lambda n, q, y: fault(list(cells(n, q, y)), y))
@@ -813,9 +823,8 @@ def test_slice_refuses_a_faulty_cell(monkeypatch, capsys):
     longest = perms.index(Perm((3, 2, 1)))
     for q in (2, 3):
         stray = next(flagmodel._cell_columns(n, q, Perm.identity(n)))
-        # the cached tensor and slices that the cross-check and lemma3
-        # read below are counted on the true cells, whatever ran before
-        flagmodel._tensor(n, q)
+        # the cached slices that lemma3 reads below are counted on the
+        # true cells, whatever ran before
         for y in range(len(perms)):
             flagmodel._slice(n, q, y)
         size = q ** 3
@@ -832,8 +841,9 @@ def test_slice_refuses_a_faulty_cell(monkeypatch, capsys):
             monkeypatch.undo()
         # one flag dropped and another doubled keeps the count and every y
         # part, so only the cross-check of --debug-orbit-checks catches it:
-        # its moved cells are the faulty ones, and the first cell of
-        # several flags, (1 3 2), is the first to differ from the tensor
+        # the moved copy of a faulty cell reads other orbit
+        # representatives than the cell itself, and the first cell of
+        # several flags, (1 3 2), is the first where the two differ
         _fault_cells(monkeypatch, lambda c, y: c[:-1] + c[:1])
         flagmodel._slice.__wrapped__(n, q, longest)
         moved = f"slice (1 3 2) at n = 3, q = {q} differs from the structure tensor"
@@ -849,22 +859,24 @@ def test_slice_refuses_a_faulty_cell(monkeypatch, capsys):
 
 
 def test_census_names_a_cell_that_keeps_the_total(monkeypatch):
-    # one flag of the cell of (3 2 1) dropped and one of (1 3 2) doubled
-    # keeps flag_count(n, q), so only the count of each cell on the
-    # identity chain refuses the full tensor; at q = 2 the lanes carry the
-    # fault.  The failed build leaves no tensor cached
+    # one flag of the cell of s_1 = (2 1 3) swapped for the flag E keeps
+    # the q flags of the cell, so only the count of the cell on the
+    # identity chain refuses the slice that structure-constants reads; at
+    # q = 2 the lanes carry the fault.  The failed slice is not cached
     n = 3
-    drop, double = Perm((3, 2, 1)), Perm((1, 3, 2))
-    tensors = {q: flagmodel._tensor(n, q) for q in (2, 3)}
-    flagmodel._tensor.cache_clear()
-    _fault_cells(monkeypatch, lambda c, y: c[1:] if y == drop else c + c[:1] if y == double else c)
+    s1 = Perm((2, 1, 3))
+    rows = {q: compare_structure_constants(n, q).details for q in (2, 3)}
     for q in (2, 3):
-        message = rf"the cell of \(1 3 2\) holds {q + 1} flags, expected {q}"
+        stray = next(flagmodel._cell_columns(n, q, Perm.identity(n)))
+        flagmodel._slice.cache_clear()
+        _fault_cells(monkeypatch, lambda c, y: c[:-1] + [stray] if y == s1 else c)
+        message = rf"the cell of \(2 1 3\) holds {q - 1} flags, expected {q}"
         with pytest.raises(ArithmeticError, match=message):
-            flagmodel._tensor(n, q)
-    assert flagmodel._tensor.cache_info().currsize == 0
-    monkeypatch.undo()
-    assert {q: flagmodel._tensor(n, q) for q in (2, 3)} == tensors
+            compare_structure_constants(n, q)
+        # only the slice of the identity, read first, is kept
+        assert flagmodel._slice.cache_info().currsize == 1
+        monkeypatch.undo()
+        assert compare_structure_constants(n, q).details == rows[q]
 
 
 def test_convolve_matches_the_tensor_products():
@@ -890,9 +902,8 @@ def _unlane(lanes, count):
     return [[[p[f] for p in col] for col in planes] for f in range(count)]
 
 
-def _relane(columns):
-    # the inverse of _unlane
-    n = len(columns[0])
+def _relane(columns, n):
+    # the inverse of _unlane, for the n x n chain matrices `columns`
     return [[int.from_bytes(bytes(cols[j][i] for cols in columns), "little") for i in range(n)]
             for j in range(n)]
 
@@ -929,84 +940,60 @@ def _patterns(n, groups):
 
 
 def test_chain_lanes_match_the_cell_stream():
-    # entry by entry, in the flag order of the cells, for all cells at
-    # once and for each cell alone
+    # entry by entry, in the flag order of each cell
     for n in range(1, 6):
-        perms = enumerate_perms(n)
-        expected = _flag_columns(n, 2)
-        lanes, count = flagmodel._chain_lanes(n, perms)
-        assert count == flag_count(n, 2), n
-        assert _unlane(lanes, count) == expected, n
-        assert _relane(expected) == lanes, n
-        for y in perms:
-            assert _unlane(*flagmodel._chain_lanes(n, [y])) == list(
-                flagmodel._cell_columns(n, 2, y)), (n, y)
+        for y in enumerate_perms(n):
+            expected = list(flagmodel._cell_columns(n, 2, y))
+            lanes, count = flagmodel._chain_lanes(n, y)
+            assert count == 2 ** y.length(), (n, y)
+            assert _unlane(lanes, count) == expected, (n, y)
+            assert _relane(expected, n) == lanes, (n, y)
 
 
 def test_count_check_fires_on_a_dropped_cell(monkeypatch):
-    # the cell of the longest permutation, q^3 flags at n = 3, goes
-    # missing from the labels that _tensor hands the lanes and the cell
-    # stream of _pivot_masks; the census of _count refuses the total,
-    # and the failed build leaves no tensor cached
+    # the cell of s_2 = (1 3 2), q flags, goes missing from the lanes and
+    # the cell stream that _pivot_masks hands structure-constants; the
+    # census of its slice refuses the count, and the failed slice is not
+    # cached
     n = 3
-    perms = enumerate_perms(n)
-    tensors = {q: flagmodel._tensor(n, q) for q in (2, 3)}
-    flagmodel._tensor.cache_clear()
-    monkeypatch.setattr(flagmodel, "enumerate_perms", lambda n: perms[:-1])
-    for q, count, total in ((2, 13, 21), (3, 25, 52)):
-        with pytest.raises(ArithmeticError, match=f"enumerated {count} flags, expected {total}"):
-            flagmodel._tensor(n, q)
-    assert flagmodel._tensor.cache_info().currsize == 0
-    monkeypatch.undo()
-    assert {q: flagmodel._tensor(n, q) for q in (2, 3)} == tensors
+    s2 = Perm((1, 3, 2))
+    rows = {q: compare_structure_constants(n, q).details for q in (2, 3)}
+    for q in (2, 3):
+        flagmodel._slice.cache_clear()
+        _fault_cells(monkeypatch, lambda c, y: [] if y == s2 else c)
+        with pytest.raises(ArithmeticError, match=f"enumerated 0 flags, expected {q}"):
+            compare_structure_constants(n, q)
+        assert flagmodel._slice.cache_info().currsize == 2
+        monkeypatch.undo()
+        assert compare_structure_constants(n, q).details == rows[q]
 
 
 def test_packed_f2_backend_matches_generic():
-    # the lane lattice against the flag-by-flag one at q = 2, on the
-    # chain matrices and, relaned, on their moved copies of the debug
-    # rebuild, and cell by cell as _slice reads it
+    # the lane lattice against the flag-by-flag one at q = 2, cell by
+    # cell, on the chain matrices and, relaned, on their moved copies of
+    # the debug rebuild, and in the slice that each set of masks gives
     for n in range(1, 6):
-        perms = enumerate_perms(n)
-        lanes, count = flagmodel._chain_lanes(n, perms)
-        columns = _flag_columns(n, 2)
-        moved_columns = [flagmodel._moved_columns(cols, 2) for cols in columns]
-        assert _unlane(lanes, count) == columns, n
-        for chains, cols in ((lanes, columns), (_relane(moved_columns), moved_columns)):
-            got, want = flagmodel._lane_masks(chains, n, count), flagmodel._flag_masks(cols, n, 2)
-            assert _patterns(n, got) == _patterns(n, want), n
-            assert flagmodel._count(n, 2, got) == flagmodel._tensor(n, 2), n
-            assert flagmodel._count(n, 2, want) == flagmodel._tensor(n, 2), n
-        assert flagmodel._pivot_masks(n, 2, perms) == flagmodel._lane_masks(lanes, n, count), n
-        for y in perms:
-            got = flagmodel._pivot_masks(n, 2, [y])
-            want = flagmodel._flag_masks(flagmodel._cell_columns(n, 2, y), n, 2)
-            assert _patterns(n, got) == _patterns(n, want), (n, y)
-
-
-def test_orbit_check_at_q2_reads_no_lanes(monkeypatch):
-    # the moved rebuild runs flag by flag at q = 2 too, so the
-    # cross-check compares the cached lane-built tensor with the
-    # per-flag lattice and reads no lane of its own
-    for n in range(2, 6):
-        flagmodel._tensor(n, 2)
-
-    def refuse(*args):
-        raise AssertionError("the cross-check read the lane lattice")
-
-    monkeypatch.setattr(flagmodel, "_chain_lanes", refuse)
-    monkeypatch.setattr(flagmodel, "_lane_masks", refuse)
-    for n in range(2, 6):
-        assert check_orbit_representatives(n, 2) is None
+        for y, label in enumerate(enumerate_perms(n)):
+            lanes, count = flagmodel._chain_lanes(n, label)
+            columns = list(flagmodel._cell_columns(n, 2, label))
+            moved_columns = [flagmodel._moved_columns(cols, 2) for cols in columns]
+            for chains, cols in ((lanes, columns), (_relane(moved_columns, n), moved_columns)):
+                got = flagmodel._lane_masks(chains, n, count)
+                want = flagmodel._flag_masks(cols, n, 2)
+                assert _patterns(n, got) == _patterns(n, want), (n, label)
+                assert flagmodel._cell_slice(n, 2, y, got) == flagmodel._slice(n, 2, y)
+                assert flagmodel._cell_slice(n, 2, y, want) == flagmodel._slice(n, 2, y)
+            assert flagmodel._pivot_masks(n, 2, label) == flagmodel._lane_masks(lanes, n, count)
 
 
 def test_orbit_check_reduces_each_flag_once(monkeypatch):
-    # with the tensor cached, the cross-check sends every flag through
-    # the per-flag lattice once, cell by cell, and recounts no full tensor
+    # the cross-check sends every moved flag through the per-flag
+    # lattice once, cell by cell, and recounts each cell's own slice
+    # from _pivot_masks: over the lanes at q = 2, once per cell, and
+    # through the per-flag lattice at odd q; it reads no cached slice
     points = ((4, 2), (3, 3), (4, 3))
-    for n, q in points:
-        flagmodel._tensor(n, q)
-    masks = flagmodel._flag_masks
-    read = [0]
+    masks, lanes = flagmodel._flag_masks, flagmodel._chain_lanes
+    read, laned = [0], []
 
     def counted_masks(columns, n, q):
         def counted():
@@ -1015,81 +1002,58 @@ def test_orbit_check_reduces_each_flag_once(monkeypatch):
                 yield cols
         return masks(counted(), n, q)
 
+    def counted_lanes(n, y):
+        laned.append(y)
+        return lanes(n, y)
+
     def refuse(*args):
-        raise AssertionError("the cross-check recounted the full tensor")
+        raise AssertionError("the cross-check read a cached slice")
 
     monkeypatch.setattr(flagmodel, "_flag_masks", counted_masks)
-    monkeypatch.setattr(flagmodel, "_count", refuse)
+    monkeypatch.setattr(flagmodel, "_chain_lanes", counted_lanes)
+    monkeypatch.setattr(flagmodel, "_slice", refuse)
     for n, q in points:
         read[0] = 0
+        laned.clear()
         assert check_orbit_representatives(n, q) is None
-        assert read[0] == flag_count(n, q), (n, q)
+        own = 0 if q == 2 else flag_count(n, q)
+        assert read[0] == flag_count(n, q) + own, (n, q)
+        assert laned == (list(enumerate_perms(n)) if q == 2 else []), (n, q)
 
 
 def test_orbit_check_catches_a_faulty_lane_lattice(monkeypatch):
     masks = flagmodel._lane_masks
-    # the flag with chain basis e_1, e_2 + e_3, e_2
-    f = _flag_columns(3, 2).index([[1, 0, 0], [0, 1, 1], [0, 1, 0]])
+    # the flag with chain basis e_1, e_2 + e_3, e_2, in the cell of (1 3 2)
+    target = [[1, 0, 0], [0, 1, 1], [0, 1, 0]]
 
     def faulty(lanes, n, count):
-        # byte count + f is Q(b) of flag f for b = {the first column}:
-        # its pivot moves from the first row to the second, which leaves
-        # every chain of pivot sets a chain, so the count runs and only
-        # the tensor is wrong
+        # byte count + f is Q(b) of flag f of the cell for b = {the first
+        # column}: its pivot moves from the first row to the second,
+        # which leaves every chain of pivot sets a chain, so the count
+        # runs and only the slice is wrong
         [buf] = masks(lanes, n, count).values()
-        buf = bytearray(buf)
-        assert buf[count + f] == 0b01
-        buf[count + f] = 0b10
+        columns = _unlane(lanes, count)
+        if target in columns:
+            f = columns.index(target)
+            buf = bytearray(buf)
+            assert buf[count + f] == 0b01
+            buf[count + f] = 0b10
         return {1: bytes(buf)}
 
     monkeypatch.setattr(flagmodel, "_lane_masks", faulty)
-    # no tensor built from the faulty lattice outlives this test
-    flagmodel._tensor.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError,
-                           match="at n = 3, q = 2 differs from the structure tensor"):
-            check_orbit_representatives(3, 2)
-    finally:
-        flagmodel._tensor.cache_clear()
-
-
-def test_orbit_check_catches_a_corrupted_orbit_row(capsys):
-    # one stored count of the cached K-orbit rows, raised by one, row by
-    # row; lemma3 reads the slices, not the rows, so it still passes
-    n = 3
-    try:
-        for q in (2, 3):
-            rows = flagmodel._tensor(n, q)
-            message = f"at n = {n}, q = {q} differs from the structure tensor"
-            for counts in rows:
-                z = min(counts)
-                counts[z] += 1
-                with pytest.raises(ArithmeticError, match=message):
-                    check_orbit_representatives(n, q)
-                counts[z] -= 1
-            counts = rows[len(rows) // 2]
-            counts[min(counts)] += 1
-            assert main(["verify", "lemma3", "--n", str(n), "--q", str(q),
-                         "--debug-orbit-checks", "--format", "json"]) == 1
-            doc = json.loads(capsys.readouterr().out)
-            assert [c["name"] for c in doc["checks"]] == ["lemma3", "orbit-representatives"]
-            lemma3, orbit = doc["checks"]
-            assert lemma3["pass"] and not orbit["pass"]
-            assert orbit["params"] == {"n": n, "q": q}
-            [row] = orbit["details"]
-            assert row["pass"] is False and message in row["witness"], q
-    finally:
-        flagmodel._tensor.cache_clear()
+    message = "slice (1 3 2) at n = 3, q = 2 differs from the structure tensor"
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        check_orbit_representatives(3, 2)
 
 
 def test_lattices_refuse_dependent_columns():
     # column 2 of one flag repeats its column 1, so the subset {1, 2}
     # has no new pivot there
     n = 3
-    columns = _unlane(*flagmodel._chain_lanes(n, enumerate_perms(n)))
+    columns = _unlane(*flagmodel._chain_lanes(n, Perm((3, 2, 1))))
     columns[5][2] = columns[5][1]
     with pytest.raises(ArithmeticError, match="dependent columns have no pivot"):
-        flagmodel._lane_masks(_relane(columns), n, len(columns))
+        flagmodel._lane_masks(_relane(columns, n), n, len(columns))
     with pytest.raises(ArithmeticError, match="dependent columns have no pivot"):
         flagmodel._flag_masks(columns, n, 2)
 
@@ -1126,62 +1090,33 @@ def _scatter(n, patterns):
 
 
 def test_counting_kernel_matches_the_scatter():
+    # every cell's slice against the scatter over that cell's patterns
     weight_groups = set()
     for n, q in FLAG_GRID:
-        groups = flagmodel._pivot_masks(n, q, enumerate_perms(n))
-        patterns = _patterns(n, groups)
-        assert sum(patterns.values()) == flag_count(n, q)
-        weight_groups.add(len(groups))
-        assert _expanded(n, flagmodel._tensor(n, q)) == _scatter(n, patterns), (n, q)
+        for y, label in enumerate(enumerate_perms(n)):
+            groups = flagmodel._pivot_masks(n, q, label)
+            patterns = _patterns(n, groups)
+            assert sum(patterns.values()) == q ** label.length(), (n, q, label)
+            weight_groups.add(len(groups))
+            assert _slice_rows(n, q, y) == _column(_scatter(n, patterns), y), (n, q, label)
     # patterns of several weights are counted in separate groups
     assert max(weight_groups) > 1
 
 
-def _star(w):
-    # w0 w w0
-    n = w.n
-    return Perm(tuple(n + 1 - v for v in reversed(w.image)))
-
-
-def test_scatter_obeys_the_transpose_and_duality_identities():
-    # count_z(x, y) = count_{z^-1}(y^-1, x^-1) = count_{z*}(x*, y*) on
-    # the per-flag oracle, so on no output of the counting kernel
+def test_scatter_obeys_the_transpose_identity():
+    # count_z(x, y) = count_{z^-1}(y^-1, x^-1), which the transposed read
+    # of convolve relies on, on the oracle, so on no output of the
+    # counting kernel
     for n, q in (*FLAG_GRID, (4, 5)):
         perms = enumerate_perms(n)
         nperms = len(perms)
-        index = {w: i for i, w in enumerate(perms)}
-        inverse = [index[w.inverse()] for w in perms]
-        star = [index[_star(w)] for w in perms]
-        full = _scatter(n, _patterns(n, flagmodel._pivot_masks(n, q, perms)))
+        inverse = flagmodel._inverses(n)
+        assert inverse == [perms.index(w.inverse()) for w in perms], n
+        full = _oracle_tensor(n, q)
         for x, y in itertools.product(range(nperms), repeat=2):
             counts = full[x * nperms + y]
             turned = full[inverse[y] * nperms + inverse[x]]
-            starred = full[star[x] * nperms + star[y]]
             assert turned == {inverse[z]: c for z, c in counts.items()}, (n, q, x, y)
-            assert starred == {star[z]: c for z, c in counts.items()}, (n, q, x, y)
-
-
-def test_tensor_counts_once_per_symmetry_orbit(monkeypatch):
-    # one Counter run per K-orbit of labels z and one stored row per
-    # K-orbit of slots (x, y); at q = 2 every pattern has weight 1, so
-    # each run is one Counter
-    runs = []
-
-    class Counted(flagmodel.Counter):
-        def __init__(self, *args, **kwargs):
-            runs.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(flagmodel, "Counter", Counted)
-    for n, labels, rows in ((4, 13, 172), (5, 45, 3676)):
-        runs.clear()
-        tensor = flagmodel._count(n, 2, flagmodel._pivot_masks(n, 2, enumerate_perms(n)))
-        assert (len(runs), len(tensor)) == (labels, rows), n
-        assert len(flagmodel._slot_orbits(n)[0]) == rows, n
-    # the label orbits {z, z^-1, z*, z*^-1} at n = 6
-    perms = enumerate_perms(6)
-    orbits = {frozenset({w, w.inverse(), _star(w), _star(w).inverse()}) for w in perms}
-    assert len(orbits) == 230
 
 
 def test_chain_names_are_distinct_and_fit_the_field():
@@ -1210,30 +1145,32 @@ def test_counting_field_width_guard(monkeypatch):
     monkeypatch.setattr(flagmodel, "_cell_layout", refuse)
     monkeypatch.setattr(flagmodel, "enumerate_perms", refuse)
     # 10**14 is over flag_count(9, 2), so only the field width refuses
-    for call in (lambda: flagmodel._tensor(9, 2),
+    for call in (lambda: compare_structure_constants(9, 2, 10**14),
                  lambda: check_orbit_representatives(9, 2, 10**14),
-                 lambda: flagmodel._count(9, 2, {})):
+                 lambda: flagmodel._cell_slice(9, 2, 0, {})):
         with pytest.raises(ValueError, match="72 bits, over 64"):
             call()
 
 
 def test_debug_rebuild_moves_every_chain_matrix():
     # the second representative must really differ, flag by flag, and
-    # still give the same tensor, on both lattices, by the counting
-    # kernel and by its oracle, and keep every flag in its cell; the
+    # still give the same tensor, slice by slice by the counting kernel
+    # and as a whole by its oracle, and keep every flag in its cell; the
     # move matches its dense product on every chain matrix
     for n, q in FLAG_GRID:
         if n < 2:
             continue
-        before = _flag_columns(n, q)
-        after = [flagmodel._moved_columns(cols, q) for cols in before]
-        assert after == [_dense_move(cols, q) for cols in before], (n, q)
-        assert len(after) == len(before) == flag_count(n, q), (n, q)
-        assert all(a != b for a, b in zip(after, before)), (n, q)
-        groups = flagmodel._flag_masks(after, n, q)
-        tensor = flagmodel._tensor(n, q)
-        assert flagmodel._count(n, q, groups) == tensor, (n, q)
-        assert _scatter(n, _patterns(n, groups)) == _expanded(n, tensor), (n, q)
+        moved_patterns = {}
+        for y, label in enumerate(enumerate_perms(n)):
+            before = list(flagmodel._cell_columns(n, q, label))
+            after = [flagmodel._moved_columns(cols, q) for cols in before]
+            assert after == [_dense_move(cols, q) for cols in before], (n, q)
+            assert all(a != b for a, b in zip(after, before)), (n, q)
+            groups = flagmodel._flag_masks(after, n, q)
+            assert flagmodel._cell_slice(n, q, y, groups) == flagmodel._slice(n, q, y), (n, q)
+            moved_patterns.update(_patterns(n, groups))
+        assert sum(moved_patterns.values()) == flag_count(n, q), (n, q)
+        assert _scatter(n, moved_patterns) == _oracle_tensor(n, q), (n, q)
     # h keeps every cell: by the literal layer, each moved chain matrix
     # spans a flag in the position of its cell, and is another matrix
     for n, q in ((3, 2), (3, 3), (3, 5), (4, 2)):
@@ -1265,7 +1202,7 @@ def _holds_chains(value, n):
 
 def test_tensor_streams_the_chain_matrices(monkeypatch):
     # at odd q each flag's chain matrix is reduced as soon as it is
-    # written, and the cached tensor keeps none of them, nor a lane at q = 2
+    # written, and the cached slices keep none of them, nor a lane at q = 2
     events = []
     cells, step = flagmodel._cell_columns, flagmodel._add_row
     flags = itertools.count(1)
@@ -1282,26 +1219,36 @@ def test_tensor_streams_the_chain_matrices(monkeypatch):
     monkeypatch.setattr(flagmodel, "_cell_columns", logged_cells)
     monkeypatch.setattr(flagmodel, "_add_row", logged_step)
     n = 3
-    # _tensor is cached, so the streaming is watched on an uncached build
-    tensor = flagmodel._count(n, 3, flagmodel._pivot_masks(n, 3, enumerate_perms(n)))
+    perms = enumerate_perms(n)
+    longest = len(perms) - 1
+    # _slice is cached, so the streaming is watched on an uncached count
+    counts = flagmodel._cell_slice(n, 3, longest, flagmodel._pivot_masks(n, 3, perms[longest]))
     first, second = events.index(("yield", 1)), events.index(("yield", 2))
     assert ("step",) in events[first:second]
     monkeypatch.undo()
-    assert tensor == flagmodel._count(n, 3, flagmodel._flag_masks(_flag_columns(n, 3), n, 3))
-    assert tensor == flagmodel._count(n, 3, flagmodel._flag_masks(_basis_columns(n, 3), n, 3))
-    assert tensor == flagmodel._tensor(n, 3)
+    assert counts == flagmodel._slice(n, 3, longest)
+    # the same slices from the literal layer's chain bases, sorted into
+    # their cells by relative_position
+    std = Flag.standard(n, 3)
+    by_cell = {}
+    for cols in _basis_columns(n, 3):
+        y = relative_position(Flag.from_basis(list(zip(*cols)), 3), std)
+        by_cell.setdefault(perms.index(y), []).append(cols)
+    for y, columns in by_cell.items():
+        slice_y = flagmodel._cell_slice(n, 3, y, flagmodel._flag_masks(columns, n, 3))
+        assert slice_y == flagmodel._slice(n, 3, y), y
     # the check finds chain matrices and lanes where they are kept
     assert _holds_chains(_flag_columns(n, 3), n)
-    assert _holds_chains(flagmodel._chain_lanes(n, enumerate_perms(n))[0], n)
+    assert _holds_chains(flagmodel._chain_lanes(n, perms[longest])[0], n)
     for q in (2, 3):
         check_orbit_representatives(n, q)
-        cached = flagmodel._tensor(n, q)
-        assert isinstance(cached, list) and len(cached) == len(flagmodel._slot_orbits(n)[0]), q
-        assert len(_expanded(n, cached)) == math.factorial(n) ** 2, q
-        for counts in cached:
-            assert isinstance(counts, dict), q
-            assert all(type(z) is int and type(c) is int for z, c in counts.items()), q
-        assert not _holds_chains(cached, n), q
+        for y in range(len(perms)):
+            cached = flagmodel._slice(n, q, y)
+            assert isinstance(cached, list) and len(cached) == len(perms), q
+            for counts in cached:
+                assert isinstance(counts, dict), q
+                assert all(type(x) is int and type(c) is int for x, c in counts.items()), q
+            assert not _holds_chains(cached, n), q
 
 
 def test_literal_layer_runs_on_the_kernel_and_lattice_matches_local_rref(monkeypatch):
@@ -1316,7 +1263,6 @@ def test_literal_layer_runs_on_the_kernel_and_lattice_matches_local_rref(monkeyp
                          for b in range((1 << n) - 1))
                 want = bytes(sum(1 << row.index(1) for row in rows) for rows in rrefs)
                 assert flagmodel._flag_masks([c], n, q) == {1: want}, (n, q, c)
-    expected = flagmodel._tensor(3, 2)
     slices = [flagmodel._slice(3, 2, y) for y in range(6)]
     wf, vf = representative_pair(Perm((2, 3, 1)), 3)
     # two echelon bases of one span, with different tails
@@ -1340,26 +1286,26 @@ def test_literal_layer_runs_on_the_kernel_and_lattice_matches_local_rref(monkeyp
     ):
         with pytest.raises(AssertionError, match="kernel"):
             call()
-    # the F_2 lanes stay off the kernel, for the tensor and for every
-    # slice: fresh counts, not the cached ones
-    assert flagmodel._count(3, 2, flagmodel._pivot_masks(3, 2, enumerate_perms(3))) == expected
+    # the F_2 lanes stay off the kernel, for every slice: fresh counts,
+    # not the cached ones
     assert [flagmodel._slice.__wrapped__(3, 2, y) for y in range(6)] == slices
 
 
 def test_fast_side_and_literal_layer_enumerate_apart(monkeypatch):
-    # the tensor and the cross-check read the cells, never the literal
+    # the slices and the cross-check read the cells, never the literal
     # layer's enumeration; enumerate_flags reads neither cells nor lanes,
     # so each side stays the other's oracle
     n = 3
+    labels = range(len(enumerate_perms(n)))
     flags = {q: enumerate_flags(n, q) for q in (2, 3)}
-    tensors = {q: flagmodel._tensor(n, q) for q in (2, 3)}
+    slices = {q: [flagmodel._slice(n, q, y) for y in labels] for q in (2, 3)}
 
     def refuse(*args):
         raise AssertionError("the other side's enumeration was called")
 
     monkeypatch.setattr(flagmodel, "_chain_bases", refuse)
     for q in (2, 3):
-        assert flagmodel._tensor.__wrapped__(n, q) == tensors[q], q
+        assert [flagmodel._slice.__wrapped__(n, q, y) for y in labels] == slices[q], q
         assert check_orbit_representatives(n, q) is None
     monkeypatch.undo()
     for name in ("_cell_layout", "_cell_columns", "_chain_lanes"):
@@ -1408,26 +1354,31 @@ def test_span_commutativity():
     assert rank_row["rank_f"] == rank_row["rank_powers"] == rank_row["rank_union"] == 3
 
 
-def _structure_oracle(n, q):
-    """The tensor row of compare_structure_constants, pair by pair.
+def _structure_oracle(n, q, tensor, ys=None):
+    """The tensor row of compare_structure_constants, slot by slot.
 
-    Every slot of the expanded tensor is compared with T_x T_y from
-    mul in Z[q], specialized at q, in both orders.
+    Slot x * n! + y of `tensor`, for every x and every y in `ys` (all
+    labels by default), is compared with T_x T_y and T_y T_x from mul
+    in Z[q], specialized at q.
     """
     perms = enumerate_perms(n)
     nperms = len(perms)
     index = {w: i for i, w in enumerate(perms)}
-    table = _expanded(n, flagmodel._tensor(n, q))
+
+    def at_q(a, b):
+        h = mul(HeckeElt.basis(a), HeckeElt.basis(b)).specialize(q)
+        return {index[w]: c for w, c in h.items()}
+
     product_misses, reversed_misses = [], []
-    for xi, x in enumerate(perms):
-        for yi, y in enumerate(perms):
-            h = mul(HeckeElt.basis(x), HeckeElt.basis(y)).specialize(q)
-            h = {index[w]: c for w, c in h.items()}
-            if table[xi * nperms + yi] != h:
-                product_misses.append((xi, yi))
-            if table[yi * nperms + xi] != h:
-                reversed_misses.append((yi, xi))
-    total = nperms * nperms
+    columns = ys if ys is not None else perms
+    for x in perms:
+        for y in columns:
+            slot = index[x] * nperms + index[y]
+            if tensor[slot] != at_q(x, y):
+                product_misses.append(slot)
+            if tensor[slot] != at_q(y, x):
+                reversed_misses.append(slot)
+    total = nperms * len(columns)
     row = {
         "pairs": total,
         "product_order_matches": total - len(product_misses),
@@ -1442,21 +1393,22 @@ def _structure_oracle(n, q):
     row["pass"] = row["orientation"] != "inconsistent"
     if not row["pass"]:
         first = [f"pair ({perms[a]}, {perms[b]})" for a, b in
-                 (min(product_misses), min(reversed_misses))]
+                 (divmod(min(misses), nperms) for misses in (product_misses, reversed_misses))]
         row["witness"] = (
             f"product order first miss {first[0]}; reversed order first miss {first[1]}"
         )
     return row
 
 
-def _commutativity_oracle(n, q):
-    """Span's commutativity row from the full tensor, in one pass.
+def _commutativity_oracle(n, q, tensor=None):
+    """Span's commutativity row from a whole tensor, in one pass.
 
     The differences D_0 = f_0 and D_a = f_a - f_(a-1) have disjoint
     supports, so the (n+1)^2 products D_a * D_b read every slot once,
     and f_s * f_t is the sum of D_a * D_b over a <= s and b <= t, taken
-    as 2-D prefix sums.
+    as 2-D prefix sums.  The tensor is the oracle tensor by default.
     """
+    tensor = tensor or _oracle_tensor(n, q)
     fs = [f_t(n, q, t) for t in range(n + 1)]
     perms = enumerate_perms(n)
     indexed = flagmodel._indexed
@@ -1468,7 +1420,7 @@ def _commutativity_oracle(n, q):
         for t, right_part in enumerate(parts, 1):
             above, before, corner = sums[s - 1][t], sums[s][t - 1], sums[s - 1][t - 1]
             acc = [a + b - c for a, b, c in zip(above, before, corner)]
-            _tensor_products(acc, n, q, left_part, right_part)
+            _tensor_products(acc, tensor, left_part, right_part)
             sums[s][t] = acc
     row = {"check": "commutativity of all f_s, f_t", "pass": True}
     for s, t in itertools.combinations(range(n + 1), 2):
@@ -1481,12 +1433,19 @@ def _commutativity_oracle(n, q):
     return row
 
 
-def _pairwise_commutativity(n, q):
-    # the commutativity row from direct products off the full tensor
+def _pairwise_commutativity(n, q, tensor):
+    # the commutativity row from direct products off a whole tensor
     fs = [f_t(n, q, t) for t in range(n + 1)]
+    perms = enumerate_perms(n)
+
+    def product(f, g):
+        acc = [0] * len(perms)
+        _tensor_products(acc, tensor, flagmodel._indexed(f), flagmodel._indexed(g))
+        return OrbitFn(n, q, {w: c for w, c in zip(perms, acc) if c})
+
     row = {"check": "commutativity of all f_s, f_t", "pass": True}
     for s, t in itertools.combinations(range(n + 1), 2):
-        left, right = _tensor_product(fs[s], fs[t]), _tensor_product(fs[t], fs[s])
+        left, right = product(fs[s], fs[t]), product(fs[t], fs[s])
         if left != right:
             row["pass"] = False
             row["witness"] = f"s={s}, t={t}: " + flagmodel._first_mismatch(left, right)
@@ -1495,31 +1454,23 @@ def _pairwise_commutativity(n, q):
 
 
 def test_orbit_reads_match_the_all_pair_oracles():
-    # the structure-constant row reads the tensor once per orbit, and
-    # the one-pass commutativity oracle reads it through the
-    # differences D_a; on the true tensor and with one count of one
-    # stored row perturbed, they equal the all-pair comparison and the
-    # direct products
+    # the structure-constant row, read off the generator rows, equals the
+    # all-pair comparison, and the one-pass commutativity oracle, read
+    # through the differences D_a, equals the direct products: on the
+    # oracle tensor, and with one count of one slot of it perturbed
     rng = random.Random(25)
     commuted = set()
-    try:
-        for n in (3, 4):
-            flagmodel._tensor.cache_clear()
-            assert compare_structure_constants(n, 2).details[0] == _structure_oracle(n, 2)
-            assert _commutativity_oracle(n, 2) == _pairwise_commutativity(n, 2)
-            for _ in range(4):
-                flagmodel._tensor.cache_clear()
-                rows = flagmodel._tensor(n, 2)
-                counts = rows[rng.randrange(len(rows))]
-                counts[rng.choice(sorted(counts))] += 1
-                got = compare_structure_constants(n, 2).details[0]
-                assert got["orientation"] == "inconsistent", n
-                assert got == _structure_oracle(n, 2), n
-                comm = _commutativity_oracle(n, 2)
-                assert comm == _pairwise_commutativity(n, 2), n
-                commuted.add(comm["pass"])
-    finally:
-        flagmodel._tensor.cache_clear()
+    for n in (3, 4):
+        tensor = _oracle_tensor(n, 2)
+        assert compare_structure_constants(n, 2).details[0] == _structure_oracle(n, 2, tensor)
+        assert _commutativity_oracle(n, 2) == _pairwise_commutativity(n, 2, tensor)
+        for _ in range(4):
+            perturbed = [dict(counts) for counts in tensor]
+            counts = rng.choice(perturbed)
+            counts[rng.choice(sorted(counts))] += 1
+            comm = _commutativity_oracle(n, 2, perturbed)
+            assert comm == _pairwise_commutativity(n, 2, perturbed), n
+            commuted.add(comm["pass"])
     # some perturbation breaks commutativity, so a witness was compared
     assert False in commuted
 
@@ -1555,15 +1506,101 @@ def test_span_derives_commutativity_from_its_rows():
 
 
 def test_identity_checks_never_build_the_full_tensor(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the full tensor was read")
+    # lemma3, factorization and span read only the cells of the cycles
+    # c_g, the support of f1, or of their inverses when a product is
+    # read transposed, one cell per call
+    masks, cells = flagmodel._pivot_masks, []
+
+    def recorded(n, q, y):
+        cells.append(y)
+        return masks(n, q, y)
 
     flagmodel._slice.cache_clear()
-    for name in ("_tensor", "_count", "_slot_orbits"):
-        monkeypatch.setattr(flagmodel, name, refuse)
+    monkeypatch.setattr(flagmodel, "_pivot_masks", recorded)
     for n, q in ((4, 2), (3, 3)):
+        cycles = {cycle_element(g, n) for g in range(1, n + 1)}
+        cells.clear()
         for check in (verify_lemma3, verify_factorization, verify_span_commutativity):
             assert check(n, q).passed, (check.__name__, n, q)
+        assert cells and set(cells) <= cycles | {c.inverse() for c in cycles}, (n, q)
+
+
+def test_structure_constants_read_only_the_generator_cells(monkeypatch):
+    # at (5, 2) the check reads the cells of 1, s_1, ..., s_4, 1 + 4 * 2
+    # flags, each through its own lanes: every call builds the masks of
+    # one cell, and no cell is read flag by flag
+    n, q = 5, 2
+    masks, lanes = flagmodel._pivot_masks, flagmodel._chain_lanes
+    cells, flags = [], []
+
+    def one_cell_masks(n, q, y):
+        out = masks(n, q, y)
+        assert sum(map(len, out.values())) == ((1 << n) - 1) * q ** y.length(), y
+        cells.append(y)
+        return out
+
+    def counted_lanes(n, y):
+        out = lanes(n, y)
+        flags.append(out[1])
+        return out
+
+    def refuse(*args):
+        raise AssertionError("a cell was read flag by flag")
+
+    monkeypatch.setattr(flagmodel, "_pivot_masks", one_cell_masks)
+    monkeypatch.setattr(flagmodel, "_chain_lanes", counted_lanes)
+    monkeypatch.setattr(flagmodel, "_flag_masks", refuse)
+    flagmodel._slice.cache_clear()
+    assert compare_structure_constants(n, q).passed
+    assert cells == [Perm.identity(n)] + [Perm.simple(i, n) for i in range(1, n)]
+    assert flags == [1] + [q] * (n - 1)
+
+
+def test_structure_constants_count_the_commuting_pairs():
+    # product_order_matches, derived on the Hecke side, against a brute
+    # force count of the pairs with T_x T_y = T_y T_x: mul over Z[q],
+    # then the value at q; n = 1 and 2 are commutative
+    for n in range(1, 5):
+        perms = enumerate_perms(n)
+        products = {(x, y): mul(HeckeElt.basis(x), HeckeElt.basis(y)) for x in perms for y in perms}
+        for q in (2, 3):
+            at_q = {pair: h.specialize(q) for pair, h in products.items()}
+            commuting = sum(at_q[x, y] == at_q[y, x] for x, y in at_q)
+            head = compare_structure_constants(n, q).details[0]
+            assert head["pass"] and head["pairs"] == len(perms) ** 2, (n, q)
+            assert head["product_order_matches"] == commuting, (n, q)
+            assert head["reversed_order_matches"] == head["pairs"], (n, q)
+            assert head["orientation"] == ("product" if n <= 2 else "reversed"), (n, q)
+        assert (commuting == len(products)) == (n <= 2), n
+
+
+def test_structure_constants_name_an_off_by_one_generator_slot():
+    # one count of the s_1 slice raised by one: neither order holds at
+    # that generator slot, so the row fails over the n * n! generator
+    # slots, as the oracle over those slots says, and the first miss of
+    # the reversed order is that slot
+    rng = random.Random(34)
+    try:
+        for n, q in ((3, 2), (3, 3), (4, 2), (4, 3)):
+            perms = enumerate_perms(n)
+            nperms = len(perms)
+            gens = [Perm.identity(n)] + [Perm.simple(i, n) for i in range(1, n)]
+            s1 = perms.index(gens[1])
+            flagmodel._slice.cache_clear()
+            counts = flagmodel._slice(n, q, s1)
+            z = rng.choice([z for z, row in enumerate(counts) if row])
+            x = rng.choice(sorted(counts[z]))
+            counts[z][x] += 1
+            tensor = [dict(c) for c in _oracle_tensor(n, q)]
+            tensor[x * nperms + s1][z] += 1
+            row = compare_structure_constants(n, q).details[0]
+            assert row == _structure_oracle(n, q, tensor, gens), (n, q, x, z)
+            assert row["orientation"] == "inconsistent" and row["pairs"] == n * nperms
+            assert row["reversed_order_matches"] == n * nperms - 1, (n, q)
+            assert row["witness"].endswith(
+                f"reversed order first miss pair ({perms[x]}, {perms[s1]})"), row
+    finally:
+        flagmodel._slice.cache_clear()
 
 
 def test_structure_constants_commutative_rank():

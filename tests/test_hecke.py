@@ -1,11 +1,13 @@
 """Tests for the Hecke algebra: relations, products, vanishing identities."""
 
 import doctest
+import gc
 import os
 import random
 import re
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -244,6 +246,23 @@ def test_basis_walk_at_int_q_matches_specialized_products():
                     assert walk(xi) == want, (n, q, xi, yi)
 
 
+def test_dropped_basis_walk_leaves_no_cycle():
+    # the walk does not call itself, so dropping it frees its memo of
+    # products by reference counting: with the cycle collector off, the
+    # walk is gone at once and a collection afterwards finds nothing
+    gc.collect()
+    gc.disable()
+    try:
+        walk = hecke._basis_walk(4, {5: 1}, 3)
+        assert walk(23)
+        probe = weakref.ref(walk)
+        del walk
+        assert probe() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_rank_steps_match_literal_products():
     # d_i[u], index and sign, against the literal s_i w and its length;
     # n = 1 has no generators, so no tables
@@ -396,13 +415,13 @@ def test_group_walk_needs_no_group_mul_or_hecke_step(monkeypatch):
 
 
 def test_import_builds_no_rank_table():
-    # the rank-step and label-symmetry tables are built on first use,
+    # the rank-step, label-inverse and label-chain tables are built on first use,
     # so the import that starts every command carries no table build
     code = (
         "import qshuffle, qshuffle.cli\n"
         "from qshuffle import flagmodel, hecke\n"
         "print(sum(f.cache_info().currsize for f in (hecke._rank_steps,\n"
-        "    flagmodel._relabels, flagmodel._slot_orbits)))"
+        "    flagmodel._inverses, flagmodel._label_chains)))"
     )
     src = os.path.dirname(os.path.dirname(hecke.__file__))
     env = {**os.environ, "PYTHONPATH": src}
