@@ -986,6 +986,23 @@ def test_packed_f2_backend_matches_generic():
             assert flagmodel._pivot_masks(n, 2, label) == flagmodel._lane_masks(lanes, n, count)
 
 
+def test_orbit_check_at_q2_reads_no_lanes(monkeypatch):
+    # the moved flags go through the per-flag lattice at q = 2 too, so
+    # with each cell's own pivot sets handed over, the cross-check reads
+    # no lane of its own: the lanes meet an independent oracle
+    own = {(n, y): flagmodel._pivot_masks(n, 2, y)
+           for n in range(2, 6) for y in enumerate_perms(n)}
+
+    def refuse(*args):
+        raise AssertionError("the moved side read the lane lattice")
+
+    monkeypatch.setattr(flagmodel, "_pivot_masks", lambda n, q, y: own[n, y])
+    monkeypatch.setattr(flagmodel, "_chain_lanes", refuse)
+    monkeypatch.setattr(flagmodel, "_lane_masks", refuse)
+    for n in range(2, 6):
+        assert check_orbit_representatives(n, 2) is None
+
+
 def test_orbit_check_reduces_each_flag_once(monkeypatch):
     # the cross-check sends every moved flag through the per-flag
     # lattice once, cell by cell, and recounts each cell's own slice
